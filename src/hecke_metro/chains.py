@@ -7,10 +7,18 @@ pi(w) proportional to theta^{-length(w)} is
     K_i(x, s_i x) = theta      if length(s_i x) < length(x),
     K_i(x, x)     = 1 - theta  in the second case,
 
-and systematic scans are matrix products of these.  All kernels are kept
-as integer matrices over a single shared denominator, so every identity
-check in this module is exact; scan products are built one letter at a
-time with O(|W|^2) column updates (no dense matrix products).
+and systematic scans are matrix products of these.  All arithmetic is on
+integers over a single shared denominator, so every identity check in
+this module is exact.  One letter routine right-multiplies a block of
+rows by K_i at O(|W|) per row:
+
+* :func:`evolve_scan` applies it to the single row of a start
+  distribution, so one pass of a scan costs O(|W| * letters) and no
+  kernel is ever formed (the matrix-free path);
+* :func:`scan_kernel` and :func:`random_scan_kernel` apply it to the
+  identity block, giving the dense |W| x |W| kernel that :func:`evolve`,
+  :func:`kernel_power` and the operator-level checks work on (the dense
+  path, O(|W|^2) cells, kept as the oracle for the matrix-free one).
 
 The scan recipe (i_1, ..., i_k) applies K_{i_1} first, i.e. the kernel is
 the matrix product K_{i_1} K_{i_2} ... K_{i_k}; by the multiplication rule
@@ -20,6 +28,7 @@ T~_{i_k} ... T~_{i_1}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +46,7 @@ __all__ = [
     "chi_square",
     "commutes_with_metropolis",
     "evolve",
+    "evolve_scan",
     "kernel_power",
     "long_recipe",
     "long_scan_kernel",
@@ -175,22 +185,50 @@ def _apply_letter_rows(num: np.ndarray, perm, up, a: int, b: int) -> np.ndarray:
     return out
 
 
-def scan_kernel(family: GroupFamily, theta, recipe) -> Kernel:
-    """Systematic scan K_{i_1} K_{i_2} ... K_{i_k} for recipe (i_1, ..., i_k)."""
-    theta = _as_theta(theta)
-    recipe = tuple(recipe)
+def _check_scan(family: GroupFamily, scan) -> tuple[int, ...] | str:
+    """A scan as :func:`_apply_scan` takes it: a validated recipe, or "random"."""
+    if isinstance(scan, str):
+        if scan != "random":
+            raise ValueError(f'scan must be a recipe or "random", got {scan!r}')
+        return scan
+    recipe = tuple(scan)
     gens = coxeter.generators(family)
     for i in recipe:
         if i not in gens:
             raise ValueError(f"generator index {i} out of range for {family}")
+    return recipe
+
+
+def _apply_scan(family: GroupFamily, theta: Fraction, scan, block=None):
+    """Right-multiply a row block by one pass of the scan kernel.
+
+    Returns the new block and the factor by which its denominator grows:
+    b per letter of a recipe, b*m for the random scan, which is the sum of
+    the m one-letter images.  Without a block this is the kernel itself;
+    for a recipe, the identity it starts from is dropped after the first
+    letter rather than held by the caller for the whole pass.
+    """
+    if block is None:
+        block = np.identity(family.order, dtype=object)
     _, _, _, perms, ups = _left_tables(family)
-    n = family.order
     a, b = theta.numerator, theta.denominator
-    num = np.identity(n, dtype=object)
-    den = 1
-    for i in recipe:
-        num = _apply_letter_columns(num, perms[i - 1], ups[i - 1], a, b)
-        den *= b
+    if scan == "random":
+        out = np.zeros_like(block)
+        for perm, up in zip(perms, ups):
+            out += _apply_letter_columns(block, perm, up, a, b)
+        return out, b * family.rank
+    factor = 1
+    for i in scan:
+        block = _apply_letter_columns(block, perms[i - 1], ups[i - 1], a, b)
+        factor *= b
+    return block, factor
+
+
+def scan_kernel(family: GroupFamily, theta, recipe) -> Kernel:
+    """Systematic scan K_{i_1} K_{i_2} ... K_{i_k} for recipe (i_1, ..., i_k)."""
+    theta = _as_theta(theta)
+    recipe = _check_scan(family, tuple(recipe))
+    num, den = _apply_scan(family, theta, recipe)
     return Kernel(family, theta, num, den, descriptor=recipe)
 
 
@@ -239,20 +277,8 @@ def long_scan_kernel(family: GroupFamily, theta) -> Kernel:
 def random_scan_kernel(family: GroupFamily, theta) -> Kernel:
     """Uniform mixture (1/rank) sum_i K_i."""
     theta = _as_theta(theta)
-    m = family.rank
-    a, b = theta.numerator, theta.denominator
-    _, _, _, perms, ups = _left_tables(family)
-    n = family.order
-    num = np.zeros((n, n), dtype=object)
-    for g in range(m):
-        perm, up = perms[g], ups[g]
-        for x in range(n):
-            if up[x]:
-                num[x, perm[x]] += b
-            else:
-                num[x, perm[x]] += a
-                num[x, x] += b - a
-    return Kernel(family, theta, num, b * m, descriptor="random")
+    num, den = _apply_scan(family, theta, "random")
+    return Kernel(family, theta, num, den, descriptor="random")
 
 
 def kernel_power(K: Kernel, m: int) -> Kernel:
@@ -285,6 +311,36 @@ def evolve(K: Kernel, start: Distribution, ell: int) -> Distribution:
     for _ in range(ell):
         probs = (probs @ K.num) / K.den
     return Distribution(K.family, probs)
+
+
+def evolve_scan(
+    family: GroupFamily, theta, scan, start: Distribution, ell: int
+) -> Distribution:
+    """Exact distribution start * K^ell, one scan letter at a time.
+
+    ``scan`` is a recipe (i_1, ..., i_k) or ``"random"``.  The start is
+    held as one row of integer numerators over their common denominator
+    and right-multiplied by each letter's K_i in turn, so a pass costs
+    O(|W| * letters) and no |W| x |W| kernel is formed.  Equal by ``==``
+    to ``evolve(scan_kernel(family, theta, scan), start, ell)`` (or
+    :func:`random_scan_kernel` for the random scan).
+    """
+    if ell < 0:
+        raise ValueError("negative step count")
+    if start.family != family:
+        raise ValueError("family mismatch")
+    theta = _as_theta(theta)
+    scan = _check_scan(family, scan)
+    probs = [Fraction(p) for p in start.probs]
+    den = math.lcm(*(p.denominator for p in probs))
+    block = np.array(
+        [[p.numerator * (den // p.denominator) for p in probs]], dtype=object
+    )
+    for _ in range(ell):
+        block, factor = _apply_scan(family, theta, scan, block)
+        den *= factor
+    probs = np.array([Fraction(int(v), den) for v in block[0]], dtype=object)
+    return Distribution(family, probs)
 
 
 def tv_distance(p: Distribution, pi: Distribution) -> Fraction:

@@ -4,8 +4,9 @@ Four subcommands drive the library end to end:
 
 ``analyze``
     Per-pass chi-square distances for a chosen scan: the closed form from
-    the irreducible-block data next to the brute-force kernel computation
-    (when the group is small enough to enumerate), the exact total
+    the irreducible-block data next to the exact brute-force evolution
+    (when the group is small enough to enumerate: matrix-free from the
+    identity, dense kernel powers with ``--averaged``), the exact total
     variation distance, and the generic bound ``tv^2 <= chisq / 4``.
 
 ``verify``
@@ -256,30 +257,46 @@ def _closed_form(cfg: RunConfig, ell: int):
     )
 
 
-def _scan_kernel(cfg: RunConfig) -> chains.Kernel:
-    if cfg.scan == "long":
-        return chains.long_scan_kernel(cfg.family, cfg.theta)
-    if cfg.scan == "short":
-        return chains.short_scan_kernel(cfg.family, cfg.theta)
-    return chains.random_scan_kernel(cfg.family, cfg.theta)
-
-
 def _match(formula, oracle, mode: str) -> bool:
     if mode == "exact":
         return formula == oracle
     return math.isclose(float(formula), float(oracle), rel_tol=1e-9, abs_tol=1e-15)
 
 
+def _scan_letters(cfg: RunConfig) -> tuple[int, ...] | str:
+    """The configured scan as :func:`chains.evolve_scan` takes it."""
+    if cfg.scan == "long":
+        return chains.long_recipe(cfg.family)
+    if cfg.scan == "short":
+        return chains.short_recipe(cfg.family)
+    return "random"
+
+
+def _scan_kernel(cfg: RunConfig) -> chains.Kernel:
+    scan = _scan_letters(cfg)
+    if scan == "random":
+        return chains.random_scan_kernel(cfg.family, cfg.theta)
+    return chains.scan_kernel(cfg.family, cfg.theta, scan)
+
+
 def _analyze_rows(cfg: RunConfig) -> list[dict]:
+    """Closed form per pass, next to the brute-force oracle within the cap.
+
+    The identity-start oracle evolves the point mass at the identity one
+    scan letter at a time (matrix-free); ``--averaged`` needs every start,
+    so it takes powers of the dense kernel.
+    """
     within_cap = cfg.family.order <= coxeter.enumeration_cap()
     rows: list[dict] = []
     kernel = dist = pi = None
     if within_cap:
-        kernel = _scan_kernel(cfg)
-        if not cfg.averaged:
-            pi = chains.stationary(cfg.family, kernel.theta)
+        if cfg.averaged:
+            kernel = _scan_kernel(cfg)
+        else:
+            scan = _scan_letters(cfg)
+            pi = chains.stationary(cfg.family, cfg.theta)
             dist = chains.point_mass(cfg.family, coxeter.identity(cfg.family))
-            dist = chains.evolve(kernel, dist, cfg.lmin - 1)
+            dist = chains.evolve_scan(cfg.family, cfg.theta, scan, dist, cfg.lmin - 1)
     for ell in range(cfg.lmin, cfg.lmax + 1):
         formula = _closed_form(cfg, ell)
         oracle = tv = None
@@ -287,7 +304,7 @@ def _analyze_rows(cfg: RunConfig) -> list[dict]:
             if cfg.averaged:
                 oracle = chains.average_start_chi_square(kernel, ell)
             else:
-                dist = chains.evolve(kernel, dist, 1)
+                dist = chains.evolve_scan(cfg.family, cfg.theta, scan, dist, 1)
                 oracle = chains.chi_square(dist, pi)
                 tv = chains.tv_distance(dist, pi)
         if cfg.mode == "float":
@@ -380,9 +397,11 @@ def analyze(ctx, family_kind, n, theta_raw, scan, lmin, lmax, averaged, mode, fm
     """Chi-square decay of a scan: closed form vs. brute force per pass.
 
     Emits one row per pass count l with the closed-form chi-square, the
-    brute-force value from exact kernel powers (when the group is within
-    the enumeration cap), the total variation distance, the bound
-    tv^2 <= chisq/4, and a match flag.  Exits 1 if any row mismatches.
+    exact brute-force value (when the group is within the enumeration
+    cap), the total variation distance, the bound tv^2 <= chisq/4, and a
+    match flag.  Exits 1 if any row mismatches.  From the identity the
+    oracle applies the scan letters to the start vector (matrix-free);
+    with --averaged it takes powers of the dense kernel.
     """
     cfg = _config(
         family=_family(family_kind, n),
@@ -747,8 +766,10 @@ def bounds(ns, theta_raws, cs, out):
             )
         thetas.append(value)
     for n in ns:
-        if n < 1:
-            raise click.UsageError(f"n must be positive, got {n}")
+        if n < 3:
+            raise click.UsageError(
+                f"bounds need n >= 3 (every grid cell has dihedral rows); got {n}"
+            )
     for c in cs:
         if c <= 0:
             raise click.UsageError(f"slack constants must be positive, got {c}")

@@ -781,12 +781,18 @@ def bound_symmetric_scans(n: int, theta, which: str, c=None) -> float:
 def bound_dihedral_random_scan(n: int, theta, ell: int) -> float:
     """Random-scan chi-square bound on the dihedral family:
     ``theta^-n sqrt((1+theta)/(1-theta)) (1 - (1/2)(1 - sqrt(theta))^2)^(2 ell)``.
-    Quoted as an evaluable bound only, with no claim of tightness."""
+    Quoted as an evaluable bound only, with no claim of tightness.
+    Evaluated in logs; ``math.inf`` (still a true upper bound) when the
+    value is beyond the float range."""
     theta = _require_theta_open(theta)
     if n < 3:
         raise ValueError("need n >= 3")
     gap = 1 - 0.5 * (1 - math.sqrt(theta)) ** 2
-    return theta ** (-n) * math.sqrt((1 + theta) / (1 - theta)) * gap ** (2 * ell)
+    return _log_domain(
+        -n * math.log(theta)
+        + 0.5 * math.log((1 + theta) / (1 - theta))
+        + 2 * ell * math.log(gap)
+    )
 
 
 def bound_dihedral_long_scan(n: int, theta) -> Fraction:

@@ -17,6 +17,7 @@ from hecke_metro.chains import (
     chi_square,
     commutes_with_metropolis,
     evolve,
+    evolve_scan,
     kernel_power,
     long_recipe,
     long_scan_kernel,
@@ -179,6 +180,36 @@ def test_evolution_from_a_point_mass_reads_off_kernel_rows():
     assert (dist.probs == K.row_distribution(chains.element_index(family, x)).probs).all()
 
 
+EVOLVE_FAMILIES = (
+    [symmetric(n) for n in range(2, 6)]
+    + [hypercube(n) for n in range(1, 7)]
+    + [dihedral(n) for n in range(3, 9)]
+)
+
+
+@pytest.mark.parametrize("family", EVOLVE_FAMILIES, ids=str)
+@pytest.mark.parametrize("scan", ["long", "short", "random"])
+def test_matrix_free_evolution_equals_dense_evolution(family, scan):
+    """evolve_scan against the dense oracle evolve(scan kernel), by ==."""
+    scan = {"long": long_recipe(family), "short": short_recipe(family)}.get(scan, scan)
+    for theta in (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(1, 4)):
+        if scan == "random":
+            K = random_scan_kernel(family, theta)
+        else:
+            K = scan_kernel(family, theta, scan)
+        starts = (
+            point_mass(family, coxeter.identity(family)),
+            point_mass(family, coxeter.longest_element(family)),
+            stationary(family, theta),
+        )
+        for start in starts:
+            dense = start
+            for ell in range(4):
+                fast = evolve_scan(family, theta, scan, start, ell)
+                assert (fast.probs == dense.probs).all(), (theta, ell)
+                dense = evolve(K, dense, 1)
+
+
 @pytest.mark.parametrize("family", FAMILIES, ids=str)
 @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(9, 10)])
 @pytest.mark.parametrize("ell", [1, 2])
@@ -220,6 +251,15 @@ def test_parameter_validation():
         scan_kernel(symmetric(3), Fraction(1, 2), (1, 9))
     with pytest.raises(ValueError):
         kernel_power(metropolis_kernel(symmetric(3), 1, Fraction(1, 2)), -1)
+    start = point_mass(symmetric(3), coxeter.identity(symmetric(3)))
+    with pytest.raises(ValueError):
+        evolve_scan(symmetric(3), Fraction(1, 2), (1, 9), start, 1)
+    with pytest.raises(ValueError):
+        evolve_scan(symmetric(3), Fraction(1, 2), "sideways", start, 1)
+    with pytest.raises(ValueError):
+        evolve_scan(symmetric(3), Fraction(1, 2), (1, 2), start, -1)
+    with pytest.raises(ValueError):
+        evolve_scan(symmetric(4), Fraction(1, 2), (1, 2), start, 1)
     with pytest.raises(ValueError):
         Distribution(symmetric(3), np.array([Fraction(1)] * 6, dtype=object))
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from hecke_metro import cli
+from hecke_metro import chains, cli
 
 ANALYZE_COLUMNS = ["l", "chisq_formula", "chisq_oracle", "tv", "tv_bound", "match"]
 
@@ -184,6 +184,56 @@ def test_analyze_atomic_write_leaves_no_temp_files(runner, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
+def _refuse_dense_kernels(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense scan kernel was built")
+
+    monkeypatch.setattr(chains, "scan_kernel", refuse)
+    monkeypatch.setattr(chains, "random_scan_kernel", refuse)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--family", "symmetric", "--n", "5", "--scan", "long", "--theta", "1/3"),
+        ("--family", "symmetric", "--n", "5", "--scan", "short", "--theta", "1/3"),
+        ("--family", "dihedral", "--n", "12", "--scan", "random", "--mode", "float",
+         "--theta", "1/2"),
+        ("--family", "dihedral", "--n", "12", "--scan", "long", "--mode", "float",
+         "--theta", "1/2"),
+    ],
+)
+def test_identity_start_analyze_builds_no_dense_kernel(runner, monkeypatch, args):
+    _refuse_dense_kernels(monkeypatch)
+    res = invoke(runner, "analyze", *args, "--lmin", "2", "--lmax", "3")
+    assert res.exit_code == 0
+    rows = json.loads(res.output)["rows"]
+    assert [row["l"] for row in rows] == [2, 3]
+    assert all(row["match"] is True and row["tv"] is not None for row in rows)
+
+
+def test_averaged_analyze_still_uses_the_dense_kernel(runner, monkeypatch):
+    _refuse_dense_kernels(monkeypatch)
+    with pytest.raises(AssertionError, match="dense scan kernel"):
+        invoke(
+            runner,
+            "analyze", "--family", "symmetric", "--n", "4", "--theta", "1/2",
+            "--averaged", "--lmax", "1",
+        )
+
+
+def test_analyze_exact_hypercube_12_long_scan(runner):
+    res = invoke(
+        runner,
+        "analyze", "--family", "hypercube", "--n", "12", "--theta", "1/2",
+        "--scan", "long", "--lmax", "2",
+    )
+    assert res.exit_code == 0
+    rows = json.loads(res.output)["rows"]
+    assert len(rows) == 2
+    assert all(row["match"] is True for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -343,6 +393,22 @@ def test_bounds_reject_theta_one(runner):
 def test_bounds_reject_bad_grids(runner, args):
     res = invoke(runner, "bounds", *args)
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_bounds_refuse_groups_without_dihedral_rows(runner, n):
+    res = invoke(runner, "bounds", "--n", "10", "--n", n, "--theta", "1/2")
+    assert res.exit_code == 2
+    assert "n >= 3" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_bounds_beyond_the_float_range_print_infinity(runner):
+    res = invoke(runner, "bounds", "--n", "1000", "--theta", "1/10", "--c", "1")
+    assert res.exit_code == 0
+    rows = [line.split(",") for line in res.output.splitlines()[1:]]
+    values = {(family, kind): float(value) for family, kind, n, theta, c, value in rows}
+    assert values[("dihedral", "random_scan")] == float("inf")
 
 
 def test_bounds_out_file(runner, tmp_path):

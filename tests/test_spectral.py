@@ -418,6 +418,15 @@ def test_bound_values_frozen():
     )
 
 
+def test_dihedral_random_scan_bound_beyond_the_float_range_is_infinite():
+    # theta^-n alone is 1e1000 here; the bound is true and still a float
+    assert bound_dihedral_random_scan(1000, 0.1, 1) == math.inf
+    assert bound_dihedral_random_scan(1000, 0.1, 10) == math.inf
+    # a huge pass count brings the product back into range
+    value = bound_dihedral_random_scan(1000, 0.1, 4000)
+    assert 0 < value < math.inf
+
+
 def test_bounds_decrease_in_the_slack_constant():
     for n, theta in ((20, 0.5), (60, 0.25), (35, 0.9)):
         for f in (

@@ -19,6 +19,15 @@ rows by K_i at O(|W|) per row:
   identity block, giving the dense |W| x |W| kernel that :func:`evolve`,
   :func:`kernel_power` and the operator-level checks work on (the dense
   path, O(|W|^2) cells, kept as the oracle for the matrix-free one).
+  :func:`kernel_power` and :func:`kernel_powers` carry K^m to K^(m+1) by
+  the same letters, and a dense kernel is refused before allocation when
+  its |W|^2 cells exceed :func:`dense_cell_budget`.
+
+The reductions (:func:`chi_square`, :func:`tv_distance`,
+:func:`average_start_chi_square`, :func:`trace_of_power`,
+:func:`check_reversible`, :func:`check_stationary`) scale every
+distribution to integer numerators over one common denominator and work
+on those; each builds one ``Fraction``, for its result.
 
 The scan recipe (i_1, ..., i_k) applies K_{i_1} first, i.e. the kernel is
 the matrix product K_{i_1} K_{i_2} ... K_{i_k}; by the multiplication rule
@@ -32,22 +41,27 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from . import coxeter
-from .coxeter import GroupElement, GroupFamily
+from .coxeter import CapExceededError, GroupElement, GroupFamily
 
 __all__ = [
     "Distribution",
     "Kernel",
     "average_start_chi_square",
+    "check_dense_cells",
     "check_reversible",
+    "check_stationary",
     "chi_square",
     "commutes_with_metropolis",
+    "dense_cell_budget",
     "evolve",
     "evolve_scan",
     "kernel_power",
+    "kernel_powers",
     "long_recipe",
     "long_scan_kernel",
     "metropolis_kernel",
@@ -62,11 +76,42 @@ __all__ = [
 ]
 
 
+# A dense |W| x |W| kernel may hold this many cells per element that the
+# enumeration cap admits: 10^6 cells at the default cap, which admits the
+# symmetric group S_6 (518400 cells) and refuses S_7 (25.4 million).
+DENSE_CELLS_PER_ELEMENT = 20
+
+
+def dense_cell_budget() -> int:
+    """Cells a dense kernel may hold: DENSE_CELLS_PER_ELEMENT x HECKE_METRO_CAP."""
+    return DENSE_CELLS_PER_ELEMENT * coxeter.enumeration_cap()
+
+
+def check_dense_cells(family: GroupFamily) -> None:
+    """Refuse, before anything is allocated, a dense kernel over the cell budget."""
+    cells, budget = family.order**2, dense_cell_budget()
+    if cells > budget:
+        raise CapExceededError(
+            f"a dense kernel on {family} needs |W|^2 = {cells} cells, over the "
+            f"budget of {budget} cells ({DENSE_CELLS_PER_ELEMENT} per element of "
+            f"the enumeration cap {coxeter.enumeration_cap()}; raise "
+            "HECKE_METRO_CAP to allow it)"
+        )
+
+
 def _as_theta(theta) -> Fraction:
     theta = Fraction(theta)
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
     return theta
+
+
+def _numerators(probs) -> tuple[np.ndarray, int]:
+    """Integer numerators of exact probabilities over their common denominator."""
+    probs = [p if isinstance(p, Fraction) else Fraction(p) for p in probs]
+    den = math.lcm(*(p.denominator for p in probs))
+    num = np.array([p.numerator * (den // p.denominator) for p in probs], dtype=object)
+    return num, den
 
 
 @dataclass
@@ -77,10 +122,11 @@ class Distribution:
     probs: np.ndarray  # object dtype, Fraction entries
 
     def __post_init__(self) -> None:
-        total = sum(self.probs, Fraction(0))
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        if any(p < 0 for p in self.probs):
+        num, den = _numerators(self.probs)
+        total = num.sum()
+        if total != den:
+            raise ValueError(f"probabilities sum to {Fraction(total, den)}, not 1")
+        if (num < 0).any():
             raise ValueError("negative probability entry")
 
 
@@ -133,16 +179,18 @@ def element_index(family: GroupFamily, w: GroupElement) -> int:
 def stationary(family: GroupFamily, theta) -> Distribution:
     """pi(w) = theta^{-length(w)} / P_W(1/theta), exactly."""
     theta = _as_theta(theta)
-    q = 1 / theta
-    norm = coxeter.poincare_polynomial(family, q)
+    a, b = theta.numerator, theta.denominator
     lengths = _left_tables(family)[2]
-    probs = np.array([q ** int(l) / norm for l in lengths], dtype=object)
-    return Distribution(family, probs)
+    top = int(lengths.max())
+    # q^l up to the common factor a^top, for l = 0..top
+    weights = [b**l * a ** (top - l) for l in range(top + 1)]
+    norm = sum(int(c) * w for c, w in zip(np.bincount(lengths), weights))
+    by_length = np.array([Fraction(w, norm) for w in weights], dtype=object)
+    return Distribution(family, by_length[lengths])
 
 
 def point_mass(family: GroupFamily, w: GroupElement) -> Distribution:
-    probs = np.zeros(family.order, dtype=object)
-    probs += Fraction(0)
+    probs = np.full(family.order, Fraction(0), dtype=object)
     probs[element_index(family, w)] = Fraction(1)
     return Distribution(family, probs)
 
@@ -152,6 +200,7 @@ def metropolis_kernel(family: GroupFamily, i: int, theta) -> Kernel:
     theta = _as_theta(theta)
     if i not in coxeter.generators(family):
         raise ValueError(f"generator index {i} out of range for {family}")
+    check_dense_cells(family)
     _, _, _, perms, ups = _left_tables(family)
     perm, up = perms[i - 1], ups[i - 1]
     n = len(perm)
@@ -209,6 +258,7 @@ def _apply_scan(family: GroupFamily, theta: Fraction, scan, block=None):
     letter rather than held by the caller for the whole pass.
     """
     if block is None:
+        check_dense_cells(family)
         block = np.identity(family.order, dtype=object)
     _, _, _, perms, ups = _left_tables(family)
     a, b = theta.numerator, theta.denominator
@@ -281,24 +331,57 @@ def random_scan_kernel(family: GroupFamily, theta) -> Kernel:
     return Kernel(family, theta, num, den, descriptor="random")
 
 
+def _then(P: Kernel, K: Kernel) -> Kernel:
+    """The kernel P K.
+
+    A scan kernel K (a recipe or "random" as descriptor) is applied to the
+    rows of P one letter at a time, any other kernel by a dense product.
+    """
+    if K.descriptor == "random" or (isinstance(K.descriptor, tuple) and K.descriptor):
+        num, factor = _apply_scan(K.family, K.theta, K.descriptor, P.num)
+    else:
+        num, factor = P.num @ K.num, K.den
+    descriptor = K.descriptor
+    if isinstance(P.descriptor, tuple) and isinstance(K.descriptor, tuple):
+        descriptor = P.descriptor + K.descriptor
+    return Kernel(K.family, K.theta, num, P.den * factor, descriptor)
+
+
 def kernel_power(K: Kernel, m: int) -> Kernel:
-    """K^m; scan kernels are rebuilt letter-by-letter, others multiplied out."""
+    """K^m, carried from K one factor at a time (K itself when m = 1)."""
     if m < 0:
         raise ValueError("negative power")
-    n = K.num.shape[0]
     if m == 0:
+        n = K.num.shape[0]
         return Kernel(K.family, K.theta, np.identity(n, dtype=object), 1, "")
-    if isinstance(K.descriptor, tuple) and K.descriptor:
-        return scan_kernel(K.family, K.theta, K.descriptor * m)
-    num = K.num
+    power = K
     for _ in range(m - 1):
-        num = num @ K.num
-    return Kernel(K.family, K.theta, num, K.den**m, K.descriptor)
+        power = _then(power, K)
+    return power
+
+
+def kernel_powers(K: Kernel, start: int) -> Iterator[Kernel]:
+    """K^start, K^(start+1), ...: each power is the one before times K."""
+    power = kernel_power(K, start)
+    while True:
+        yield power
+        power = _then(power, K)
 
 
 def trace_of_power(K: Kernel, m: int) -> Fraction:
-    Km = kernel_power(K, m)
-    return Fraction(int(sum(Km.num.diagonal())), Km.den)
+    """tr(K^m), read off K^h and K^l with h + l = m and h - l in {0, 1}.
+
+    tr(K^m) = sum_{x,y} K^h[x,y] K^l[y,x], so only about m/2 powers are
+    carried; the sum runs row by row on the integer numerators.
+    """
+    if m < 2:
+        Km = kernel_power(K, m)
+        return Fraction(int(Km.num.trace()), Km.den)
+    low = kernel_power(K, m // 2)
+    high = _then(low, K) if m % 2 else low
+    low_t = low.num.T
+    total = sum(high.num[x] @ low_t[x] for x in range(high.num.shape[0]))
+    return Fraction(int(total), high.den * low.den)
 
 
 def evolve(K: Kernel, start: Distribution, ell: int) -> Distribution:
@@ -331,11 +414,8 @@ def evolve_scan(
         raise ValueError("family mismatch")
     theta = _as_theta(theta)
     scan = _check_scan(family, scan)
-    probs = [Fraction(p) for p in start.probs]
-    den = math.lcm(*(p.denominator for p in probs))
-    block = np.array(
-        [[p.numerator * (den // p.denominator) for p in probs]], dtype=object
-    )
+    num, den = _numerators(start.probs)
+    block = num[None, :]
     for _ in range(ell):
         block, factor = _apply_scan(family, theta, scan, block)
         den *= factor
@@ -347,22 +427,35 @@ def tv_distance(p: Distribution, pi: Distribution) -> Fraction:
     """Total variation distance (half the L1 distance)."""
     if p.family != pi.family:
         raise ValueError("family mismatch")
-    return sum((abs(a - b) for a, b in zip(p.probs, pi.probs)), Fraction(0)) / 2
+    (P, dp), (Q, dq) = _numerators(p.probs), _numerators(pi.probs)
+    # over the common denominator dp * dq
+    return Fraction(int(np.abs(P * dq - Q * dp).sum()), 2 * dp * dq)
 
 
 def chi_square(p: Distribution, pi: Distribution) -> Fraction:
     """Chi-square divergence sum_x (p(x) - pi(x))^2 / pi(x)."""
     if p.family != pi.family:
         raise ValueError("family mismatch")
-    if any(w == 0 for w in pi.probs):
+    (P, dp), (Q, dq) = _numerators(p.probs), _numerators(pi.probs)
+    if not Q.all():
         raise ValueError("reference distribution has a zero entry")
-    return sum(((a - b) ** 2 / b for a, b in zip(p.probs, pi.probs)), Fraction(0))
+    # (p - pi)^2 / pi = (P dq - Q dp)^2 / (dp^2 dq Q), over lcm(Q) = M
+    M = math.lcm(*Q)
+    diff = P * dq - Q * dp
+    return Fraction(int((diff * diff * (M // Q)).sum()), dp * dp * dq * M)
 
 
 def check_reversible(K: Kernel, pi: Distribution) -> bool:
     """Exact detailed-balance check pi(x) K(x,y) == pi(y) K(y,x)."""
-    weighted = pi.probs[:, None] * K.num
+    w, _ = _numerators(pi.probs)
+    weighted = w[:, None] * K.num
     return bool((weighted == weighted.T).all())
+
+
+def check_stationary(K: Kernel, pi: Distribution) -> bool:
+    """Exact check that pi K == pi."""
+    w, _ = _numerators(pi.probs)
+    return bool((w @ K.num == w * K.den).all())
 
 
 def commutes_with_metropolis(K: Kernel, i: int) -> bool:
@@ -376,13 +469,24 @@ def commutes_with_metropolis(K: Kernel, i: int) -> bool:
 
 
 def average_start_chi_square(K: Kernel, ell: int) -> Fraction:
-    """pi-weighted average over starts x of chi_square(delta_x K^ell, pi)."""
-    pi = stationary(K.family, K.theta)
+    """pi-weighted average over starts x of chi_square(delta_x K^ell, pi).
+
+    With pi(x) proportional to v_x = b^len(x) a^(L - len(x)) for theta = a/b
+    and L the longest length, pi(x) / pi(y) = v_x u_y / (ab)^L where
+    u_y = a^len(y) b^(L - len(y)).  So the average is
+
+        sum_x v_x sum_y num[x,y]^2 u_y / ((ab)^L den^2) - 1,
+
+    reduced row by row on the integer numerators of K^ell.
+    """
     Kl = kernel_power(K, ell)
-    total = Fraction(0)
-    for x in range(Kl.num.shape[0]):
-        row = np.array(
-            [Fraction(int(v), Kl.den) for v in Kl.num[x]], dtype=object
-        )
-        total += pi.probs[x] * chi_square(Distribution(K.family, row), pi)
-    return total
+    a, b = K.theta.numerator, K.theta.denominator
+    lengths = [int(l) for l in _left_tables(K.family)[2]]
+    top = max(lengths)
+    pow_a = [a**k for k in range(top + 1)]
+    pow_b = [b**k for k in range(top + 1)]
+    u = np.array([pow_a[l] * pow_b[top - l] for l in lengths], dtype=object)
+    total = 0
+    for l, row in zip(lengths, Kl.num):
+        total += pow_b[l] * pow_a[top - l] * ((row * row) @ u)
+    return Fraction(int(total), (a * b) ** top * Kl.den**2) - 1

@@ -8,6 +8,7 @@ Four subcommands drive the library end to end:
     (when the group is small enough to enumerate: matrix-free from the
     identity, dense kernel powers with ``--averaged``), the exact total
     variation distance, and the generic bound ``tv^2 <= chisq / 4``.
+    The reductions work on integer numerators, not a Fraction per cell.
 
 ``verify``
     The invariant suite for one configured instance: generator kernels
@@ -15,7 +16,8 @@ Four subcommands drive the library end to end:
     against the squared longest element, stationarity, detailed balance,
     the trace identity for the pi-averaged chi-square, the long-scan
     trace spectrum, and the two numerical identities satisfied by the
-    block data.  Exit code 1 if anything fails.
+    block data.  Exit code 1 if anything fails.  The operator checks
+    compare integer numerators over common denominators.
 
 ``sample``
     Draws from the exact stationary sampler, with the empirical length
@@ -35,7 +37,9 @@ brute-force columns once enumeration is impossible.
 Output files are written atomically: the text goes to a temporary file
 in the target directory which is then renamed over the destination, so a
 crash never leaves a half-written table.  The env var ``HECKE_METRO_CAP``
-overrides the enumeration cap for all commands.
+overrides the enumeration cap for all commands; the dense ``|W| x |W|``
+kernels of ``verify`` and ``analyze --averaged`` may hold at most 20 cells
+per element of that cap, and past it exact runs are refused with exit 2.
 
 Exit codes: 0 when every check passes, 1 when a verification-style check
 fails (a ``verify`` invariant, an ``analyze`` row with ``match=false``,
@@ -108,6 +112,8 @@ class RunConfig:
                 f"cap {coxeter.enumeration_cap()}; exact mode needs the full "
                 "group (rerun with --mode float or raise HECKE_METRO_CAP)"
             )
+        if self.mode == "exact" and self.averaged:
+            chains.check_dense_cells(self.family)
 
     @property
     def theta(self) -> Fraction | float:
@@ -284,14 +290,16 @@ def _analyze_rows(cfg: RunConfig) -> list[dict]:
 
     The identity-start oracle evolves the point mass at the identity one
     scan letter at a time (matrix-free); ``--averaged`` needs every start,
-    so it takes powers of the dense kernel.
+    so it carries powers of the dense kernel, within the cell budget.
     """
     within_cap = cfg.family.order <= coxeter.enumeration_cap()
+    if cfg.averaged and cfg.family.order**2 > chains.dense_cell_budget():
+        within_cap = False
     rows: list[dict] = []
-    kernel = dist = pi = None
+    powers = dist = pi = None
     if within_cap:
         if cfg.averaged:
-            kernel = _scan_kernel(cfg)
+            powers = chains.kernel_powers(_scan_kernel(cfg), cfg.lmin)
         else:
             scan = _scan_letters(cfg)
             pi = chains.stationary(cfg.family, cfg.theta)
@@ -302,7 +310,7 @@ def _analyze_rows(cfg: RunConfig) -> list[dict]:
         oracle = tv = None
         if within_cap:
             if cfg.averaged:
-                oracle = chains.average_start_chi_square(kernel, ell)
+                oracle = chains.average_start_chi_square(next(powers), 1)
             else:
                 dist = chains.evolve_scan(cfg.family, cfg.theta, scan, dist, 1)
                 oracle = chains.chi_square(dist, pi)
@@ -401,7 +409,10 @@ def analyze(ctx, family_kind, n, theta_raw, scan, lmin, lmax, averaged, mode, fm
     cap), the total variation distance, the bound tv^2 <= chisq/4, and a
     match flag.  Exits 1 if any row mismatches.  From the identity the
     oracle applies the scan letters to the start vector (matrix-free);
-    with --averaged it takes powers of the dense kernel.
+    with --averaged it carries powers of the dense kernel and reduces them
+    on integer numerators.  Exact --averaged is refused (exit 2) when the
+    |W|^2 kernel cells exceed 20 x HECKE_METRO_CAP; float --averaged then
+    leaves the oracle columns empty.
     """
     cfg = _config(
         family=_family(family_kind, n),
@@ -466,9 +477,7 @@ def _verify_checks(family: GroupFamily, theta: Fraction, perturb: bool):
         return bool((long_kernel.matrix == block).all())
 
     def generator_kernels_preserve_stationary() -> bool:
-        return all(
-            (chains.evolve(kernels[i], pi, 1).probs == pi.probs).all() for i in gens
-        )
+        return all(chains.check_stationary(kernels[i], pi) for i in gens)
 
     def generator_kernels_reversible() -> bool:
         return all(chains.check_reversible(kernels[i], pi) for i in gens)
@@ -518,10 +527,17 @@ def verify(ctx, family_kind, n, theta_raw, perturb_kernel):
     """Run the invariant suite for one instance; exit 1 on any failure.
 
     Theta is always parsed exactly here (any decimal or p/q string is a
-    rational), so every check is an exact integer comparison.
+    rational), so every check is an exact comparison; the operator checks
+    reduce on integer numerators.  The checks build dense |W| x |W|
+    kernels, so groups whose |W|^2 cells exceed 20 x HECKE_METRO_CAP are
+    refused with exit 2 before anything is allocated.
     """
     family = _family(family_kind, n)
     cfg = _config(family=family, theta_raw=theta_raw, mode="exact")
+    try:
+        chains.check_dense_cells(family)
+    except CapExceededError as exc:
+        raise click.UsageError(str(exc)) from exc
     checks = _verify_checks(family, cfg.theta, perturb_kernel)
     failures = 0
     for name, thunk in checks:

@@ -287,6 +287,23 @@ def _symmetric_degree(lam: Partition) -> Callable[[Scalar], Scalar]:
     return t_of_q
 
 
+def _log_q_int(q: float, k: int) -> float:
+    """log of the q-integer ``[k]_q`` for float ``q >= 1``, without forming q^k."""
+    if q == 1:
+        return math.log(k)
+    return k * math.log(q) + math.log1p(-(q**-k)) - math.log(q - 1)
+
+
+def _log_symmetric_degree(lam: Partition, q: float) -> float:
+    """log t_lam(q) for float ``q >= 1``, for when t_lam(q) is beyond the float range."""
+    n = sum(lam)
+    return (
+        _subdiagonal_weight(lam) * math.log(q)
+        + sum(_log_q_int(q, i) for i in range(1, n + 1))
+        - sum(_log_q_int(q, h) for h in hook_lengths(lam))
+    )
+
+
 def _dihedral_two_dim_degree(n: int, lam: int) -> Callable[[Scalar], float]:
     gap = 2 - 2 * math.cos(2 * math.pi * lam / n)
 
@@ -502,7 +519,19 @@ def long_scan_chisq(family, theta, ell: int, start: GroupElement | None = None):
     for rep in irreps(family):
         if rep.label == (n,):
             continue
-        total += rep.t_of_q(q) * rep.d * theta ** (2 * ell * (big_l - rep.c))
+        k = 2 * ell * (big_l - rep.c)
+        try:
+            term = rep.t_of_q(q) * rep.d * theta**k
+        except OverflowError:
+            term = math.inf
+        if isinstance(term, float) and not math.isfinite(term):
+            # float t_lam overflowed (and theta^k may have underflowed)
+            term = _log_domain(
+                _log_symmetric_degree(rep.label, q)
+                + math.log(rep.d)
+                + k * math.log(theta)
+            )
+        total += term
     return total
 
 
@@ -624,7 +653,12 @@ def random_scan_chisq_hypercube(n: int, theta, ell: int, start=None):
         gap = (1 - ratio * (1 + theta)) ** (2 * ell)
         for k, mult in enumerate(counts[j]):
             if mult:
-                total += mult * theta ** (2 * k - j) * gap
+                try:
+                    total += mult * theta ** (2 * k - j) * gap
+                except OverflowError:
+                    return math.inf  # float only: theta^(2k - j) is past the range
+    if isinstance(total, float) and math.isnan(total):
+        return math.inf  # an overflowed product met an underflowed gap: inf * 0
     return total
 
 

@@ -9,16 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_oracle as oracle
 from hecke_metro import chains, coxeter, hecke
 from hecke_metro.chains import (
     Distribution,
     average_start_chi_square,
     check_reversible,
+    check_stationary,
     chi_square,
     commutes_with_metropolis,
     evolve,
     evolve_scan,
     kernel_power,
+    kernel_powers,
     long_recipe,
     long_scan_kernel,
     metropolis_kernel,
@@ -208,6 +211,71 @@ def test_matrix_free_evolution_equals_dense_evolution(family, scan):
                 fast = evolve_scan(family, theta, scan, start, ell)
                 assert (fast.probs == dense.probs).all(), (theta, ell)
                 dense = evolve(K, dense, 1)
+
+
+def _perturbed(K):
+    """K with the move out of the identity swapped onto the diagonal."""
+    num = K.num.copy()
+    moved = int(np.argmax(num[0]))
+    num[0, 0], num[0, moved] = num[0, moved], num[0, 0]
+    return chains.Kernel(K.family, K.theta, num, K.den, K.descriptor)
+
+
+@pytest.mark.parametrize("family", EVOLVE_FAMILIES, ids=str)
+@pytest.mark.parametrize("scan", ["long", "short", "random"])
+def test_integer_reductions_equal_the_fraction_oracle(family, scan):
+    """Each reduction on integer numerators against its Fraction loop, by ==."""
+    scan = {"long": long_recipe(family), "short": short_recipe(family)}.get(scan, scan)
+    for theta in (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(1, 4)):
+        if scan == "random":
+            K = random_scan_kernel(family, theta)
+        else:
+            K = scan_kernel(family, theta, scan)
+        pi = stationary(family, theta)
+        uniform = Distribution(
+            family, np.array([Fraction(1, family.order)] * family.order, dtype=object)
+        )
+        # positive and, unless theta = 1, not the stationary law
+        mixed = Distribution(family, (pi.probs + uniform.probs) / 2)
+        powers = kernel_powers(K, 0)
+        for ell in range(4):
+            rebuilt = oracle.kernel_power(K, ell)
+            for power in (next(powers), kernel_power(K, ell)):
+                assert (power.num * rebuilt.den == rebuilt.num * power.den).all()
+            assert average_start_chi_square(K, ell) == (
+                oracle.average_start_chi_square(K, ell)
+            ), (theta, ell)
+            for m in (ell, ell + 2):
+                assert trace_of_power(K, m) == oracle.trace_of_power(K, m), (theta, m)
+            starts = (
+                point_mass(family, coxeter.identity(family)),
+                point_mass(family, coxeter.longest_element(family)),
+                mixed,
+            )
+            for start in starts:
+                p = evolve_scan(family, theta, scan, start, ell)
+                for ref in (pi, mixed):
+                    assert chi_square(p, ref) == oracle.chi_square(p, ref)
+                    assert tv_distance(p, ref) == oracle.tv_distance(p, ref)
+
+
+@pytest.mark.parametrize("family", EVOLVE_FAMILIES, ids=str)
+def test_integer_balance_checks_equal_the_fraction_oracle(family):
+    """check_reversible and check_stationary against their Fraction loops, by ==,
+    for any pi and for perturbed kernels too."""
+    for theta in (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(1, 4)):
+        pi = stationary(family, theta)
+        longest = point_mass(family, coxeter.longest_element(family))
+        # never stationary: half its mass sits on the longest element
+        mixed = Distribution(family, (pi.probs + longest.probs) / 2)
+        first, last = (metropolis_kernel(family, i, theta) for i in (1, family.rank))
+        mixture = random_scan_kernel(family, theta)
+        kernels = [first, last, long_scan_kernel(family, theta), mixture]
+        kernels += [_perturbed(first), _perturbed(mixture)]
+        for K in kernels:
+            for ref in (pi, mixed):
+                assert check_reversible(K, ref) == oracle.check_reversible(K, ref)
+                assert check_stationary(K, ref) == oracle.check_stationary(K, ref)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=str)

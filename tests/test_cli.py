@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -220,6 +221,66 @@ def test_averaged_analyze_still_uses_the_dense_kernel(runner, monkeypatch):
             "analyze", "--family", "symmetric", "--n", "4", "--theta", "1/2",
             "--averaged", "--lmax", "1",
         )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--family", "symmetric", "--n", "8", "--theta", "1/2"),
+        ("analyze", "--family", "hypercube", "--n", "15", "--theta", "1/2",
+         "--averaged", "--lmax", "1"),
+    ],
+)
+def test_dense_operator_paths_refuse_past_the_cell_budget(runner, args):
+    start = time.perf_counter()
+    res = invoke(runner, *args)
+    assert time.perf_counter() - start < 0.5
+    assert res.exit_code == 2
+    assert "|W|^2" in res.output
+    assert str(chains.dense_cell_budget()) in res.output
+
+
+def test_cell_budget_follows_the_enumeration_cap(runner):
+    # S_4 has 576 cells: over 20 * 25, within 20 * 30
+    args = ("verify", "--family", "symmetric", "--n", "4", "--theta", "1/2")
+    assert invoke(runner, *args, env={"HECKE_METRO_CAP": "25"}).exit_code == 2
+    assert invoke(runner, *args, env={"HECKE_METRO_CAP": "30"}).exit_code == 0
+
+
+def test_identity_start_analyze_is_not_held_to_the_cell_budget(runner):
+    res = invoke(
+        runner,
+        "analyze", "--family", "symmetric", "--n", "8", "--theta", "1/2",
+        "--scan", "short", "--lmax", "1",
+    )
+    assert res.exit_code == 0
+    assert json.loads(res.output)["rows"][0]["match"] is True
+
+
+def test_float_averaged_analyze_past_the_cell_budget_skips_the_oracle(runner):
+    res = invoke(
+        runner,
+        "analyze", "--family", "hypercube", "--n", "15", "--theta", "1/2",
+        "--averaged", "--lmax", "1", "--mode", "float",
+    )
+    assert res.exit_code == 0
+    row = json.loads(res.output)["rows"][0]
+    assert isinstance(row["chisq_formula"], float)
+    assert row["chisq_oracle"] is None and row["match"] is None
+
+
+def test_analyze_float_hypercube_random_scan_beyond_the_float_range(runner):
+    res = runner.invoke(
+        cli.main,
+        ["analyze", "--family", "hypercube", "--n", "1000", "--scan", "random",
+         "--mode", "float", "--theta", "1/4", "--lmax", "40"],
+    )
+    assert res.exception is None
+    assert res.exit_code == 0
+    rows = json.loads(res.output)["rows"]
+    assert len(rows) == 40
+    assert rows[-1]["chisq_formula"] == float("inf")
+    assert "Infinity" in res.output and "NaN" not in res.output
 
 
 def test_analyze_exact_hypercube_12_long_scan(runner):

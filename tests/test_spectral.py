@@ -427,6 +427,25 @@ def test_dihedral_random_scan_bound_beyond_the_float_range_is_infinite():
     assert 0 < value < math.inf
 
 
+def test_float_long_scan_chisq_where_the_generic_degree_leaves_the_float_range():
+    # at q = 10^6 the float t_lam(q) of (1^8) overflows while theta^k
+    # underflows; their direct product is inf * 0 = NaN
+    theta = Fraction(1, 10**6)
+    for ell in (1, 2):
+        exact = long_scan_chisq(symmetric(8), theta, ell)
+        got = long_scan_chisq(symmetric(8), float(theta), ell)
+        assert math.isclose(got, float(exact), rel_tol=1e-9)
+
+
+def test_float_hypercube_random_scan_chisq_beyond_the_float_range():
+    # theta^-j overflows, and so does the exact value
+    with pytest.raises(OverflowError):
+        float(random_scan_chisq_hypercube(1000, Fraction(1, 4), 40))
+    assert random_scan_chisq_hypercube(1000, 0.25, 40) == math.inf
+    # an overflowed product times an underflowed gap is no longer NaN
+    assert not math.isnan(random_scan_chisq_hypercube(1000, 0.5, 200))
+
+
 def test_bounds_decrease_in_the_slack_constant():
     for n, theta in ((20, 0.5), (60, 0.25), (35, 0.9)):
         for f in (

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Chi-square decay of the long, short, and random scans side by side.
 
-Runs the exact kernel evolution from the identity for every scan the
-family supports and prints one row per pass count, with the closed-form
-value next to the brute-force one whenever a closed form exists.  Small
-groups only (the point is the exact comparison, not scale).
+Evolves the identity start exactly, one scan letter at a time, for every
+scan the family supports and prints one row per pass count, with the
+float closed-form value next to the exact one whenever a closed form
+exists.  Small groups only (the point is the comparison, not scale).
 
 Example:
     python3 scripts/scan_comparison.py --family symmetric --n 4 --theta 1/2 --lmax 6
@@ -14,19 +14,6 @@ import argparse
 from fractions import Fraction
 
 from hecke_metro import chains, coxeter, spectral
-
-
-def closed_form(family, theta, scan, ell):
-    """Closed-form chi-square from the identity start, or None."""
-    if scan == "long" or (scan == "short" and family.kind == "hypercube"):
-        return spectral.long_scan_chisq(family, theta, ell)
-    if scan == "short" and family.kind == "symmetric":
-        return spectral.short_scan_chisq_symmetric(family.n, theta, ell)
-    if scan == "random" and family.kind == "hypercube":
-        return spectral.random_scan_chisq_hypercube(family.n, theta, ell)
-    if scan == "random" and family.kind == "dihedral":
-        return spectral.dihedral_random_scan_chisq(family.n, float(theta), ell)
-    return None
 
 
 def main() -> None:
@@ -42,29 +29,30 @@ def main() -> None:
     family = coxeter.GroupFamily(args.family, args.n)
     theta = args.theta
     pi = chains.stationary(family, theta)
-    kernels = {
-        "long": chains.long_scan_kernel(family, theta),
-        "short": chains.short_scan_kernel(family, theta),
-        "random": chains.random_scan_kernel(family, theta),
+    scans = {
+        "long": chains.long_recipe(family),
+        "short": chains.short_recipe(family),
+        "random": "random",
     }
-    dists = {
-        scan: chains.point_mass(family, coxeter.identity(family)) for scan in kernels
-    }
+    dists = {scan: chains.point_mass(family, coxeter.identity(family)) for scan in scans}
 
     print(f"# {family}, theta = {theta}   (chi-square from the identity start)")
     header = f"{'l':>3}"
-    for scan in kernels:
+    for scan in scans:
         header += f"  {scan + ' (kernel)':>16}  {scan + ' (form)':>14}"
     header += f"  {'tv(long)':>12}"
     print(header)
     for ell in range(1, args.lmax + 1):
         cells = [f"{ell:>3}"]
-        for scan, K in kernels.items():
-            dists[scan] = chains.evolve(K, dists[scan], 1)
+        for scan, letters in scans.items():
+            dists[scan] = chains.evolve_scan(family, theta, letters, dists[scan], 1)
             chisq = chains.chi_square(dists[scan], pi)
-            form = closed_form(family, theta, scan, ell)
+            try:
+                form = f"{spectral.closed_form(family, scan, float(theta), ell):>14.6e}"
+            except ValueError:  # this scan has no closed form on this family
+                form = f"{'-':>14}"
             cells.append(f"{float(chisq):>16.6e}")
-            cells.append(f"{float(form):>14.6e}" if form is not None else f"{'-':>14}")
+            cells.append(form)
         cells.append(f"{float(chains.tv_distance(dists['long'], pi)):>12.6e}")
         print("  ".join(cells))
 

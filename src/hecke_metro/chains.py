@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -99,13 +98,6 @@ def check_dense_cells(family: GroupFamily) -> None:
         )
 
 
-def _as_theta(theta) -> Fraction:
-    theta = Fraction(theta)
-    if not 0 < theta <= 1:
-        raise ValueError(f"theta must be in (0, 1], got {theta}")
-    return theta
-
-
 def _numerators(probs) -> tuple[np.ndarray, int]:
     """Integer numerators of exact probabilities over their common denominator."""
     probs = [p if isinstance(p, Fraction) else Fraction(p) for p in probs]
@@ -157,30 +149,15 @@ class Kernel:
         return Distribution(self.family, probs)
 
 
-@lru_cache(maxsize=None)
-def _left_tables(family: GroupFamily):
-    """Lengths plus, per generator, the index map of x -> s_i x and its up-mask."""
-    elements = coxeter.enumerate(family)
-    index = {w: k for k, w in zip(range(len(elements)), elements)}
-    lengths = np.array([coxeter.length(w) for w in elements])
-    perms = []
-    ups = []
-    for i in coxeter.generators(family):
-        perm = np.array([index[coxeter.apply_generator(i, w)] for w in elements])
-        perms.append(perm)
-        ups.append(lengths[perm] > lengths)
-    return elements, index, lengths, perms, ups
-
-
 def element_index(family: GroupFamily, w: GroupElement) -> int:
-    return _left_tables(family)[1][w]
+    return coxeter.action_tables(family).index[w]
 
 
 def stationary(family: GroupFamily, theta) -> Distribution:
     """pi(w) = theta^{-length(w)} / P_W(1/theta), exactly."""
-    theta = _as_theta(theta)
+    theta = Fraction(coxeter.check_theta(theta))
     a, b = theta.numerator, theta.denominator
-    lengths = _left_tables(family)[2]
+    lengths = coxeter.action_tables(family).lengths
     top = int(lengths.max())
     # q^l up to the common factor a^top, for l = 0..top
     weights = [b**l * a ** (top - l) for l in range(top + 1)]
@@ -197,12 +174,12 @@ def point_mass(family: GroupFamily, w: GroupElement) -> Distribution:
 
 def metropolis_kernel(family: GroupFamily, i: int, theta) -> Kernel:
     """Single-generator Metropolis kernel K_i."""
-    theta = _as_theta(theta)
+    theta = Fraction(coxeter.check_theta(theta))
     if i not in coxeter.generators(family):
         raise ValueError(f"generator index {i} out of range for {family}")
     check_dense_cells(family)
-    _, _, _, perms, ups = _left_tables(family)
-    perm, up = perms[i - 1], ups[i - 1]
+    tables = coxeter.action_tables(family)
+    perm, up = tables.perms[i - 1], tables.ups[i - 1]
     n = len(perm)
     a, b = theta.numerator, theta.denominator
     num = np.zeros((n, n), dtype=object)
@@ -260,23 +237,24 @@ def _apply_scan(family: GroupFamily, theta: Fraction, scan, block=None):
     if block is None:
         check_dense_cells(family)
         block = np.identity(family.order, dtype=object)
-    _, _, _, perms, ups = _left_tables(family)
+    tables = coxeter.action_tables(family)
     a, b = theta.numerator, theta.denominator
     if scan == "random":
         out = np.zeros_like(block)
-        for perm, up in zip(perms, ups):
+        for perm, up in zip(tables.perms, tables.ups):
             out += _apply_letter_columns(block, perm, up, a, b)
         return out, b * family.rank
     factor = 1
     for i in scan:
-        block = _apply_letter_columns(block, perms[i - 1], ups[i - 1], a, b)
+        perm, up = tables.perms[i - 1], tables.ups[i - 1]
+        block = _apply_letter_columns(block, perm, up, a, b)
         factor *= b
     return block, factor
 
 
 def scan_kernel(family: GroupFamily, theta, recipe) -> Kernel:
     """Systematic scan K_{i_1} K_{i_2} ... K_{i_k} for recipe (i_1, ..., i_k)."""
-    theta = _as_theta(theta)
+    theta = Fraction(coxeter.check_theta(theta))
     recipe = _check_scan(family, tuple(recipe))
     num, den = _apply_scan(family, theta, recipe)
     return Kernel(family, theta, num, den, descriptor=recipe)
@@ -326,7 +304,7 @@ def long_scan_kernel(family: GroupFamily, theta) -> Kernel:
 
 def random_scan_kernel(family: GroupFamily, theta) -> Kernel:
     """Uniform mixture (1/rank) sum_i K_i."""
-    theta = _as_theta(theta)
+    theta = Fraction(coxeter.check_theta(theta))
     num, den = _apply_scan(family, theta, "random")
     return Kernel(family, theta, num, den, descriptor="random")
 
@@ -412,7 +390,7 @@ def evolve_scan(
         raise ValueError("negative step count")
     if start.family != family:
         raise ValueError("family mismatch")
-    theta = _as_theta(theta)
+    theta = Fraction(coxeter.check_theta(theta))
     scan = _check_scan(family, scan)
     num, den = _numerators(start.probs)
     block = num[None, :]
@@ -460,8 +438,8 @@ def check_stationary(K: Kernel, pi: Distribution) -> bool:
 
 def commutes_with_metropolis(K: Kernel, i: int) -> bool:
     """Exact check that K commutes with the generator kernel K_i."""
-    _, _, _, perms, ups = _left_tables(K.family)
-    perm, up = perms[i - 1], ups[i - 1]
+    tables = coxeter.action_tables(K.family)
+    perm, up = tables.perms[i - 1], tables.ups[i - 1]
     a, b = K.theta.numerator, K.theta.denominator
     right = _apply_letter_columns(K.num, perm, up, a, b)  # K * K_i
     left = _apply_letter_rows(K.num, perm, up, a, b)  # K_i * K
@@ -481,7 +459,7 @@ def average_start_chi_square(K: Kernel, ell: int) -> Fraction:
     """
     Kl = kernel_power(K, ell)
     a, b = K.theta.numerator, K.theta.denominator
-    lengths = [int(l) for l in _left_tables(K.family)[2]]
+    lengths = [int(l) for l in coxeter.action_tables(K.family).lengths]
     top = max(lengths)
     pow_a = [a**k for k in range(top + 1)]
     pow_b = [b**k for k in range(top + 1)]

@@ -56,7 +56,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import click
@@ -77,8 +77,9 @@ class RunConfig:
     """Validated bundle of the settings shared by the subcommands.
 
     ``theta_raw`` is kept as the string the user typed ("1/2", "0.5", ...)
-    so that output files echo the request verbatim; :attr:`theta` parses
-    it per ``mode``.  Exact mode insists on a group small enough to
+    so that output files echo the request verbatim; :attr:`theta` is the
+    value that ``mode`` hands the library, and the one range-checked (see
+    :func:`_parse_theta`).  Exact mode insists on a group small enough to
     enumerate, because its whole point is that the brute-force columns
     exist and every number is a rational.
     """
@@ -93,6 +94,7 @@ class RunConfig:
     seed: int = 4
     fmt: str = "json"
     out: str | None = None
+    theta: Fraction | float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "float"):
@@ -103,9 +105,7 @@ class RunConfig:
             raise ValueError(f"unknown output format {self.fmt!r}")
         if not 1 <= self.lmin <= self.lmax:
             raise ValueError("need 1 <= lmin <= lmax")
-        theta = Fraction(self.theta_raw)  # raises ValueError on junk
-        if not 0 < theta <= 1:
-            raise ValueError(f"theta must be in (0, 1], got {self.theta_raw}")
+        object.__setattr__(self, "theta", _parse_theta(self.theta_raw, self.mode))
         if self.mode == "exact" and self.family.order > coxeter.enumeration_cap():
             raise CapExceededError(
                 f"|{self.family}| = {self.family.order} exceeds the enumeration "
@@ -114,11 +114,6 @@ class RunConfig:
             )
         if self.mode == "exact" and self.averaged:
             chains.check_dense_cells(self.family)
-
-    @property
-    def theta(self) -> Fraction | float:
-        value = Fraction(self.theta_raw)
-        return value if self.mode == "exact" else float(value)
 
     def as_dict(self, command: str) -> dict:
         return {
@@ -133,6 +128,25 @@ class RunConfig:
             "averaged": self.averaged,
             "seed": self.seed,
         }
+
+
+def _parse_theta(raw: str, mode: str) -> Fraction | float:
+    """The theta a run in ``mode`` hands the library, range-checked as such.
+
+    Exact mode uses the rational ``raw``; float mode uses its float, which
+    is checked again because a tiny theta underflows to 0.0.  The rational
+    is checked first so that converting it cannot overflow.
+    """
+    try:
+        value = coxeter.check_theta(Fraction(raw))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"cannot parse theta {raw!r}: zero denominator") from exc
+    if mode == "exact":
+        return value
+    try:
+        return coxeter.check_theta(float(value))
+    except ValueError as exc:
+        raise ValueError(f"{exc} (theta {raw} as a float)") from None
 
 
 def _family(kind: str, n: int) -> GroupFamily:
@@ -221,48 +235,6 @@ def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
 # analyze
 
 
-def _closed_form(cfg: RunConfig, ell: int):
-    """Dispatch to the closed-form chi-square for the configured scan.
-
-    The hypercube short scan visits every generator twice, which is
-    exactly this family's long recipe, so it reuses the long-scan forms.
-    Scans without a closed form (symmetric random, dihedral short) are
-    usage errors rather than silently falling back to brute force.
-    """
-    family, theta, scan = cfg.family, cfg.theta, cfg.scan
-    if scan == "long" or (scan == "short" and family.kind == "hypercube"):
-        if cfg.averaged:
-            return spectral.long_scan_avg_chisq(family, theta, ell)
-        return spectral.long_scan_chisq(family, theta, ell)
-    if scan == "short":
-        if family.kind == "symmetric":
-            return spectral.short_scan_chisq_symmetric(
-                family.n, theta, ell, averaged=cfg.averaged
-            )
-        raise click.UsageError(
-            "no closed form for the dihedral short scan; use --scan long or random"
-        )
-    # random scan
-    if family.kind == "hypercube":
-        if cfg.averaged:
-            raise click.UsageError(
-                "--averaged is not available for the hypercube random scan"
-            )
-        return spectral.random_scan_chisq_hypercube(family.n, theta, ell)
-    if family.kind == "dihedral":
-        if cfg.mode == "exact":
-            raise click.UsageError(
-                "the dihedral random-scan closed form involves cosines; "
-                "rerun with --mode float"
-            )
-        return spectral.dihedral_random_scan_chisq(
-            family.n, theta, ell, averaged=cfg.averaged
-        )
-    raise click.UsageError(
-        "no closed form for the symmetric random scan; use --scan long or short"
-    )
-
-
 def _match(formula, oracle, mode: str) -> bool:
     if mode == "exact":
         return formula == oracle
@@ -292,6 +264,13 @@ def _analyze_rows(cfg: RunConfig) -> list[dict]:
     scan letter at a time (matrix-free); ``--averaged`` needs every start,
     so it carries powers of the dense kernel, within the cell budget.
     """
+    try:
+        formulas = [
+            spectral.closed_form(cfg.family, cfg.scan, cfg.theta, ell, cfg.averaged)
+            for ell in range(cfg.lmin, cfg.lmax + 1)
+        ]
+    except ValueError as exc:  # no form for this scan, or too many tableaux
+        raise click.UsageError(str(exc)) from exc
     within_cap = cfg.family.order <= coxeter.enumeration_cap()
     if cfg.averaged and cfg.family.order**2 > chains.dense_cell_budget():
         within_cap = False
@@ -305,8 +284,7 @@ def _analyze_rows(cfg: RunConfig) -> list[dict]:
             pi = chains.stationary(cfg.family, cfg.theta)
             dist = chains.point_mass(cfg.family, coxeter.identity(cfg.family))
             dist = chains.evolve_scan(cfg.family, cfg.theta, scan, dist, cfg.lmin - 1)
-    for ell in range(cfg.lmin, cfg.lmax + 1):
-        formula = _closed_form(cfg, ell)
+    for ell, formula in zip(range(cfg.lmin, cfg.lmax + 1), formulas):
         oracle = tv = None
         if within_cap:
             if cfg.averaged:
@@ -580,12 +558,10 @@ def sample(ctx, family_kind, n, theta_raw, num_samples, seed, out):
     if num_samples <= 0:
         raise click.UsageError("--num-samples must be positive")
     family = _family(family_kind, n)
-    try:
-        cfg = RunConfig(family=family, theta_raw=theta_raw, seed=seed, out=out)
-    except CapExceededError:
-        # sampling itself never enumerates; only the TV summary needs the cap
-        cfg = _config(family=family, theta_raw=theta_raw, mode="float", seed=seed, out=out)
-    theta = Fraction(theta_raw)
+    # sampling itself never enumerates; only the TV summary needs the cap
+    mode = "exact" if family.order <= coxeter.enumeration_cap() else "float"
+    cfg = _config(family=family, theta_raw=theta_raw, mode=mode, seed=seed, out=out)
+    theta = Fraction(cfg.theta)  # exact moments, for a float theta too
     rng = sampler.random_source(seed)
     draws = [sampler.mallows_sample(family, theta, rng) for _ in range(num_samples)]
     lengths = np.array([coxeter.length(w) for w in draws], dtype=float)
@@ -773,10 +749,10 @@ def bounds(ns, theta_raws, cs, out):
     thetas = []
     for raw in theta_raws:
         try:
-            value = float(Fraction(raw))
+            value = _parse_theta(raw, "float")
         except ValueError as exc:
-            raise click.UsageError(f"cannot parse theta {raw!r}") from exc
-        if not 0 < value < 1:
+            raise click.UsageError(str(exc)) from exc
+        if value == 1:
             raise click.UsageError(
                 f"bounds need theta strictly inside (0, 1) (log theta appears); got {raw}"
             )

@@ -18,7 +18,9 @@ one-line notation for permutations, 0/1 vectors for the hypercube, and
 
 Everything here is exact: lengths and orders are ints, probabilities are
 `fractions.Fraction`.  Enumeration order is lexicographic on the payload
-and therefore stable across runs.
+and therefore stable across runs; :func:`action_tables` gives the action
+of every generator in that order, and :func:`check_theta` and
+:func:`check_q` are the parameter checks all layers share.
 """
 
 from __future__ import annotations
@@ -28,13 +30,19 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
+    "ActionTables",
     "CapExceededError",
     "GroupElement",
     "GroupFamily",
+    "action_tables",
     "apply_generator",
+    "check_q",
+    "check_theta",
     "coset_probability",
     "degrees",
     "dihedral",
@@ -67,6 +75,27 @@ class CapExceededError(ValueError):
 def enumeration_cap() -> int:
     """Current enumeration cap (env var HECKE_METRO_CAP overrides)."""
     return int(os.environ.get("HECKE_METRO_CAP", DEFAULT_ENUMERATION_CAP))
+
+
+def check_theta(theta) -> Fraction | float:
+    """The bias parameter, checked to satisfy 0 < theta <= 1.
+
+    A float stays a float; anything else (an int, a Fraction, a string
+    such as "1/2") becomes a Fraction.  Every layer validates theta here.
+    """
+    if not isinstance(theta, float):
+        theta = Fraction(theta)
+    if not 0 < theta <= 1:
+        raise ValueError(f"theta must be in (0, 1], got {theta}")
+    return theta
+
+
+def check_q(q) -> Fraction:
+    """The deformation parameter q = 1/theta as a Fraction, checked to be positive."""
+    q = Fraction(q)
+    if q <= 0:
+        raise ValueError(f"q must be positive, got {q}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -310,6 +339,37 @@ def enumerate(family: GroupFamily) -> tuple[GroupElement, ...]:
             f"|{family}| = {family.order} exceeds enumeration cap {enumeration_cap()}"
         )
     return _enumerate_cached(family)
+
+
+class ActionTables(NamedTuple):
+    """The action of the simple reflections on one side, by enumeration index.
+
+    ``perms[i - 1][k]`` is the index of ``s_i w`` (left side) or ``w s_i``
+    (right side) for the element ``w = elements[k]``, and ``ups[i - 1][k]``
+    says whether that move lengthens ``w``.
+    """
+
+    elements: tuple[GroupElement, ...]
+    index: dict[GroupElement, int]
+    lengths: np.ndarray
+    perms: list[np.ndarray]
+    ups: list[np.ndarray]
+
+
+@lru_cache(maxsize=None)
+def action_tables(family: GroupFamily, side: str = "left") -> ActionTables:
+    """Index permutations and up-masks of every generator acting on ``side``."""
+    move = {"left": apply_generator, "right": lambda i, w: right_apply_generator(w, i)}[side]
+    elements = enumerate(family)
+    index = {w: k for k, w in zip(range(len(elements)), elements)}
+    lengths = np.array([length(w) for w in elements])
+    perms = []
+    ups = []
+    for i in generators(family):
+        perm = np.array([index[move(i, w)] for w in elements])
+        perms.append(perm)
+        ups.append(lengths[perm] > lengths)
+    return ActionTables(elements, index, lengths, perms, ups)
 
 
 def degrees(family: GroupFamily) -> tuple[int, ...]:

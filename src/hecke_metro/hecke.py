@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -69,13 +68,6 @@ class HeckeVector:
         return self.coeffs.get(w, Fraction(0))
 
 
-def _as_q(q) -> Fraction:
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
-    return q
-
-
 def _clean(coeffs: dict) -> dict:
     return {w: a for w, a in coeffs.items() if a != 0}
 
@@ -84,14 +76,14 @@ def t_unit(family: GroupFamily, q, w: GroupElement | None = None) -> HeckeVector
     """The basis element T_w (default T_id)."""
     if w is None:
         w = coxeter.identity(family)
-    return HeckeVector(family, _as_q(q), T_BASIS, {w: Fraction(1)})
+    return HeckeVector(family, coxeter.check_q(q), T_BASIS, {w: Fraction(1)})
 
 
 def tilde_unit(family: GroupFamily, q, w: GroupElement | None = None) -> HeckeVector:
     """The basis element T~_w (default T~_id)."""
     if w is None:
         w = coxeter.identity(family)
-    return HeckeVector(family, _as_q(q), TILDE_BASIS, {w: Fraction(1)})
+    return HeckeVector(family, coxeter.check_q(q), TILDE_BASIS, {w: Fraction(1)})
 
 
 def generator_times(i: int, h: HeckeVector) -> HeckeVector:
@@ -193,22 +185,6 @@ def inner_product(h1: HeckeVector, h2: HeckeVector) -> Fraction:
     return trace_t(product(h1, h2))
 
 
-@lru_cache(maxsize=None)
-def _right_action_tables(family: GroupFamily):
-    """Per generator: index permutation of w -> w*s_i and the up/down mask."""
-    elements = coxeter.enumerate(family)
-    index = {w: k for k, w in zip(range(len(elements)), elements)}
-    lengths = np.array([coxeter.length(w) for w in elements])
-    perms = []
-    ups = []
-    for i in coxeter.generators(family):
-        moved = [index[coxeter.right_apply_generator(w, i)] for w in elements]
-        perm = np.array(moved)
-        perms.append(perm)
-        ups.append(lengths[perm] > lengths)
-    return elements, index, lengths, perms, ups
-
-
 def _right_tilde_apply(v: np.ndarray, perm: np.ndarray, up: np.ndarray, theta: Fraction):
     """Coefficient vector of (sum_w v_w T~_w) * T~_i, given the i-th tables."""
     u = np.zeros(len(v), dtype=object)
@@ -230,7 +206,7 @@ def left_mult_matrix(h: HeckeVector) -> np.ndarray:
     if h.basis != TILDE_BASIS:
         raise ValueError("left_mult_matrix expects a T~-basis vector")
     family = h.family
-    elements, index, lengths, perms, ups = _right_action_tables(family)
+    elements, index, lengths, perms, ups = coxeter.action_tables(family, "right")
     n = len(elements)
     theta = h.theta
     M = np.zeros((n, n), dtype=object)

@@ -74,16 +74,6 @@ def random_source(seed: int | None = None) -> RandomSource:
     return np.random.default_rng(seed)
 
 
-def _as_theta(theta) -> Fraction | float:
-    if isinstance(theta, float):
-        out: Fraction | float = theta
-    else:
-        out = Fraction(theta)
-    if not 0 < out <= 1:
-        raise ValueError(f"theta must satisfy 0 < theta <= 1, got {theta}")
-    return out
-
-
 # --------------------------------------------------------------------------
 # sampling
 
@@ -115,7 +105,7 @@ def _dihedral_cdf(family: GroupFamily, theta: Fraction):
 def mallows_sample(family: GroupFamily, theta, rng: RandomSource) -> GroupElement:
     """One exact draw from ``pi`` on the family (see the module notes for
     the per-family constructions).  Deterministic given the ``rng`` state."""
-    theta = _as_theta(theta)
+    theta = coxeter.check_theta(theta)
     th = float(theta)
     n = family.n
     if family.kind == "symmetric":
@@ -142,7 +132,7 @@ def insertion_distribution(n: int, theta) -> Distribution:
     Equals ``stationary(symmetric(n), theta)`` exactly; this equality is
     what fixes the slot-numbering convention.
     """
-    theta = _as_theta(theta)
+    theta = coxeter.check_theta(theta)
     if isinstance(theta, float):
         raise ValueError("exact expansion requires rational theta")
     if n < 1:
@@ -183,7 +173,7 @@ class MomentReport:
 def length_moments(family: GroupFamily, theta) -> MomentReport:
     """Closed-form moments of the length under ``pi`` (exact for rational
     ``theta``; ``theta = 1`` handled as the uniform limit)."""
-    theta = _as_theta(theta)
+    theta = coxeter.check_theta(theta)
     ds = degrees(family)
     if theta == 1:
         half = Fraction(1, 2) if isinstance(theta, Fraction) else 0.5
@@ -203,7 +193,7 @@ def length_moments(family: GroupFamily, theta) -> MomentReport:
 def hypercube_test_statistic(y, theta) -> float:
     """Witness statistic ``T(y) = (n/sqrt(theta)) (1 - |y|(1+theta)/n)``;
     centred (``E_pi T = 0``) and normalised (``Var_pi T = n``)."""
-    theta = float(_as_theta(theta))
+    theta = float(coxeter.check_theta(theta))
     bits = y.payload if isinstance(y, GroupElement) else tuple(int(b) for b in y)
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"y must be a bit vector, got {y!r}")
@@ -256,7 +246,7 @@ def lower_bound_witness(
     The chains are run procedurally on a boolean array (no matrices), so
     ``n`` in the thousands is reachable.
     """
-    theta = float(_as_theta(theta))
+    theta = float(coxeter.check_theta(theta))
     if scan not in ("random", "systematic"):
         raise ValueError(f"scan must be 'random' or 'systematic', got {scan!r}")
     if n < 1 or N < 2 or ell < 0:
@@ -339,7 +329,7 @@ class SupportWitness:
 def symmetric_support_witness(n: int, theta, ell: int) -> SupportWitness:
     """Exact witness report for the short scan on the symmetric family
     (one pass moves the length by at most ``2(n-1)``)."""
-    theta = _as_theta(theta)
+    theta = coxeter.check_theta(theta)
     if n < 2 or ell < 0:
         raise ValueError("need n >= 2, ell >= 0")
     family = symmetric(n)

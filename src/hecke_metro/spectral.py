@@ -25,9 +25,11 @@ distance of scan chains to the stationary measure ``pi``:
 Everything downstream of a rational ``theta`` is exact `Fraction` arithmetic
 except where irrational eigenvalues force floats (dihedral random scan and
 the two-dimensional dihedral generic degrees); aggregate sums over the
-dihedral labels are still computed exactly by summing over roots of unity
-symbolically.  The ``bound_*`` functions evaluate the classical explicit
-upper bounds (log-domain where factorials would overflow).
+dihedral labels are still computed exactly, in rationals, from the
+Poisson-kernel sum over the nontrivial roots of unity.  The ``bound_*``
+functions evaluate the classical explicit upper bounds (log-domain where
+factorials would overflow).  :func:`closed_form` is the one dispatch from
+a (family, scan) pair to its chi-square form.
 """
 
 from __future__ import annotations
@@ -38,12 +40,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-import sympy
-
 from .coxeter import (
     CapExceededError,
     GroupElement,
     GroupFamily,
+    check_q,
+    check_theta,
     degrees,
     enumeration_cap,
     identity,
@@ -67,6 +69,7 @@ __all__ = [
     "short_scan_trace_symmetric",
     "random_scan_chisq_hypercube",
     "dihedral_random_scan_chisq",
+    "closed_form",
     "bound_theorem_1_4",
     "bound_hypercube",
     "bound_symmetric_scans",
@@ -386,30 +389,17 @@ def _longest_length(family: GroupFamily) -> int:
     return sum(d - 1 for d in degrees(family))
 
 
-def _as_scalar(theta) -> Scalar:
-    if isinstance(theta, float):
-        if not 0 < theta <= 1:
-            raise ValueError(f"theta must satisfy 0 < theta <= 1, got {theta}")
-        return theta
-    theta = Fraction(theta)
-    if not 0 < theta <= 1:
-        raise ValueError(f"theta must satisfy 0 < theta <= 1, got {theta}")
-    return theta
-
-
 def sum_d_t(family: GroupFamily, q) -> Fraction:
     """Exact value of ``sum_lam d_lam * t_lam(q)`` at rational ``q``.
 
     For the symmetric and hypercube families this sums the exact generic
     degrees directly.  The two-dimensional dihedral degrees are irrational
-    individually, so their sum is evaluated symbolically as a sum over the
-    nontrivial ``n``-th roots of unity; the result is rational.  In every
-    case the value agrees with the length generating polynomial ``P_W(q)``,
-    which makes the pair an effective cross-check.
+    individually, so their sum is evaluated in closed form as a sum over
+    the nontrivial ``n``-th roots of unity; the result is rational.  In
+    every case the value agrees with the length generating polynomial
+    ``P_W(q)``, which makes the pair an effective cross-check.
     """
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
+    q = check_q(q)
     if family.kind in ("symmetric", "hypercube"):
         return sum(
             (rep.d * rep.t_of_q(q) for rep in irreps(family)), Fraction(0)
@@ -418,32 +408,27 @@ def sum_d_t(family: GroupFamily, q) -> Fraction:
     return 1 + q**n + _dihedral_root_sum(n, q)
 
 
-@lru_cache(maxsize=None)
 def _dihedral_root_sum(n: int, q: Fraction) -> Fraction:
     """``sum_xi f(xi)`` over the nontrivial n-th roots of unity, where
     ``f(xi)`` is the ``d*t`` contribution of the block with angle ``xi``
-    (each two-dimensional block is hit twice, via ``xi`` and ``1/xi``).
+    (each two-dimensional block is hit twice, via ``xi`` and ``1/xi``):
 
-    Evaluated as an algebraic trace: with ``p = x^(n-1) + ... + 1`` (whose
-    roots are exactly the nontrivial roots of unity) reduce ``f`` to a
-    polynomial ``r = num * den^(-1) mod p`` and contract against the power
-    sums ``sum_xi xi^k``, which are ``n - 1`` at ``k = 0`` and ``-1``
-    otherwise.  ``sympy.RootSum`` computes the same number but stalls for
-    minutes once ``p`` has a large irreducible factor (prime ``n``).
+        ``f(xi) = scale (1 - xi)(1 - 1/xi) / ((q - xi)(q - 1/xi))
+                = (scale/q) (1 - (q - 1)^2 / ((q - xi)(q - 1/xi)))``.
+
+    Over all ``n`` roots, ``sum 1/((q - xi)(q - 1/xi))`` is the Poisson
+    kernel sum ``n (q^n + 1) / ((q^2 - 1)(q^n - 1))``; the root ``xi = 1``
+    contributes ``1/(q - 1)^2``.  Dropping it leaves
+
+        ``(scale/q) (n - n (q^n + 1) / ((q + 1) [n]_q))``,
+
+    which has no pole at ``q = 1``.  Kept per block (``scale`` times the
+    angle sum) rather than folded into ``P_W(q)``, so that comparing
+    :func:`sum_d_t` with the Poincare polynomial stays a real check.
     """
-    x = sympy.Symbol("x")
-    qq = sympy.Rational(q.numerator, q.denominator)
-    series = sum(qq**i for i in range(n))
-    scale = sympy.Rational(1, n) * series * qq * (qq + 1)
-    # f(xi) = scale * (1 - xi)(1 - 1/xi) / ((q - xi)(q - 1/xi)); clearing the
-    # 1/xi pair against each other leaves the polynomial fraction below
-    p = sympy.Poly([1] * n, x, domain="QQ")
-    den = sympy.Poly((qq - x) * (qq * x - 1), x, domain="QQ")
-    num = sympy.Poly(-scale * (1 - x) ** 2, x, domain="QQ")
-    r = (num * den.invert(p)) % p
-    coeffs = r.all_coeffs()[::-1]
-    val = sympy.Rational((n * coeffs[0] if coeffs else 0) - sum(coeffs))
-    return Fraction(int(val.p), int(val.q))
+    series = _q_int(q, n)
+    scale = series * q * (q + 1) / n
+    return scale / q * (n - n * (q**n + 1) / ((q + 1) * series))
 
 
 # --------------------------------------------------------------------------
@@ -488,7 +473,7 @@ def long_scan_chisq(family, theta, ell: int, start: GroupElement | None = None):
 
     Exact when ``theta`` is rational; float ``theta`` gives floats.
     """
-    theta = _as_scalar(theta)
+    theta = check_theta(theta)
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     n = family.n
@@ -539,7 +524,7 @@ def long_scan_avg_chisq(family, theta, ell: int):
     """Pi-weighted average over starting points of the long-scan chi-square:
     ``sum_{lam != triv} d_lam^2 theta^(2 ell (L - c_lam))``.  Exact for
     rational ``theta``."""
-    theta = _as_scalar(theta)
+    theta = check_theta(theta)
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     n = family.n
@@ -564,7 +549,7 @@ def long_scan_trace(family: GroupFamily, theta, m: int):
     ``sum_lam d_lam^2 theta^(m (L - c_lam))`` (trivial block included).
     The eigenvalue on each block is ``theta^(L - c_lam)`` with multiplicity
     ``d_lam^2`` in the regular module."""
-    theta = _as_scalar(theta)
+    theta = check_theta(theta)
     big_l = _longest_length(family)
     if family.kind == "hypercube":
         n = family.n
@@ -596,7 +581,7 @@ def short_scan_chisq_symmetric(n: int, theta, ell: int, averaged: bool = False):
 
     and the pi-averaged version replaces ``t_lam`` with ``d_lam``.
     """
-    theta = _as_scalar(theta)
+    theta = check_theta(theta)
     if n < 2:
         raise ValueError("need n >= 2")
     if ell < 0:
@@ -617,7 +602,7 @@ def short_scan_chisq_symmetric(n: int, theta, ell: int, averaged: bool = False):
 def short_scan_trace_symmetric(n: int, theta, m: int):
     """Trace of the ``m``-th power of the short-scan kernel on the
     symmetric family: ``sum_lam d_lam sum_S theta^(m (n - 1 - c(S(n))))``."""
-    theta = _as_scalar(theta)
+    theta = check_theta(theta)
     total = theta - theta
     for lam in partitions(n):
         d = _dimension(lam)
@@ -636,7 +621,7 @@ def random_scan_chisq_hypercube(n: int, theta, ell: int, start=None):
     Labels are grouped by ``(|lam|, lam.x)`` with binomial multiplicities,
     so the sum costs O(n^2) instead of 2^n.
     """
-    theta = _as_scalar(theta)
+    theta = check_theta(theta)
     if isinstance(start, GroupElement):
         bits = start.payload
     elif start is None:
@@ -681,7 +666,7 @@ def dihedral_random_scan_chisq(n: int, theta, ell: int, averaged: bool = False) 
     The ``lam = n/2`` term (even ``n``) carries the two extra
     one-dimensional blocks; the sum over ``0 < lam < n`` covers them.
     """
-    theta = float(_as_scalar(theta))
+    theta = float(check_theta(theta))
     if n < 3:
         raise ValueError("need n >= 3")
     if ell < 0:
@@ -706,6 +691,49 @@ def dihedral_random_scan_chisq(n: int, theta, ell: int, averaged: bool = False) 
             * eig ** (2 * ell)
         )
     return total
+
+
+def closed_form(family: GroupFamily, scan: str, theta, ell: int, averaged: bool = False):
+    """Closed-form chi-square after ``ell`` passes of the ``scan`` kernel.
+
+    ``scan`` is ``"long"``, ``"short"`` or ``"random"``; the distance is
+    from the identity start, or pi-averaged over starts when ``averaged``.
+    A `Fraction` theta gives the exact value and a float theta a float;
+    nothing else selects the mode.  The hypercube short scan visits every
+    generator twice, which is exactly that family's long recipe, so it
+    reuses the long-scan forms.
+
+    Raises ValueError where no form exists: the symmetric random scan, the
+    dihedral short scan, the dihedral random scan at a rational theta (its
+    eigenvalues involve cosines) and the averaged hypercube random scan.
+    """
+    if scan not in ("long", "short", "random"):
+        raise ValueError(f"scan must be long, short or random, got {scan!r}")
+    theta = check_theta(theta)
+    if scan == "long" or (scan == "short" and family.kind == "hypercube"):
+        if averaged:
+            return long_scan_avg_chisq(family, theta, ell)
+        return long_scan_chisq(family, theta, ell)
+    if scan == "short":
+        if family.kind == "symmetric":
+            return short_scan_chisq_symmetric(family.n, theta, ell, averaged=averaged)
+        raise ValueError(
+            "no closed form for the dihedral short scan; the long and random scans have one"
+        )
+    if family.kind == "hypercube":
+        if averaged:
+            raise ValueError("no averaged closed form for the hypercube random scan")
+        return random_scan_chisq_hypercube(family.n, theta, ell)
+    if family.kind == "dihedral":
+        if isinstance(theta, Fraction):
+            raise ValueError(
+                "the dihedral random-scan closed form involves cosines, "
+                "so it needs a float theta (float mode)"
+            )
+        return dihedral_random_scan_chisq(family.n, theta, ell, averaged=averaged)
+    raise ValueError(
+        "no closed form for the symmetric random scan; the long and short scans have one"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -832,7 +860,7 @@ def bound_dihedral_random_scan(n: int, theta, ell: int) -> float:
 def bound_dihedral_long_scan(n: int, theta) -> Fraction:
     """Single-pass chi-square bound for the long scan on the dihedral
     family: ``2 theta^(n+1) / (1 - theta)``.  Exact for rational theta."""
-    theta = _as_scalar(theta)
+    theta = check_theta(theta)
     if isinstance(theta, Fraction) and theta == 1:
         raise ValueError("bound requires theta < 1")
     if n < 3:
@@ -864,7 +892,7 @@ def lemma_7_2_bounds(lam: Sequence[int], theta) -> DegreeBoundReport:
     """Exactly evaluate the three inequalities for ``lam`` at rational
     ``theta`` (see `DegreeBoundReport`)."""
     lam = _check_partition(lam)
-    theta = _as_scalar(theta)
+    theta = check_theta(theta)
     if not isinstance(theta, Fraction):
         raise ValueError("exact checks require rational theta")
     n = sum(lam)

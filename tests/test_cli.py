@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -139,14 +141,31 @@ def test_analyze_refuses_scans_without_closed_forms(runner, args):
     assert res.exit_code == 2
 
 
-@pytest.mark.parametrize("theta", ["0", "3/2", "-1/2", "0.0", "2"])
-def test_analyze_rejects_theta_outside_the_window(runner, theta):
+SYMMETRIC_3 = ("--family", "symmetric", "--n", "3")
+
+
+@pytest.mark.parametrize(
+    ("theta", "mode", "group"),
+    [pytest.param(theta, "exact", SYMMETRIC_3, id=theta)
+     for theta in ["0", "3/2", "-1/2", "0.0", "2"]]
+    + [
+        # 1e-400 is a positive rational but underflows to 0.0 as a float:
+        # beyond the cap only the closed form runs ...
+        pytest.param("1e-400", "float", ("--family", "symmetric", "--n", "30"),
+                     id="1e-400-float-beyond-cap"),
+        # ... within it the oracle in chains runs too
+        pytest.param("1e-400", "float",
+                     ("--family", "dihedral", "--n", "8", "--scan", "random"),
+                     id="1e-400-float-within-cap"),
+    ],
+)
+def test_analyze_rejects_theta_outside_the_window(runner, theta, mode, group):
     res = invoke(
         runner,
-        "analyze", "--family", "symmetric", "--n", "3", "--theta", theta,
-        "--lmax", "1",
+        "analyze", *group, "--theta", theta, "--mode", mode, "--lmax", "1",
     )
     assert res.exit_code == 2
+    assert "Traceback" not in res.output
 
 
 def test_analyze_rejects_inverted_pass_range(runner):
@@ -395,6 +414,30 @@ def test_sample_within_the_cap_reports_tv(runner):
     }
 
 
+@pytest.mark.parametrize(
+    ("n", "theta"), [("4", "2"), ("4", "1/0"), ("9", "0"), ("30", "1e-400")]
+)
+def test_sample_rejects_theta_outside_the_window(runner, n, theta):
+    # n = 9 and 30 are beyond the cap, where the float theta is checked
+    res = invoke(
+        runner,
+        "sample", "--family", "symmetric", "--n", n, "--theta", theta, "-N", "10",
+    )
+    assert res.exit_code == 2
+    assert "theta" in res.output
+
+
+def test_zero_denominator_theta_is_a_usage_error(runner):
+    for args in (
+        ("analyze", *SYMMETRIC_3, "--theta", "1/0", "--lmax", "1"),
+        ("verify", *SYMMETRIC_3, "--theta", "1/0"),
+        ("bounds", "--theta", "1/0"),
+    ):
+        res = invoke(runner, *args)
+        assert res.exit_code == 2
+        assert "zero denominator" in res.output
+
+
 def test_sample_rejects_nonpositive_draw_counts(runner):
     res = invoke(
         runner,
@@ -517,3 +560,11 @@ def test_theta_accepts_decimals_in_float_mode(runner):
     assert res.exit_code == 0
     rows = json.loads(res.output)["rows"]
     assert all(row["match"] is True for row in rows)
+
+
+def test_importing_the_cli_does_not_import_sympy():
+    code = "import sys, hecke_metro.cli; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -204,6 +204,43 @@ def test_family_validation():
         GroupFamily("icosahedral", 5)
 
 
+@pytest.mark.parametrize("family", SMALL_FAMILIES, ids=str)
+def test_action_tables_follow_the_generator_actions(family):
+    elements = coxeter.enumerate(family)
+    for side, act in (
+        ("left", lambda i, w: apply_generator(i, w)),
+        ("right", lambda i, w: right_apply_generator(w, i)),
+    ):
+        tables = coxeter.action_tables(family, side)
+        assert tables.elements == elements
+        assert [tables.index[w] for w in elements] == list(range(len(elements)))
+        assert list(tables.lengths) == [length(w) for w in elements]
+        for i in generators(family):
+            moved = [elements[k] for k in tables.perms[i - 1]]
+            assert moved == [act(i, w) for w in elements]
+            ups = [length(v) > length(w) for v, w in zip(moved, elements)]
+            assert list(tables.ups[i - 1]) == ups
+    with pytest.raises(KeyError):
+        coxeter.action_tables(family, "middle")
+
+
+def test_theta_check_keeps_floats_and_makes_the_rest_exact():
+    assert coxeter.check_theta(0.25) == 0.25 and isinstance(coxeter.check_theta(0.25), float)
+    assert coxeter.check_theta("1/4") == Fraction(1, 4)
+    assert coxeter.check_theta(1) == 1 and isinstance(coxeter.check_theta(1), Fraction)
+    for bad in (0, 0.0, 1e-400, -0.5, Fraction(5, 4), 1.5, float("nan"), "0"):
+        with pytest.raises(ValueError, match="theta must be in"):
+            coxeter.check_theta(bad)
+
+
+def test_q_check_requires_a_positive_rational():
+    assert coxeter.check_q(2) == Fraction(2)
+    assert coxeter.check_q("3/2") == Fraction(3, 2)
+    for bad in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="q must be positive"):
+            coxeter.check_q(bad)
+
+
 # ---------------------------------------------------------------------------
 # hypothesis properties: the group axioms and the length subadditivity
 

@@ -145,8 +145,14 @@ def test_block_invariants(family):
         assert abs(rep.c) <= w0_length
 
 
-@pytest.mark.parametrize("family", FAMILIES, ids=str)
-@pytest.mark.parametrize("q", [Fraction(2), Fraction(1, 3), Fraction(7, 5)])
+# the dihedral sum runs over the nontrivial roots of unity; q = 1 is where
+# its Poisson-kernel form would have a pole without the [n]_q factor
+@pytest.mark.parametrize(
+    "family", FAMILIES + [dihedral(n) for n in (4, 7, 12, 41, 97)], ids=str
+)
+@pytest.mark.parametrize(
+    "q", [Fraction(2), Fraction(1, 3), Fraction(7, 5), Fraction(1), Fraction(10, 9)]
+)
 def test_generic_degrees_sum_to_the_poincare_polynomial(family, q):
     assert sum_d_t(family, q) == coxeter.poincare_polynomial(family, q)
 
@@ -349,6 +355,70 @@ def test_short_scan_traces_match_kernel_traces():
         K = chains.short_scan_kernel(symmetric(n), theta)
         for m in range(1, 6):
             assert short_scan_trace_symmetric(n, theta, m) == chains.trace_of_power(K, m)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form registry
+
+
+def _long_forms(family, theta, ell, averaged):
+    return (long_scan_avg_chisq if averaged else long_scan_chisq)(family, theta, ell)
+
+
+def _short_form(family, theta, ell, averaged):
+    return short_scan_chisq_symmetric(family.n, theta, ell, averaged=averaged)
+
+
+def _hypercube_random_form(family, theta, ell, averaged):
+    return random_scan_chisq_hypercube(family.n, theta, ell)
+
+
+def _dihedral_random_form(family, theta, ell, averaged):
+    return dihedral_random_scan_chisq(family.n, theta, ell, averaged=averaged)
+
+
+def _registry_cases():
+    """(family, scan, averaged, theta, direct call or None where refused)."""
+    both = (Fraction(1, 3), 1 / 3)
+    cases = []
+    for family, scan, direct in [
+        (symmetric(4), "long", _long_forms),
+        (symmetric(4), "short", _short_form),
+        (hypercube(5), "long", _long_forms),
+        (hypercube(5), "short", _long_forms),  # the long recipe on this family
+        (dihedral(6), "long", _long_forms),
+    ]:
+        cases += [(family, scan, avg, t, direct) for avg in (False, True) for t in both]
+    cases += [(hypercube(5), "random", False, t, _hypercube_random_form) for t in both]
+    cases += [(dihedral(6), "random", avg, 1 / 3, _dihedral_random_form)
+              for avg in (False, True)]
+    # no form: symmetric random, dihedral short, exact dihedral random and
+    # averaged hypercube random
+    cases += [(symmetric(4), "random", avg, t, None) for avg in (False, True) for t in both]
+    cases += [(dihedral(6), "short", avg, t, None) for avg in (False, True) for t in both]
+    cases += [(dihedral(6), "random", avg, Fraction(1, 3), None) for avg in (False, True)]
+    cases += [(hypercube(5), "random", True, t, None) for t in both]
+    cases += [(symmetric(4), "diagonal", False, Fraction(1, 3), None)]  # not a scan
+    return [
+        pytest.param(
+            *case,
+            id=f"{case[0]}-{case[1]}-{'avg' if case[2] else 'id'}-"
+            f"{'exact' if isinstance(case[3], Fraction) else 'float'}",
+        )
+        for case in cases
+    ]
+
+
+@pytest.mark.parametrize(("family", "scan", "averaged", "theta", "direct"), _registry_cases())
+def test_closed_form_registry(family, scan, averaged, theta, direct):
+    for ell in (1, 3):
+        if direct is None:
+            with pytest.raises(ValueError):
+                spectral.closed_form(family, scan, theta, ell, averaged)
+            continue
+        value = spectral.closed_form(family, scan, theta, ell, averaged)
+        assert type(value) is type(theta)  # a Fraction theta means exact
+        assert value == direct(family, theta, ell, averaged)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ rows by K_i at O(|W|) per row:
   distribution, so one pass of a scan costs O(|W| * letters) and no
   kernel is ever formed (the matrix-free path);
 * :func:`scan_kernel` and :func:`random_scan_kernel` apply it to the
-  identity block, giving the dense |W| x |W| kernel that :func:`evolve`,
-  :func:`kernel_power` and the operator-level checks work on (the dense
-  path, O(|W|^2) cells, kept as the oracle for the matrix-free one).
+  identity block, giving the dense |W| x |W| kernel that the operator
+  reductions and checks work on (O(|W|^2) cells).  A single-generator
+  kernel K_i is the scan of the one-letter recipe (i,).
   :func:`kernel_power` and :func:`kernel_powers` carry K^m to K^(m+1) by
   the same letters, and a dense kernel is refused before allocation when
   its |W|^2 cells exceed :func:`dense_cell_budget`.
@@ -38,7 +38,7 @@ T~_{i_k} ... T~_{i_1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -55,15 +55,12 @@ __all__ = [
     "check_reversible",
     "check_stationary",
     "chi_square",
-    "commutes_with_metropolis",
     "dense_cell_budget",
-    "evolve",
     "evolve_scan",
     "kernel_power",
     "kernel_powers",
     "long_recipe",
     "long_scan_kernel",
-    "metropolis_kernel",
     "point_mass",
     "random_scan_kernel",
     "scan_kernel",
@@ -124,13 +121,19 @@ class Distribution:
 
 @dataclass
 class Kernel:
-    """Row-stochastic matrix num/den with integer num and shared den."""
+    """Row-stochastic matrix num/den with integer num and shared den.
+
+    ``descriptor`` is the scan whose letters build ``num``: a recipe of
+    generator indices, for the product of their K_i (``()`` for the
+    identity), or ``"random"`` for the random scan and its powers.
+    :func:`kernel_power` multiplies by a kernel by applying these letters.
+    """
 
     family: GroupFamily
     theta: Fraction
     num: np.ndarray  # object dtype, int entries
     den: int
-    descriptor: tuple[int, ...] | str = field(default="")
+    descriptor: tuple[int, ...] | str
 
     @property
     def matrix(self) -> np.ndarray:
@@ -141,12 +144,6 @@ class Kernel:
             row = self.num[x]
             out[x] = [Fraction(int(v), self.den) for v in row]
         return out
-
-    def row_distribution(self, x: int) -> Distribution:
-        probs = np.array(
-            [Fraction(int(v), self.den) for v in self.num[x]], dtype=object
-        )
-        return Distribution(self.family, probs)
 
 
 def element_index(family: GroupFamily, w: GroupElement) -> int:
@@ -172,26 +169,6 @@ def point_mass(family: GroupFamily, w: GroupElement) -> Distribution:
     return Distribution(family, probs)
 
 
-def metropolis_kernel(family: GroupFamily, i: int, theta) -> Kernel:
-    """Single-generator Metropolis kernel K_i."""
-    theta = Fraction(coxeter.check_theta(theta))
-    if i not in coxeter.generators(family):
-        raise ValueError(f"generator index {i} out of range for {family}")
-    check_dense_cells(family)
-    tables = coxeter.action_tables(family)
-    perm, up = tables.perms[i - 1], tables.ups[i - 1]
-    n = len(perm)
-    a, b = theta.numerator, theta.denominator
-    num = np.zeros((n, n), dtype=object)
-    for x in range(n):
-        if up[x]:
-            num[x, perm[x]] = b
-        else:
-            num[x, perm[x]] = a
-            num[x, x] = b - a
-    return Kernel(family, theta, num, b, descriptor=(i,))
-
-
 def _apply_letter_columns(num: np.ndarray, perm, up, a: int, b: int) -> np.ndarray:
     """Right-multiply num (over den) by K_i (over b); result is over den*b."""
     out = np.zeros_like(num)
@@ -199,15 +176,6 @@ def _apply_letter_columns(num: np.ndarray, perm, up, a: int, b: int) -> np.ndarr
     # column z receives from y = s_i z, plus a holding term when z is a descent
     out[:, down] = num[:, perm[down]] * b + num[:, down] * (b - a)
     out[:, up] = num[:, perm[up]] * a
-    return out
-
-
-def _apply_letter_rows(num: np.ndarray, perm, up, a: int, b: int) -> np.ndarray:
-    """Left-multiply num (over den) by K_i (over b); result is over den*b."""
-    out = np.zeros_like(num)
-    down = ~up
-    out[up] = num[perm[up]] * b
-    out[down] = num[perm[down]] * a + num[down] * (b - a)
     return out
 
 
@@ -310,15 +278,8 @@ def random_scan_kernel(family: GroupFamily, theta) -> Kernel:
 
 
 def _then(P: Kernel, K: Kernel) -> Kernel:
-    """The kernel P K.
-
-    A scan kernel K (a recipe or "random" as descriptor) is applied to the
-    rows of P one letter at a time, any other kernel by a dense product.
-    """
-    if K.descriptor == "random" or (isinstance(K.descriptor, tuple) and K.descriptor):
-        num, factor = _apply_scan(K.family, K.theta, K.descriptor, P.num)
-    else:
-        num, factor = P.num @ K.num, K.den
+    """The kernel P K: the letters of K's scan applied to the rows of P."""
+    num, factor = _apply_scan(K.family, K.theta, K.descriptor, P.num)
     descriptor = K.descriptor
     if isinstance(P.descriptor, tuple) and isinstance(K.descriptor, tuple):
         descriptor = P.descriptor + K.descriptor
@@ -331,7 +292,7 @@ def kernel_power(K: Kernel, m: int) -> Kernel:
         raise ValueError("negative power")
     if m == 0:
         n = K.num.shape[0]
-        return Kernel(K.family, K.theta, np.identity(n, dtype=object), 1, "")
+        return Kernel(K.family, K.theta, np.identity(n, dtype=object), 1, ())
     power = K
     for _ in range(m - 1):
         power = _then(power, K)
@@ -362,18 +323,6 @@ def trace_of_power(K: Kernel, m: int) -> Fraction:
     return Fraction(int(total), high.den * low.den)
 
 
-def evolve(K: Kernel, start: Distribution, ell: int) -> Distribution:
-    """Exact distribution start * K^ell via repeated vector-matrix products."""
-    if ell < 0:
-        raise ValueError("negative step count")
-    if start.family != K.family:
-        raise ValueError("family mismatch")
-    probs = start.probs
-    for _ in range(ell):
-        probs = (probs @ K.num) / K.den
-    return Distribution(K.family, probs)
-
-
 def evolve_scan(
     family: GroupFamily, theta, scan, start: Distribution, ell: int
 ) -> Distribution:
@@ -383,7 +332,7 @@ def evolve_scan(
     held as one row of integer numerators over their common denominator
     and right-multiplied by each letter's K_i in turn, so a pass costs
     O(|W| * letters) and no |W| x |W| kernel is formed.  Equal by ``==``
-    to ``evolve(scan_kernel(family, theta, scan), start, ell)`` (or
+    to ``start`` times the ell-th power of :func:`scan_kernel` (or of
     :func:`random_scan_kernel` for the random scan).
     """
     if ell < 0:
@@ -434,16 +383,6 @@ def check_stationary(K: Kernel, pi: Distribution) -> bool:
     """Exact check that pi K == pi."""
     w, _ = _numerators(pi.probs)
     return bool((w @ K.num == w * K.den).all())
-
-
-def commutes_with_metropolis(K: Kernel, i: int) -> bool:
-    """Exact check that K commutes with the generator kernel K_i."""
-    tables = coxeter.action_tables(K.family)
-    perm, up = tables.perms[i - 1], tables.ups[i - 1]
-    a, b = K.theta.numerator, K.theta.denominator
-    right = _apply_letter_columns(K.num, perm, up, a, b)  # K * K_i
-    left = _apply_letter_rows(K.num, perm, up, a, b)  # K_i * K
-    return bool((left == right).all())
 
 
 def average_start_chi_square(K: Kernel, ell: int) -> Fraction:

@@ -12,12 +12,13 @@ Four subcommands drive the library end to end:
 
 ``verify``
     The invariant suite for one configured instance: generator kernels
-    against left multiplication in the deformed algebra, the long scan
-    against the squared longest element, stationarity, detailed balance,
-    the trace identity for the pi-averaged chi-square, the long-scan
-    trace spectrum, and the two numerical identities satisfied by the
-    block data.  Exit code 1 if anything fails.  The operator checks
-    compare integer numerators over common denominators.
+    against left multiplication in the deformed algebra, row by row, the
+    long scan's identity row against the squared longest element,
+    stationarity, detailed balance, the trace identity for the
+    pi-averaged chi-square, the long-scan trace spectrum, and the two
+    numerical identities satisfied by the block data.  Exit code 1 if
+    anything fails.  The operator checks compare integer numerators over
+    common denominators with sparse products in the algebra.
 
 ``sample``
     Draws from the exact stationary sampler, with the empirical length
@@ -200,12 +201,19 @@ def _csv_cell(x) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    """Write atomically to ``out``, or to stdout when no path was given."""
+    """Write atomically to ``out``, or to stdout when no path was given.
+
+    A directory that cannot be written to (missing, no permission) is a
+    usage error.
+    """
     if out is None:
         click.echo(text, nl=False)
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hecke-metro-", text=True)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hecke-metro-", text=True)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -428,31 +436,48 @@ def analyze(ctx, family_kind, n, theta_raw, scan, lmin, lmax, averaged, mode, fm
 # verify
 
 
+def _perturb(K: chains.Kernel) -> chains.Kernel:
+    """K with the move out of the identity swapped onto the diagonal."""
+    num = K.num.copy()
+    target = int(np.argmax(num[0]))  # the single off-diagonal move from id
+    num[0, 0], num[0, target] = num[0, target], num[0, 0]
+    return chains.Kernel(K.family, K.theta, num, K.den, K.descriptor)
+
+
 def _verify_checks(family: GroupFamily, theta: Fraction, perturb: bool):
-    """Yield (name, thunk) pairs; each thunk returns True on success."""
+    """(name, thunk) pairs; each thunk returns True on success.
+
+    Checks 1 and 2 compare kernel rows with sparse products in the algebra;
+    :func:`verify` says why that proves the kernels equal left
+    multiplications.  ``perturb`` corrupts K_1, which check 1 must catch.
+    """
     q = 1 / theta
     gens = coxeter.generators(family)
-    kernels = {i: chains.metropolis_kernel(family, i, theta) for i in gens}
+    kernels = {i: chains.scan_kernel(family, theta, (i,)) for i in gens}
     if perturb:
-        broken = kernels[1]
-        num = broken.num.copy()
-        target = int(np.argmax(num[0]))  # the single off-diagonal move from id
-        num[0, 0], num[0, target] = num[0, target], num[0, 0]
-        kernels[1] = chains.Kernel(family, broken.theta, num, broken.den, (1,))
+        kernels[1] = _perturb(kernels[1])
     pi = chains.stationary(family, theta)
     long_kernel = chains.long_scan_kernel(family, theta)
+    tables = coxeter.action_tables(family)
+
+    def row_is(K: chains.Kernel, x: int, h: hecke.HeckeVector) -> bool:
+        """Whether K.num[x] == K.den * h over the T~ basis, with no other nonzero."""
+        row = K.num[x]
+        want = {tables.index[w]: K.den * c for w, c in h.coeffs.items()}
+        return {int(y): row[y] for y in np.flatnonzero(row)} == want
 
     def generator_kernels_match_algebra() -> bool:
         for i in gens:
-            block = hecke.left_mult_matrix(hecke.tilde_word(family, q, (i,)))
-            if not (kernels[i].matrix == block).all():
-                return False
+            for x, w in enumerate(tables.elements):
+                image = hecke.tilde_generator_times(i, hecke.tilde_unit(family, q, w))
+                if not row_is(kernels[i], x, image):
+                    return False
         return True
 
     def long_scan_is_squared_longest_element() -> bool:
-        word = tuple(reversed(chains.long_recipe(family)))
-        block = hecke.left_mult_matrix(hecke.tilde_word(family, q, word))
-        return bool((long_kernel.matrix == block).all())
+        tw0 = hecke.tilde_unit(family, q, coxeter.longest_element(family))
+        identity = tables.index[coxeter.identity(family)]
+        return row_is(long_kernel, identity, hecke.product(tw0, tw0))
 
     def generator_kernels_preserve_stationary() -> bool:
         return all(chains.check_stationary(kernels[i], pi) for i in gens)
@@ -509,6 +534,19 @@ def verify(ctx, family_kind, n, theta_raw, perturb_kernel):
     reduce on integer numerators.  The checks build dense |W| x |W|
     kernels, so groups whose |W|^2 cells exceed 20 x HECKE_METRO_CAP are
     refused with exit 2 before anything is allocated.
+
+    Checks 1 and 2 read kernel rows, not dense matrices of the algebra.
+    Write L(h) for left multiplication by h in the T~ basis:
+    L(h)[x, y] is the coefficient of T~_y in h T~_x.
+
+    \b
+    - Check 1 compares row x of K_i with T~_i T~_x for every i and x,
+      so K_i = L(T~_i).
+    - L(h) L(g) = L(g h), so a scan kernel, built by the letters that
+      build each K_i, is L(h) for h the reversed T~-word of its recipe.
+    - L(h) is fixed by its identity row, because h T~_id = h.
+    - So check 2, the identity row of the long scan against
+      T~_{w0} T~_{w0}, proves that the long scan is L(T~_{w0}^2).
     """
     family = _family(family_kind, n)
     cfg = _config(family=family, theta_raw=theta_raw, mode="exact")
@@ -543,7 +581,7 @@ def verify(ctx, family_kind, n, theta_raw, perturb_kernel):
 @click.option(
     "--num-samples", "-N", type=int, default=1000, show_default=True
 )
-@click.option("--seed", type=int, default=4, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=4, show_default=True)
 @_OUT_OPTION
 @click.pass_context
 def sample(ctx, family_kind, n, theta_raw, num_samples, seed, out):

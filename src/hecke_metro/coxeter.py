@@ -342,11 +342,11 @@ def enumerate(family: GroupFamily) -> tuple[GroupElement, ...]:
 
 
 class ActionTables(NamedTuple):
-    """The action of the simple reflections on one side, by enumeration index.
+    """The left action of the simple reflections, by enumeration index.
 
-    ``perms[i - 1][k]`` is the index of ``s_i w`` (left side) or ``w s_i``
-    (right side) for the element ``w = elements[k]``, and ``ups[i - 1][k]``
-    says whether that move lengthens ``w``.
+    ``perms[i - 1][k]`` is the index of ``s_i w`` for the element
+    ``w = elements[k]``, and ``ups[i - 1][k]`` says whether that move
+    lengthens ``w``.
     """
 
     elements: tuple[GroupElement, ...]
@@ -357,16 +357,15 @@ class ActionTables(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def action_tables(family: GroupFamily, side: str = "left") -> ActionTables:
-    """Index permutations and up-masks of every generator acting on ``side``."""
-    move = {"left": apply_generator, "right": lambda i, w: right_apply_generator(w, i)}[side]
+def action_tables(family: GroupFamily) -> ActionTables:
+    """Index permutations and up-masks of every generator acting on the left."""
     elements = enumerate(family)
     index = {w: k for k, w in zip(range(len(elements)), elements)}
     lengths = np.array([length(w) for w in elements])
     perms = []
     ups = []
     for i in generators(family):
-        perm = np.array([index[move(i, w)] for w in elements])
+        perm = np.array([index[apply_generator(i, w)] for w in elements])
         perms.append(perm)
         ups.append(lengths[perm] > lengths)
     return ActionTables(elements, index, lengths, perms, ups)

@@ -13,17 +13,14 @@ row-stochastic operation (theta = 1/q):
     T~_i T~_w = T~_{s_i w}                          if length goes up,
     T~_i T~_w = (1-theta) T~_w + theta T~_{s_i w}   if length goes down.
 
-Vectors are sparse dicts mapping group elements to Fractions; matrices of
-left multiplication are dense numpy object arrays of Fractions, indexed by
-the coxeter enumeration order.  Everything is exact.
+Elements of H are sparse dicts mapping group elements to Fractions, and
+every product is computed on those dicts.  Everything is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import coxeter
 from .coxeter import GroupElement, GroupFamily
@@ -34,9 +31,7 @@ __all__ = [
     "HeckeVector",
     "generator_times",
     "inner_product",
-    "left_mult_matrix",
     "product",
-    "regular_trace",
     "star",
     "t_unit",
     "tilde_generator_times",
@@ -183,49 +178,3 @@ def inner_product(h1: HeckeVector, h2: HeckeVector) -> Fraction:
     On basis elements: <T_x, T_{y^{-1}}> = [x == y] q^{length(y)} P_W(q).
     """
     return trace_t(product(h1, h2))
-
-
-def _right_tilde_apply(v: np.ndarray, perm: np.ndarray, up: np.ndarray, theta: Fraction):
-    """Coefficient vector of (sum_w v_w T~_w) * T~_i, given the i-th tables."""
-    u = np.zeros(len(v), dtype=object)
-    down = ~up
-    u[perm[up]] += v[up]
-    u[down] += v[down] * (1 - theta)
-    u[perm[down]] += v[down] * theta
-    return u
-
-
-def left_mult_matrix(h: HeckeVector) -> np.ndarray:
-    """Matrix M with M[x, y] = coefficient of T~_y in h * T~_x.
-
-    Rows are source states and columns target states, so for h = T~_i this
-    is exactly a Markov transition matrix.  Rows are filled by induction on
-    length: row(id) is h itself, and row(x) = row(x s_i) * T~_i for any
-    right descent i of x (lengths add, so T~_x = T~_{x s_i} T~_i).
-    """
-    if h.basis != TILDE_BASIS:
-        raise ValueError("left_mult_matrix expects a T~-basis vector")
-    family = h.family
-    elements, index, lengths, perms, ups = coxeter.action_tables(family, "right")
-    n = len(elements)
-    theta = h.theta
-    M = np.zeros((n, n), dtype=object)
-    id_row = np.zeros(n, dtype=object)
-    for w, a in h.coeffs.items():
-        id_row[index[w]] = a
-    M[index[coxeter.identity(family)]] = id_row
-    for x in sorted(range(n), key=lambda k: lengths[k]):
-        if lengths[x] == 0:
-            continue
-        for g in range(len(perms)):
-            if not ups[g][x]:
-                # x has a right descent at g+1; x' = x*s_{g+1} is shorter
-                M[x] = _right_tilde_apply(M[perms[g][x]], perms[g], ups[g], theta)
-                break
-    return M
-
-
-def regular_trace(h: HeckeVector) -> Fraction:
-    """Trace of left multiplication by h on H (basis independent)."""
-    M = left_mult_matrix(to_tilde_basis(h))
-    return sum(M.diagonal(), Fraction(0))

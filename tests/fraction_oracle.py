@@ -1,17 +1,23 @@
-"""Per-cell ``Fraction`` versions of the operator reductions in ``chains``.
+"""Dense, per-cell ``Fraction`` versions of library operations.
 
-The library reduces on integer numerators over common denominators; these
-are the direct transcriptions of the definitions it replaced, one
-``Fraction`` per cell, kept here as the oracle the fast versions must
-equal by ``==``.  Powers of scan kernels are rebuilt from the repeated
-recipe, never carried from an earlier power.
+The library reduces on integer numerators over common denominators and
+checks the algebra row by row; these are the direct transcriptions of the
+definitions it replaced, one ``Fraction`` per cell, kept here as the
+oracle the fast versions must equal by ``==``:
+
+* the operator reductions of ``chains``, with powers of scan kernels
+  rebuilt from the repeated recipe, never carried from an earlier power;
+* dense evolution ``start * K^ell`` by vector-matrix products;
+* the dense |W| x |W| matrix of left multiplication in the Hecke algebra,
+  built from the right action of the generators, and its trace.
 """
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 
-from hecke_metro import chains
+from hecke_metro import chains, coxeter, hecke
 
 
 def tv_distance(p, pi):
@@ -28,14 +34,32 @@ def check_reversible(K, pi):
 
 
 def check_stationary(K, pi):
-    return bool((chains.evolve(K, pi, 1).probs == pi.probs).all())
+    return bool((evolve(K, pi, 1).probs == pi.probs).all())
+
+
+def evolve(K, start, ell):
+    """Exact distribution start * K^ell via repeated vector-matrix products."""
+    if ell < 0:
+        raise ValueError("negative step count")
+    if start.family != K.family:
+        raise ValueError("family mismatch")
+    probs = start.probs
+    for _ in range(ell):
+        probs = (probs @ K.num) / K.den
+    return chains.Distribution(K.family, probs)
+
+
+def commutes_with_metropolis(K, i):
+    """Whether K commutes with the generator kernel K_i, by dense products."""
+    Ki = chains.scan_kernel(K.family, K.theta, (i,))
+    return bool((K.num @ Ki.num == Ki.num @ K.num).all())
 
 
 def kernel_power(K, m):
     """K^m: scan kernels rebuilt letter by letter, others multiplied out."""
     n = K.num.shape[0]
     if m == 0:
-        return chains.Kernel(K.family, K.theta, np.identity(n, dtype=object), 1, "")
+        return chains.Kernel(K.family, K.theta, np.identity(n, dtype=object), 1, ())
     if isinstance(K.descriptor, tuple) and K.descriptor:
         return chains.scan_kernel(K.family, K.theta, K.descriptor * m)
     num = K.num
@@ -57,3 +81,57 @@ def average_start_chi_square(K, ell):
         row = np.array([Fraction(int(v), Kl.den) for v in Kl.num[x]], dtype=object)
         total += pi.probs[x] * chi_square(chains.Distribution(K.family, row), pi)
     return total
+
+
+@functools.lru_cache(maxsize=None)
+def right_action_tables(family):
+    """Index permutations and up-masks of w -> w s_i, per generator i."""
+    tables = coxeter.action_tables(family)
+    perms = []
+    for i in coxeter.generators(family):
+        moved = [coxeter.right_apply_generator(w, i) for w in tables.elements]
+        perms.append(np.array([tables.index[v] for v in moved]))
+    return perms, [tables.lengths[perm] > tables.lengths for perm in perms]
+
+
+def _right_tilde_apply(v, perm, up, theta):
+    """Coefficient vector of (sum_w v_w T~_w) * T~_i, given the i-th tables."""
+    u = np.zeros(len(v), dtype=object)
+    down = ~up
+    u[perm[up]] += v[up]
+    u[down] += v[down] * (1 - theta)
+    u[perm[down]] += v[down] * theta
+    return u
+
+
+def left_mult_matrix(h):
+    """Matrix M with M[x, y] = coefficient of T~_y in h * T~_x.
+
+    Rows are source states and columns target states, so for h = T~_i this
+    is exactly a Markov transition matrix.  Rows are filled by induction on
+    length: row(id) is h itself, and row(x) = row(x s_i) * T~_i for any
+    right descent i of x (lengths add, so T~_x = T~_{x s_i} T~_i).
+    """
+    if h.basis != hecke.TILDE_BASIS:
+        raise ValueError("left_mult_matrix expects a T~-basis vector")
+    tables = coxeter.action_tables(h.family)
+    perms, ups = right_action_tables(h.family)
+    n = len(tables.elements)
+    M = np.zeros((n, n), dtype=object)
+    for w, a in h.coeffs.items():
+        M[tables.index[coxeter.identity(h.family)], tables.index[w]] = a
+    for x in sorted(range(n), key=lambda k: tables.lengths[k]):
+        if tables.lengths[x] == 0:
+            continue
+        for perm, up in zip(perms, ups):
+            if not up[x]:
+                # x has a right descent here; x' = x * s_i is shorter
+                M[x] = _right_tilde_apply(M[perm[x]], perm, up, h.theta)
+                break
+    return M
+
+
+def regular_trace(h):
+    """Trace of left multiplication by h on H (basis independent)."""
+    M = left_mult_matrix(hecke.to_tilde_basis(h))
+    return sum(M.diagonal(), Fraction(0))

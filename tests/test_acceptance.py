@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fraction_oracle as oracle
 from hecke_metro import chains, coxeter, hecke, sampler, spectral
 from hecke_metro.coxeter import dihedral, hypercube, symmetric
 
@@ -178,8 +179,8 @@ def test_criterion_01_generator_kernels_equal_left_multiplication(capsys):
             for theta in THETAS:
                 q = 1 / theta
                 for i in coxeter.generators(family):
-                    K = chains.metropolis_kernel(family, i, theta)
-                    L = hecke.left_mult_matrix(hecke.tilde_word(family, q, (i,)))
+                    K = chains.scan_kernel(family, theta, (i,))
+                    L = oracle.left_mult_matrix(hecke.tilde_word(family, q, (i,)))
                     assert (K.matrix == L).all()
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via click's test runner."""
 
+import functools
 import json
 import os
 import subprocess
@@ -10,7 +11,9 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from hecke_metro import chains, cli
+import fraction_oracle as oracle
+from hecke_metro import chains, cli, coxeter, hecke
+from hecke_metro.coxeter import dihedral, hypercube, symmetric
 
 ANALYZE_COLUMNS = ["l", "chisq_formula", "chisq_oracle", "tv", "tv_bound", "match"]
 
@@ -351,6 +354,63 @@ def test_verify_negative_control_catches_a_corrupted_kernel(runner):
     assert "8/8" not in res.output
 
 
+def test_verify_negative_control_catches_a_wrong_long_recipe(runner, monkeypatch):
+    # the short recipe is a valid scan, but its kernel is not L(T~_{w0}^2)
+    monkeypatch.setattr(chains, "long_recipe", chains.short_recipe)
+    res = invoke(
+        runner, "verify", "--family", "symmetric", "--n", "4", "--theta", "1/2"
+    )
+    assert res.exit_code == 1
+    assert "FAIL long scan == squared longest element" in res.output.splitlines()
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_left_multiplications(family, theta):
+    """The dense matrices L(T~_i), one per generator, and L(T~_{w0}^2)."""
+    q = 1 / theta
+    generators = [
+        oracle.left_mult_matrix(hecke.tilde_word(family, q, (i,)))
+        for i in coxeter.generators(family)
+    ]
+    tw0 = hecke.tilde_unit(family, q, coxeter.longest_element(family))
+    return generators, oracle.left_mult_matrix(hecke.product(tw0, tw0))
+
+
+@pytest.mark.parametrize(
+    "family",
+    [symmetric(n) for n in range(2, 6)]
+    + [hypercube(n) for n in range(1, 7)]
+    + [dihedral(n) for n in range(3, 9)],
+    ids=str,
+)
+@pytest.mark.parametrize(
+    "theta", [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(1, 4)], ids=str
+)
+@pytest.mark.parametrize("variant", ["plain", "perturbed", "wrong-recipe"])
+def test_local_operator_checks_equal_the_dense_comparisons(
+    family, theta, variant, monkeypatch
+):
+    """verify checks 1 and 2, row by row, against dense matrix equality."""
+    # at theta = 1, or when the recipes coincide, the short scan is the long one
+    short = chains.short_scan_kernel(family, theta)
+    long = chains.long_scan_kernel(family, theta)
+    wrong_recipe_is_long = bool((short.num * long.den == long.num * short.den).all())
+    if variant == "wrong-recipe":
+        monkeypatch.setattr(chains, "long_recipe", chains.short_recipe)
+    checks = dict(cli._verify_checks(family, theta, variant == "perturbed"))
+    kernels = [chains.scan_kernel(family, theta, (i,)) for i in coxeter.generators(family)]
+    if variant == "perturbed":
+        kernels[0] = cli._perturb(kernels[0])
+    generators, square = _dense_left_multiplications(family, theta)
+    dense_1 = all((K.matrix == L).all() for K, L in zip(kernels, generators))
+    dense_2 = bool((chains.long_scan_kernel(family, theta).matrix == square).all())
+    assert checks["generator kernels == algebra left multiplication"]() == dense_1
+    assert checks["long scan == squared longest element"]() == dense_2
+    # each variant corrupts what it names, and only that
+    assert dense_1 == (variant != "perturbed")
+    assert dense_2 == (variant != "wrong-recipe" or wrong_recipe_is_long)
+
+
 # ---------------------------------------------------------------------------
 # sample
 
@@ -447,6 +507,16 @@ def test_sample_rejects_nonpositive_draw_counts(runner):
     assert res.exit_code == 2
 
 
+def test_sample_rejects_a_negative_seed(runner):
+    res = invoke(
+        runner,
+        "sample", "--family", "symmetric", "--n", "4", "--theta", "1/2",
+        "--seed", "-1",
+    )
+    assert res.exit_code == 2
+    assert "--seed" in res.output
+
+
 # ---------------------------------------------------------------------------
 # bounds
 
@@ -527,6 +597,23 @@ def test_bounds_out_file(runner, tmp_path):
 
 # ---------------------------------------------------------------------------
 # shared plumbing
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("analyze", "--family", "symmetric", "--n", "3", "--theta", "1/2",
+         "--lmax", "1"),
+        ("bounds", "--n", "10", "--theta", "1/2"),
+    ],
+    ids=["analyze", "bounds"],
+)
+def test_out_into_a_missing_directory_is_a_usage_error(runner, tmp_path, args):
+    out = tmp_path / "missing" / "report"
+    res = invoke(runner, *args, "--out", str(out))
+    assert res.exit_code == 2
+    assert f"cannot write --out {out}" in res.output
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_family_is_a_usage_error(runner):

@@ -207,21 +207,15 @@ def test_family_validation():
 @pytest.mark.parametrize("family", SMALL_FAMILIES, ids=str)
 def test_action_tables_follow_the_generator_actions(family):
     elements = coxeter.enumerate(family)
-    for side, act in (
-        ("left", lambda i, w: apply_generator(i, w)),
-        ("right", lambda i, w: right_apply_generator(w, i)),
-    ):
-        tables = coxeter.action_tables(family, side)
-        assert tables.elements == elements
-        assert [tables.index[w] for w in elements] == list(range(len(elements)))
-        assert list(tables.lengths) == [length(w) for w in elements]
-        for i in generators(family):
-            moved = [elements[k] for k in tables.perms[i - 1]]
-            assert moved == [act(i, w) for w in elements]
-            ups = [length(v) > length(w) for v, w in zip(moved, elements)]
-            assert list(tables.ups[i - 1]) == ups
-    with pytest.raises(KeyError):
-        coxeter.action_tables(family, "middle")
+    tables = coxeter.action_tables(family)
+    assert tables.elements == elements
+    assert [tables.index[w] for w in elements] == list(range(len(elements)))
+    assert list(tables.lengths) == [length(w) for w in elements]
+    for i in generators(family):
+        moved = [elements[k] for k in tables.perms[i - 1]]
+        assert moved == [apply_generator(i, w) for w in elements]
+        ups = [length(v) > length(w) for v, w in zip(moved, elements)]
+        assert list(tables.ups[i - 1]) == ups
 
 
 def test_theta_check_keeps_floats_and_makes_the_rest_exact():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_oracle as oracle
 from hecke_metro import chains, coxeter, spectral
 from hecke_metro.coxeter import CapExceededError, dihedral, hypercube, symmetric
 from hecke_metro.spectral import (
@@ -257,7 +258,7 @@ def test_dihedral_two_dimensional_blocks_against_matrices(n, theta):
 def brute_chisq(family, theta, kernel, ell, start=None):
     if start is None:
         start = coxeter.identity(family)
-    dist = chains.evolve(kernel, chains.point_mass(family, start), ell)
+    dist = oracle.evolve(kernel, chains.point_mass(family, start), ell)
     return chains.chi_square(dist, chains.stationary(family, theta))
 
 

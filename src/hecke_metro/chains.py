@@ -15,19 +15,19 @@ rows by K_i at O(|W|) per row:
 * :func:`evolve_scan` applies it to the single row of a start
   distribution, so one pass of a scan costs O(|W| * letters) and no
   kernel is ever formed (the matrix-free path);
+* :func:`power_sums` applies it to the identity, one block of rows at a
+  time, and reads tr(K^m) and the pi-averaged chi-square of K^m off each
+  block as it passes; it holds one block, never a |W| x |W| power;
 * :func:`scan_kernel` and :func:`random_scan_kernel` apply it to the
-  identity block, giving the dense |W| x |W| kernel that the operator
-  reductions and checks work on (O(|W|^2) cells).  A single-generator
-  kernel K_i is the scan of the one-letter recipe (i,).
-  :func:`kernel_power` and :func:`kernel_powers` carry K^m to K^(m+1) by
-  the same letters, and a dense kernel is refused before allocation when
-  its |W|^2 cells exceed :func:`dense_cell_budget`.
+  whole identity, giving the dense |W| x |W| kernel (O(|W|^2) cells).  A
+  single-generator kernel K_i is the scan of the one-letter recipe (i,).
+  Work on every start, dense or streamed, is refused before it begins
+  when its |W|^2 cells exceed :func:`dense_cell_budget`.
 
 The reductions (:func:`chi_square`, :func:`tv_distance`,
-:func:`average_start_chi_square`, :func:`trace_of_power`,
-:func:`check_reversible`, :func:`check_stationary`) scale every
-distribution to integer numerators over one common denominator and work
-on those; each builds one ``Fraction``, for its result.
+:func:`power_sums`, :func:`check_reversible`, :func:`check_stationary`)
+scale every distribution to integer numerators over one common
+denominator and work on those; each builds one ``Fraction`` per result.
 
 The scan recipe (i_1, ..., i_k) applies K_{i_1} first, i.e. the kernel is
 the matrix product K_{i_1} K_{i_2} ... K_{i_k}; by the multiplication rule
@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -50,45 +49,48 @@ from .coxeter import CapExceededError, GroupElement, GroupFamily
 __all__ = [
     "Distribution",
     "Kernel",
-    "average_start_chi_square",
     "check_dense_cells",
     "check_reversible",
     "check_stationary",
     "chi_square",
     "dense_cell_budget",
     "evolve_scan",
-    "kernel_power",
-    "kernel_powers",
     "long_recipe",
     "long_scan_kernel",
     "point_mass",
+    "power_sums",
     "random_scan_kernel",
     "scan_kernel",
     "short_recipe",
     "short_scan_kernel",
     "stationary",
-    "trace_of_power",
     "tv_distance",
 ]
 
 
-# A dense |W| x |W| kernel may hold this many cells per element that the
+# Work on every start (a dense |W| x |W| kernel, or the |W| rows that
+# power_sums streams) may cover this many cells per element that the
 # enumeration cap admits: 10^6 cells at the default cap, which admits the
 # symmetric group S_6 (518400 cells) and refuses S_7 (25.4 million).
 DENSE_CELLS_PER_ELEMENT = 20
 
+# Cells in one block of power_sums.  On a 2-core host, 5 long-scan passes on
+# dihedral(60) took 1.3 s at 2^12 cells and 1.7 s in one block of all 120
+# rows; S_6, at 5 rows a block, lost 0.05 s to per-letter overhead.
+BLOCK_CELLS = 1 << 12
+
 
 def dense_cell_budget() -> int:
-    """Cells a dense kernel may hold: DENSE_CELLS_PER_ELEMENT x HECKE_METRO_CAP."""
+    """Cells work on every start may cover: DENSE_CELLS_PER_ELEMENT x HECKE_METRO_CAP."""
     return DENSE_CELLS_PER_ELEMENT * coxeter.enumeration_cap()
 
 
 def check_dense_cells(family: GroupFamily) -> None:
-    """Refuse, before anything is allocated, a dense kernel over the cell budget."""
+    """Refuse, before it begins, work on every start over the cell budget."""
     cells, budget = family.order**2, dense_cell_budget()
     if cells > budget:
         raise CapExceededError(
-            f"a dense kernel on {family} needs |W|^2 = {cells} cells, over the "
+            f"work on every start of {family} covers |W|^2 = {cells} cells, over the "
             f"budget of {budget} cells ({DENSE_CELLS_PER_ELEMENT} per element of "
             f"the enumeration cap {coxeter.enumeration_cap()}; raise "
             "HECKE_METRO_CAP to allow it)"
@@ -121,19 +123,12 @@ class Distribution:
 
 @dataclass
 class Kernel:
-    """Row-stochastic matrix num/den with integer num and shared den.
-
-    ``descriptor`` is the scan whose letters build ``num``: a recipe of
-    generator indices, for the product of their K_i (``()`` for the
-    identity), or ``"random"`` for the random scan and its powers.
-    :func:`kernel_power` multiplies by a kernel by applying these letters.
-    """
+    """Row-stochastic matrix num/den with integer num and shared den."""
 
     family: GroupFamily
     theta: Fraction
     num: np.ndarray  # object dtype, int entries
     den: int
-    descriptor: tuple[int, ...] | str
 
     @property
     def matrix(self) -> np.ndarray:
@@ -225,7 +220,7 @@ def scan_kernel(family: GroupFamily, theta, recipe) -> Kernel:
     theta = Fraction(coxeter.check_theta(theta))
     recipe = _check_scan(family, tuple(recipe))
     num, den = _apply_scan(family, theta, recipe)
-    return Kernel(family, theta, num, den, descriptor=recipe)
+    return Kernel(family, theta, num, den)
 
 
 def short_recipe(family: GroupFamily) -> tuple[int, ...]:
@@ -274,53 +269,7 @@ def random_scan_kernel(family: GroupFamily, theta) -> Kernel:
     """Uniform mixture (1/rank) sum_i K_i."""
     theta = Fraction(coxeter.check_theta(theta))
     num, den = _apply_scan(family, theta, "random")
-    return Kernel(family, theta, num, den, descriptor="random")
-
-
-def _then(P: Kernel, K: Kernel) -> Kernel:
-    """The kernel P K: the letters of K's scan applied to the rows of P."""
-    num, factor = _apply_scan(K.family, K.theta, K.descriptor, P.num)
-    descriptor = K.descriptor
-    if isinstance(P.descriptor, tuple) and isinstance(K.descriptor, tuple):
-        descriptor = P.descriptor + K.descriptor
-    return Kernel(K.family, K.theta, num, P.den * factor, descriptor)
-
-
-def kernel_power(K: Kernel, m: int) -> Kernel:
-    """K^m, carried from K one factor at a time (K itself when m = 1)."""
-    if m < 0:
-        raise ValueError("negative power")
-    if m == 0:
-        n = K.num.shape[0]
-        return Kernel(K.family, K.theta, np.identity(n, dtype=object), 1, ())
-    power = K
-    for _ in range(m - 1):
-        power = _then(power, K)
-    return power
-
-
-def kernel_powers(K: Kernel, start: int) -> Iterator[Kernel]:
-    """K^start, K^(start+1), ...: each power is the one before times K."""
-    power = kernel_power(K, start)
-    while True:
-        yield power
-        power = _then(power, K)
-
-
-def trace_of_power(K: Kernel, m: int) -> Fraction:
-    """tr(K^m), read off K^h and K^l with h + l = m and h - l in {0, 1}.
-
-    tr(K^m) = sum_{x,y} K^h[x,y] K^l[y,x], so only about m/2 powers are
-    carried; the sum runs row by row on the integer numerators.
-    """
-    if m < 2:
-        Km = kernel_power(K, m)
-        return Fraction(int(Km.num.trace()), Km.den)
-    low = kernel_power(K, m // 2)
-    high = _then(low, K) if m % 2 else low
-    low_t = low.num.T
-    total = sum(high.num[x] @ low_t[x] for x in range(high.num.shape[0]))
-    return Fraction(int(total), high.den * low.den)
+    return Kernel(family, theta, num, den)
 
 
 def evolve_scan(
@@ -385,25 +334,49 @@ def check_stationary(K: Kernel, pi: Distribution) -> bool:
     return bool((w @ K.num == w * K.den).all())
 
 
-def average_start_chi_square(K: Kernel, ell: int) -> Fraction:
-    """pi-weighted average over starts x of chi_square(delta_x K^ell, pi).
+def power_sums(
+    family: GroupFamily, theta, scan, passes: int
+) -> list[tuple[Fraction, Fraction]]:
+    """(tr(K^m), pi-averaged chi_square(delta_x K^m, pi)) for m = 1..passes.
 
-    With pi(x) proportional to v_x = b^len(x) a^(L - len(x)) for theta = a/b
-    and L the longest length, pi(x) / pi(y) = v_x u_y / (ab)^L where
+    ``scan`` is a recipe or ``"random"``, as :func:`evolve_scan` takes it,
+    and K its kernel.  The identity runs through the scan letters in blocks
+    of rows; after pass m a block adds its diagonal to tr(K^m), and its
+    squared rows to the average.  With pi(x) proportional to
+    v_x = b^len(x) a^(L - len(x)) for theta = a/b and L the longest
+    length, pi(x) / pi(y) = v_x u_y / (ab)^L where
     u_y = a^len(y) b^(L - len(y)).  So the average is
 
-        sum_x v_x sum_y num[x,y]^2 u_y / ((ab)^L den^2) - 1,
+        sum_x v_x sum_y num[x,y]^2 u_y / ((ab)^L den^2) - 1
 
-    reduced row by row on the integer numerators of K^ell.
+    on the integer numerators num over den of K^m.
     """
-    Kl = kernel_power(K, ell)
-    a, b = K.theta.numerator, K.theta.denominator
-    lengths = [int(l) for l in coxeter.action_tables(K.family).lengths]
+    if passes < 1:
+        raise ValueError("need passes >= 1")
+    theta = Fraction(coxeter.check_theta(theta))
+    scan = _check_scan(family, scan)
+    check_dense_cells(family)
+    a, b = theta.numerator, theta.denominator
+    lengths = [int(l) for l in coxeter.action_tables(family).lengths]
     top = max(lengths)
     pow_a = [a**k for k in range(top + 1)]
     pow_b = [b**k for k in range(top + 1)]
     u = np.array([pow_a[l] * pow_b[top - l] for l in lengths], dtype=object)
-    total = 0
-    for l, row in zip(lengths, Kl.num):
-        total += pow_b[l] * pow_a[top - l] * ((row * row) @ u)
-    return Fraction(int(total), (a * b) ** top * Kl.den**2) - 1
+    v = np.array([pow_b[l] * pow_a[top - l] for l in lengths], dtype=object)
+    height = max(1, BLOCK_CELLS // family.order)
+    traces, squares = [0] * passes, [0] * passes
+    for first in range(0, family.order, height):
+        rows = np.arange(first, min(first + height, family.order))
+        diagonal = (np.arange(len(rows)), rows)
+        block = np.zeros((len(rows), family.order), dtype=object)
+        block[diagonal] = 1
+        for m in range(passes):
+            block, factor = _apply_scan(family, theta, scan, block)
+            traces[m] += block[diagonal].sum()
+            squares[m] += v[rows] @ ((block * block) @ u)
+    out, den = [], 1
+    for trace, square in zip(traces, squares):
+        den *= factor
+        averaged = Fraction(int(square), (a * b) ** top * den**2) - 1
+        out.append((Fraction(int(trace), den), averaged))
+    return out

@@ -6,7 +6,7 @@ Four subcommands drive the library end to end:
     Per-pass chi-square distances for a chosen scan: the closed form from
     the irreducible-block data next to the exact brute-force evolution
     (when the group is small enough to enumerate: matrix-free from the
-    identity, dense kernel powers with ``--averaged``), the exact total
+    identity, streamed in row blocks with ``--averaged``), the exact total
     variation distance, and the generic bound ``tv^2 <= chisq / 4``.
     The reductions work on integer numerators, not a Fraction per cell.
 
@@ -18,7 +18,8 @@ Four subcommands drive the library end to end:
     pi-averaged chi-square, the long-scan trace spectrum, and the two
     numerical identities satisfied by the block data.  Exit code 1 if
     anything fails.  The operator checks compare integer numerators over
-    common denominators with sparse products in the algebra.
+    common denominators with sparse products in the algebra, or stream
+    row blocks; the only dense kernels are the generators ``K_i``.
 
 ``sample``
     Draws from the exact stationary sampler, with the empirical length
@@ -37,10 +38,11 @@ brute-force columns once enumeration is impossible.
 
 Output files are written atomically: the text goes to a temporary file
 in the target directory which is then renamed over the destination, so a
-crash never leaves a half-written table.  The env var ``HECKE_METRO_CAP``
-overrides the enumeration cap for all commands; the dense ``|W| x |W|``
-kernels of ``verify`` and ``analyze --averaged`` may hold at most 20 cells
-per element of that cap, and past it exact runs are refused with exit 2.
+crash never leaves a half-written table; an unwritable directory is
+refused while the options are parsed.  The env var ``HECKE_METRO_CAP``
+overrides the enumeration cap for all commands; the work on every start
+of ``verify`` and ``analyze --averaged`` may cover at most 20 cells per
+element of that cap, and past it exact runs are refused with exit 2.
 
 Exit codes: 0 when every check passes, 1 when a verification-style check
 fails (a ``verify`` invariant, an ``analyze`` row with ``match=false``,
@@ -51,6 +53,8 @@ errors (bad flags, theta out of range, cap exceeded in exact mode).
 from __future__ import annotations
 
 import csv
+import decimal
+import functools
 import io
 import json
 import math
@@ -178,7 +182,9 @@ _PROVENANCE = {
 
 
 def _rational_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    # Decimal prints ints past the interpreter's int-to-str digit limit,
+    # which a tiny theta such as 1e-400 exceeds in exact mode
+    return f"{decimal.Decimal(x.numerator)}/{decimal.Decimal(x.denominator)}"
 
 
 def _json_value(x):
@@ -198,6 +204,18 @@ def _csv_cell(x) -> str:
     if isinstance(x, Fraction):
         return _rational_str(x)
     return str(x)
+
+
+def _check_out(ctx, param, out: str | None) -> str | None:
+    """Refuse, before any work, an ``--out`` that names no file or lies in a
+    missing or unwritable directory."""
+    if out is not None:
+        directory = os.path.dirname(os.path.abspath(out))
+        if not os.path.basename(out):
+            raise click.BadParameter(f"cannot write --out {out!r}: it names no file")
+        if not os.access(directory, os.W_OK | os.X_OK):
+            raise click.BadParameter(f"cannot write --out {out}: {directory} is not writable")
+    return out
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -250,7 +268,7 @@ def _match(formula, oracle, mode: str) -> bool:
 
 
 def _scan_letters(cfg: RunConfig) -> tuple[int, ...] | str:
-    """The configured scan as :func:`chains.evolve_scan` takes it."""
+    """The configured scan as chains.evolve_scan and chains.power_sums take it."""
     if cfg.scan == "long":
         return chains.long_recipe(cfg.family)
     if cfg.scan == "short":
@@ -258,19 +276,12 @@ def _scan_letters(cfg: RunConfig) -> tuple[int, ...] | str:
     return "random"
 
 
-def _scan_kernel(cfg: RunConfig) -> chains.Kernel:
-    scan = _scan_letters(cfg)
-    if scan == "random":
-        return chains.random_scan_kernel(cfg.family, cfg.theta)
-    return chains.scan_kernel(cfg.family, cfg.theta, scan)
-
-
 def _analyze_rows(cfg: RunConfig) -> list[dict]:
     """Closed form per pass, next to the brute-force oracle within the cap.
 
     The identity-start oracle evolves the point mass at the identity one
     scan letter at a time (matrix-free); ``--averaged`` needs every start,
-    so it carries powers of the dense kernel, within the cell budget.
+    so it streams row blocks (:func:`chains.power_sums`), within the budget.
     """
     try:
         formulas = [
@@ -283,12 +294,12 @@ def _analyze_rows(cfg: RunConfig) -> list[dict]:
     if cfg.averaged and cfg.family.order**2 > chains.dense_cell_budget():
         within_cap = False
     rows: list[dict] = []
-    powers = dist = pi = None
+    sums = dist = pi = None
     if within_cap:
+        scan = _scan_letters(cfg)
         if cfg.averaged:
-            powers = chains.kernel_powers(_scan_kernel(cfg), cfg.lmin)
+            sums = chains.power_sums(cfg.family, cfg.theta, scan, cfg.lmax)
         else:
-            scan = _scan_letters(cfg)
             pi = chains.stationary(cfg.family, cfg.theta)
             dist = chains.point_mass(cfg.family, coxeter.identity(cfg.family))
             dist = chains.evolve_scan(cfg.family, cfg.theta, scan, dist, cfg.lmin - 1)
@@ -296,7 +307,7 @@ def _analyze_rows(cfg: RunConfig) -> list[dict]:
         oracle = tv = None
         if within_cap:
             if cfg.averaged:
-                oracle = chains.average_start_chi_square(next(powers), 1)
+                _, oracle = sums[ell - 1]
             else:
                 dist = chains.evolve_scan(cfg.family, cfg.theta, scan, dist, 1)
                 oracle = chains.chi_square(dist, pi)
@@ -350,6 +361,7 @@ _OUT_OPTION = click.option(
     "--out",
     type=click.Path(dir_okay=False, writable=True),
     default=None,
+    callback=_check_out,
     help="Output path (atomic write); stdout when omitted.",
 )
 
@@ -395,10 +407,10 @@ def analyze(ctx, family_kind, n, theta_raw, scan, lmin, lmax, averaged, mode, fm
     cap), the total variation distance, the bound tv^2 <= chisq/4, and a
     match flag.  Exits 1 if any row mismatches.  From the identity the
     oracle applies the scan letters to the start vector (matrix-free);
-    with --averaged it carries powers of the dense kernel and reduces them
-    on integer numerators.  Exact --averaged is refused (exit 2) when the
-    |W|^2 kernel cells exceed 20 x HECKE_METRO_CAP; float --averaged then
-    leaves the oracle columns empty.
+    with --averaged it streams every start through the scan in row blocks
+    on integer numerators.  Exact --averaged is refused (exit 2) when its
+    |W|^2 cells exceed 20 x HECKE_METRO_CAP; float --averaged then leaves
+    the oracle columns empty.
     """
     cfg = _config(
         family=_family(family_kind, n),
@@ -441,7 +453,7 @@ def _perturb(K: chains.Kernel) -> chains.Kernel:
     num = K.num.copy()
     target = int(np.argmax(num[0]))  # the single off-diagonal move from id
     num[0, 0], num[0, target] = num[0, target], num[0, 0]
-    return chains.Kernel(K.family, K.theta, num, K.den, K.descriptor)
+    return chains.Kernel(K.family, K.theta, num, K.den)
 
 
 def _verify_checks(family: GroupFamily, theta: Fraction, perturb: bool):
@@ -449,7 +461,8 @@ def _verify_checks(family: GroupFamily, theta: Fraction, perturb: bool):
 
     Checks 1 and 2 compare kernel rows with sparse products in the algebra;
     :func:`verify` says why that proves the kernels equal left
-    multiplications.  ``perturb`` corrupts K_1, which check 1 must catch.
+    multiplications.  Checks 5 and 6 share one :func:`chains.power_sums`,
+    run when first needed.  ``perturb`` corrupts K_1 for check 1 to catch.
     """
     q = 1 / theta
     gens = coxeter.generators(family)
@@ -457,27 +470,31 @@ def _verify_checks(family: GroupFamily, theta: Fraction, perturb: bool):
     if perturb:
         kernels[1] = _perturb(kernels[1])
     pi = chains.stationary(family, theta)
-    long_kernel = chains.long_scan_kernel(family, theta)
     tables = coxeter.action_tables(family)
+    long_scan = chains.long_recipe(family)
 
-    def row_is(K: chains.Kernel, x: int, h: hecke.HeckeVector) -> bool:
-        """Whether K.num[x] == K.den * h over the T~ basis, with no other nonzero."""
-        row = K.num[x]
-        want = {tables.index[w]: K.den * c for w, c in h.coeffs.items()}
+    @functools.cache
+    def long_sums() -> list[tuple[Fraction, Fraction]]:
+        return chains.power_sums(family, theta, long_scan, 5)
+
+    def row_is(row: np.ndarray, h: hecke.HeckeVector, scale=1) -> bool:
+        """Whether row == scale * h over the T~ basis, with no other nonzero."""
+        want = {tables.index[w]: scale * c for w, c in h.coeffs.items()}
         return {int(y): row[y] for y in np.flatnonzero(row)} == want
 
     def generator_kernels_match_algebra() -> bool:
         for i in gens:
             for x, w in enumerate(tables.elements):
                 image = hecke.tilde_generator_times(i, hecke.tilde_unit(family, q, w))
-                if not row_is(kernels[i], x, image):
+                if not row_is(kernels[i].num[x], image, kernels[i].den):
                     return False
         return True
 
     def long_scan_is_squared_longest_element() -> bool:
         tw0 = hecke.tilde_unit(family, q, coxeter.longest_element(family))
-        identity = tables.index[coxeter.identity(family)]
-        return row_is(long_kernel, identity, hecke.product(tw0, tw0))
+        start = chains.point_mass(family, coxeter.identity(family))
+        row = chains.evolve_scan(family, theta, long_scan, start, 1).probs
+        return row_is(row, hecke.product(tw0, tw0))
 
     def generator_kernels_preserve_stationary() -> bool:
         return all(chains.check_stationary(kernels[i], pi) for i in gens)
@@ -486,15 +503,13 @@ def _verify_checks(family: GroupFamily, theta: Fraction, perturb: bool):
         return all(chains.check_reversible(kernels[i], pi) for i in gens)
 
     def averaged_chi_square_equals_trace() -> bool:
-        return chains.average_start_chi_square(long_kernel, 1) == (
-            chains.trace_of_power(long_kernel, 2) - 1
-        )
+        (_, averaged), (trace, _) = long_sums()[:2]
+        return averaged == trace - 1
 
     def long_scan_traces_match_block_sum() -> bool:
         return all(
-            chains.trace_of_power(long_kernel, m)
-            == spectral.long_scan_trace(family, theta, m)
-            for m in range(1, 6)
+            trace == spectral.long_scan_trace(family, theta, m)
+            for m, (trace, _) in enumerate(long_sums(), start=1)
         )
 
     def squared_dimensions_sum_to_order() -> bool:
@@ -531,9 +546,12 @@ def verify(ctx, family_kind, n, theta_raw, perturb_kernel):
 
     Theta is always parsed exactly here (any decimal or p/q string is a
     rational), so every check is an exact comparison; the operator checks
-    reduce on integer numerators.  The checks build dense |W| x |W|
-    kernels, so groups whose |W|^2 cells exceed 20 x HECKE_METRO_CAP are
-    refused with exit 2 before anything is allocated.
+    reduce on integer numerators.  Checks 5 and 6 stream every start
+    through five passes of the long scan in row blocks: check 5 compares
+    the squared rows of K (the averaged chi-square) with the diagonal of
+    K^2, check 6 the diagonals of K^1..K^5 with the block sums.  So groups
+    whose |W|^2 cells exceed 20 x HECKE_METRO_CAP are refused with exit 2
+    before anything is allocated.
 
     Checks 1 and 2 read kernel rows, not dense matrices of the algebra.
     Write L(h) for left multiplication by h in the T~ basis:
@@ -801,8 +819,8 @@ def bounds(ns, theta_raws, cs, out):
                 f"bounds need n >= 3 (every grid cell has dihedral rows); got {n}"
             )
     for c in cs:
-        if c <= 0:
-            raise click.UsageError(f"slack constants must be positive, got {c}")
+        if not (math.isfinite(c) and c > 0):
+            raise click.UsageError(f"slack constants must be positive and finite, got {c}")
     _emit(_csv_text(_BOUND_COLUMNS, _bound_rows(ns, tuple(thetas), cs)), out)
 
 

@@ -11,7 +11,8 @@ construction, which gives a direct sampler (no Markov chain, no burn-in):
   ``theta = 1``.  The product of the stage weights telescopes to ``pi``.
 * hypercube: coordinates are independent, each set with probability
   ``1/(1 + theta)``.
-* dihedral: direct inverse-CDF over the ``2n`` enumerated elements.
+* dihedral: direct inverse CDF over the ``2n`` payloads ``(k, f)``, with
+  ``pi`` read off the length formula (no enumeration, no cap).
 
 `insertion_distribution` expands the insertion process symbolically in
 exact rationals -- the resulting distribution equals `chains.stationary`
@@ -49,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import coxeter
-from .chains import Distribution, stationary
+from .chains import Distribution
 from .coxeter import GroupElement, GroupFamily, degrees, symmetric
 
 __all__ = [
@@ -95,11 +96,14 @@ def _insertion_slot(i: int, theta: float, u: float) -> int:
 
 
 @lru_cache(maxsize=None)
-def _dihedral_cdf(family: GroupFamily, theta: Fraction):
-    pi = stationary(family, theta)
-    cum = np.cumsum([float(p) for p in pi.probs])
-    cum[-1] = 1.0
-    return coxeter.enumerate(family), cum
+def _dihedral_cdf(n: int, theta: float) -> np.ndarray:
+    """Cumulative ``pi`` of dihedral(n) over payload index ``2k + f``, from the
+    weights ``theta^(n - len)``: relative to the longest length n, no power
+    of ``q = 1/theta`` overflows."""
+    k = np.arange(n)
+    lengths = [np.minimum(2 * k, 2 * (n - k)), np.minimum(2 * k + 1, 2 * (n - k) - 1)]
+    cum = np.cumsum(theta ** (n - np.stack(lengths, axis=1).ravel()))
+    return cum / cum[-1]
 
 
 def mallows_sample(family: GroupFamily, theta, rng: RandomSource) -> GroupElement:
@@ -118,10 +122,8 @@ def mallows_sample(family: GroupFamily, theta, rng: RandomSource) -> GroupElemen
         bits = rng.random(n) < 1.0 / (1.0 + th)
         return GroupElement(family, tuple(int(b) for b in bits))
     if family.kind == "dihedral":
-        if not isinstance(theta, Fraction):
-            theta = Fraction(theta).limit_denominator(10**12)
-        elements, cum = _dihedral_cdf(family, theta)
-        return elements[bisect_right(cum, rng.random())]
+        j = bisect_right(_dihedral_cdf(n, th), rng.random())
+        return GroupElement(family, (j // 2, j % 2))
     raise AssertionError(f"unhandled family kind {family.kind!r}")
 
 

@@ -5,8 +5,9 @@ checks the algebra row by row; these are the direct transcriptions of the
 definitions it replaced, one ``Fraction`` per cell, kept here as the
 oracle the fast versions must equal by ``==``:
 
-* the operator reductions of ``chains``, with powers of scan kernels
-  rebuilt from the repeated recipe, never carried from an earlier power;
+* the operator reductions of ``chains``, on dense powers of a scan
+  kernel rebuilt from the repeated recipe (multiplied out for the random
+  scan), never carried from an earlier power;
 * dense evolution ``start * K^ell`` by vector-matrix products;
 * the dense |W| x |W| matrix of left multiplication in the Hecke algebra,
   built from the right action of the generators, and its trace.
@@ -55,31 +56,30 @@ def commutes_with_metropolis(K, i):
     return bool((K.num @ Ki.num == Ki.num @ K.num).all())
 
 
-def kernel_power(K, m):
-    """K^m: scan kernels rebuilt letter by letter, others multiplied out."""
-    n = K.num.shape[0]
-    if m == 0:
-        return chains.Kernel(K.family, K.theta, np.identity(n, dtype=object), 1, ())
-    if isinstance(K.descriptor, tuple) and K.descriptor:
-        return chains.scan_kernel(K.family, K.theta, K.descriptor * m)
-    num = K.num
-    for _ in range(m - 1):
+def kernel_power(family, theta, scan, m):
+    """K^m for the scan (a recipe or "random"), built from scratch: a recipe
+    repeated m times letter by letter, the random kernel multiplied out."""
+    if scan != "random":
+        return chains.scan_kernel(family, theta, tuple(scan) * m)
+    K = chains.random_scan_kernel(family, theta)
+    num = np.identity(family.order, dtype=object)
+    for _ in range(m):
         num = num @ K.num
-    return chains.Kernel(K.family, K.theta, num, K.den**m, K.descriptor)
+    return chains.Kernel(family, K.theta, num, K.den**m)
 
 
-def trace_of_power(K, m):
-    Km = kernel_power(K, m)
+def trace_of_power(family, theta, scan, m):
+    Km = kernel_power(family, theta, scan, m)
     return Fraction(int(sum(Km.num.diagonal())), Km.den)
 
 
-def average_start_chi_square(K, ell):
-    pi = chains.stationary(K.family, K.theta)
-    Kl = kernel_power(K, ell)
+def average_start_chi_square(family, theta, scan, ell):
+    pi = chains.stationary(family, theta)
+    Kl = kernel_power(family, theta, scan, ell)
     total = Fraction(0)
     for x in range(Kl.num.shape[0]):
         row = np.array([Fraction(int(v), Kl.den) for v in Kl.num[x]], dtype=object)
-        total += pi.probs[x] * chi_square(chains.Distribution(K.family, row), pi)
+        total += pi.probs[x] * chi_square(chains.Distribution(family, row), pi)
     return total
 
 

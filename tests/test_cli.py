@@ -10,9 +10,11 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from hecke_metro import chains, cli, coxeter, hecke
+from hecke_metro import chains, cli, coxeter, hecke, sampler, spectral
 from hecke_metro.coxeter import dihedral, hypercube, symmetric
 
 ANALYZE_COLUMNS = ["l", "chisq_formula", "chisq_oracle", "tv", "tv_bound", "match"]
@@ -53,6 +55,23 @@ def test_analyze_exact_json_roundtrip(runner):
         num, den = map(int, row["tv"].split("/"))
         assert 0 <= Fraction(num, den) <= 1
     assert set(payload["provenance"]) == {"tool", "version", "description"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_exact_values_past_the_int_digit_limit_are_printed(runner, fmt):
+    # theta = 10^-5000 makes the chi-square a rational of more than 4300
+    # digits, past the interpreter's default int-to-str limit
+    res = invoke(
+        runner,
+        "analyze", "--family", "hypercube", "--n", "1", "--theta", "1e-5000",
+        "--lmax", "1", "--format", fmt,
+    )
+    assert res.exit_code == 0
+    assert len(res.output) > 2 * 5000
+    if fmt == "json":
+        row = json.loads(res.output)["rows"][0]
+        assert row["match"] is True
+        assert row["chisq_formula"] == row["chisq_oracle"]
 
 
 def test_analyze_dihedral_averaged_frozen_value(runner):
@@ -235,14 +254,32 @@ def test_identity_start_analyze_builds_no_dense_kernel(runner, monkeypatch, args
     assert all(row["match"] is True and row["tv"] is not None for row in rows)
 
 
-def test_averaged_analyze_still_uses_the_dense_kernel(runner, monkeypatch):
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--family", "symmetric", "--n", "4", "--scan", "long"),
+        ("--family", "symmetric", "--n", "4", "--scan", "short"),
+        ("--family", "dihedral", "--n", "6", "--scan", "random", "--mode", "float"),
+    ],
+    ids=["long", "short", "random"],
+)
+def test_averaged_analyze_builds_no_dense_scan_kernel(runner, monkeypatch, args):
+    _refuse_dense_kernels(monkeypatch)
+    res = invoke(
+        runner,
+        "analyze", *args, "--theta", "1/2", "--averaged", "--lmin", "2", "--lmax", "3",
+    )
+    assert res.exit_code == 0
+    rows = json.loads(res.output)["rows"]
+    assert [row["l"] for row in rows] == [2, 3]
+    assert all(row["match"] is True for row in rows)
+
+
+def test_verify_still_builds_the_dense_generator_kernels(runner, monkeypatch):
+    # negative control for the test above: the refusal does fire
     _refuse_dense_kernels(monkeypatch)
     with pytest.raises(AssertionError, match="dense scan kernel"):
-        invoke(
-            runner,
-            "analyze", "--family", "symmetric", "--n", "4", "--theta", "1/2",
-            "--averaged", "--lmax", "1",
-        )
+        invoke(runner, "verify", "--family", "symmetric", "--n", "4", "--theta", "1/2")
 
 
 @pytest.mark.parametrize(
@@ -459,6 +496,23 @@ def test_sample_beyond_the_cap_drops_the_tv_column(runner):
     assert abs(summary["mean_z_score"]) < 3
 
 
+def test_sample_dihedral_beyond_the_cap(runner):
+    # 2n = 60000 elements: the sampler reads pi off the length formula
+    res = invoke(
+        runner,
+        "sample", "--family", "dihedral", "--n", "30000", "--theta", "1/2",
+        "-N", "10",
+    )
+    assert res.exit_code == 0
+    payload = json.loads(res.output)
+    assert payload["summary"]["empirical_tv"] is None
+    assert abs(payload["summary"]["mean_z_score"]) <= 3
+    rows = payload["rows"]
+    assert len(rows) == 10
+    for k, f in rows:
+        coxeter.GroupElement(dihedral(30000), (k, f))  # revalidates the payload
+
+
 def test_sample_within_the_cap_reports_tv(runner):
     res = invoke(
         runner,
@@ -562,7 +616,8 @@ def test_bounds_reject_theta_one(runner):
 @pytest.mark.parametrize(
     "args",
     [("--theta", "1/2", "--n", "0"), ("--theta", "1/2", "--c", "-1"),
-     ("--theta", "5/4")],
+     ("--theta", "5/4"), ("--theta", "1/2", "--c", "nan"),
+     ("--theta", "1/2", "--c", "inf"), ("--theta", "1/2", "--c", "1e400")],
 )
 def test_bounds_reject_bad_grids(runner, args):
     res = invoke(runner, "bounds", *args)
@@ -602,17 +657,43 @@ def test_bounds_out_file(runner, tmp_path):
 @pytest.mark.parametrize(
     "args",
     [
-        ("analyze", "--family", "symmetric", "--n", "3", "--theta", "1/2",
-         "--lmax", "1"),
+        ("analyze", "--family", "symmetric", "--n", "8", "--theta", "1/2",
+         "--lmax", "3"),
         ("bounds", "--n", "10", "--theta", "1/2"),
+        ("sample", "--family", "symmetric", "--n", "4", "--theta", "1/2"),
+        ("verify", "--family", "symmetric", "--n", "4", "--theta", "1/2"),
     ],
-    ids=["analyze", "bounds"],
+    ids=["analyze", "bounds", "sample", "verify"],
 )
-def test_out_into_a_missing_directory_is_a_usage_error(runner, tmp_path, args):
+def test_out_into_a_missing_directory_is_a_usage_error(
+    runner, tmp_path, monkeypatch, args
+):
+    """Refused while the options are parsed: no subcommand reaches its work."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before --out was checked")
+
+    for module, name in [
+        (chains, "evolve_scan"), (chains, "power_sums"), (chains, "scan_kernel"),
+        (sampler, "mallows_sample"), (spectral, "bound_symmetric_scans"),
+    ]:
+        monkeypatch.setattr(module, name, no_work)
     out = tmp_path / "missing" / "report"
     res = invoke(runner, *args, "--out", str(out))
     assert res.exit_code == 2
-    assert f"cannot write --out {out}" in res.output
+    if args[0] == "verify":  # prints its checks; it has no --out
+        assert "No such option '--out'" in res.output
+    else:
+        assert f"cannot write --out {out}" in res.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", ["", "missing" + os.sep], ids=["empty", "directory"])
+def test_out_naming_no_file_is_a_usage_error(runner, tmp_path, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    res = invoke(runner, "bounds", "--n", "10", "--theta", "1/2", "--out", out)
+    assert res.exit_code == 2
+    assert "names no file" in res.output
     assert list(tmp_path.iterdir()) == []
 
 
@@ -655,3 +736,81 @@ def test_importing_the_cli_does_not_import_sympy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# grammar fuzz: every argv ends in an answer or a usage error
+
+
+# Each argv is valid or has one option corrupted (a bad value, or missing).
+# Runs stay cheap: n <= 12, lmax <= 4, N <= 50, and HECKE_METRO_CAP is 200
+# or 20, which puts S_4, hypercube(5) and dihedral(11) beyond the cap.
+FUZZ_VALUES = {
+    "--family": ["symmetric", "hypercube", "dihedral"],
+    "--n": [str(n) for n in range(1, 13)],
+    "--theta": ["1/2", "1", "2/3", "0.25", "3/4", "1/3", "9/10"],
+    "--scan": ["long", "short", "random"],
+    "--lmin": ["1", "2"],
+    "--lmax": ["1", "2", "3", "4"],
+    "--mode": ["exact", "float"],
+    "--format": ["json", "csv"],
+    "-N": ["1", "7", "50"],
+    "--seed": ["0", "4"],
+    "--c": ["1", "2.5", "10", "1e300"],
+}
+FUZZ_BAD_VALUES = {
+    "--family": ["cyclic", ""],
+    "--n": ["-1", "0", "x", "1.5"],
+    "--theta": (
+        ["0", "2", "5/4", "-1/2", "1.5"]  # outside (0, 1]
+        + ["abc", "1/0", "", "nan", "inf", "1/2/3", "0x10"]  # malformed
+    ),
+    "--scan": ["sideways"],
+    "--lmin": ["-1", "0", "5", "x"],
+    "--lmax": ["-1", "0", "x"],
+    "--mode": ["fast"],
+    "--format": ["xml"],
+    "-N": ["0", "-1", "x"],
+    "--seed": ["-1", "x"],
+    "--c": ["0", "-1", "x", "nan", "inf", "-inf", "1e400"],
+}
+FUZZ_OPTIONS = {
+    "analyze": ["--family", "--n", "--theta", "--scan", "--lmin", "--lmax", "--mode",
+                "--format"],
+    "verify": ["--family", "--n", "--theta"],
+    "sample": ["--family", "--n", "--theta", "-N", "--seed"],
+    "bounds": ["--n", "--theta", "--c", "--n", "--theta", "--c"],
+}
+FUZZ_FLAGS = {"analyze": ["--averaged"], "verify": ["--perturb-kernel"]}
+
+
+@st.composite
+def cli_argv(draw):
+    """A cheap argv of one subcommand, valid or with one option corrupted."""
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    options = [
+        [flag, draw(st.sampled_from(FUZZ_VALUES[flag]))] for flag in FUZZ_OPTIONS[command]
+    ]
+    if draw(st.booleans()):
+        option = draw(st.sampled_from(options))
+        option[1:] = draw(st.sampled_from([[]] + [[v] for v in FUZZ_BAD_VALUES[option[0]]]))
+        if not option[1:]:
+            options.remove(option)
+    flags = [flag for flag in FUZZ_FLAGS.get(command, []) if draw(st.booleans())]
+    return [command] + [token for option in options for token in option] + flags
+
+
+@given(argv=cli_argv(), cap=st.sampled_from(["200", "20"]))
+@example(argv=["bounds", "--n", "10", "--theta", "1/2", "--c", "nan"], cap="20")
+@example(
+    argv=["sample", "--family", "dihedral", "--n", "12", "--theta", "1/2", "-N", "5"],
+    cap="20",
+)
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_every_argv_ends_in_an_answer_or_a_usage_error(argv, cap):
+    res = CliRunner().invoke(cli.main, argv, env={"HECKE_METRO_CAP": cap})
+    assert res.exception is None or isinstance(res.exception, SystemExit), (
+        argv,
+        res.output,
+    )
+    assert res.exit_code in (0, 1, 2), (argv, res.output)

@@ -115,6 +115,19 @@ def test_samples_are_valid_group_elements(family, theta):
         GroupElement(family, w.payload)  # revalidates the payload
 
 
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+@pytest.mark.parametrize("theta", THETAS + [Fraction(3, 4)])
+def test_dihedral_law_from_the_length_formula_is_the_stationary_law(n, theta):
+    # payload index 2k + f is the enumeration order, and the law read off
+    # the length formula is pi up to float rounding
+    family = dihedral(n)
+    elements = coxeter.enumerate(family)
+    assert [w.payload for w in elements] == [(j // 2, j % 2) for j in range(2 * n)]
+    probs = np.diff(sampler._dihedral_cdf(n, float(theta)), prepend=0.0)
+    exact = [float(p) for p in chains.stationary(family, theta).probs]
+    assert np.allclose(probs, exact, rtol=0, atol=4 * n * np.finfo(float).eps)
+
+
 def test_uniform_goodness_of_fit_at_theta_one():
     # theta = 1 collapses to the uniform distribution; chi-square GOF on S_4
     family = symmetric(4)

@@ -266,13 +266,12 @@ def brute_chisq(family, theta, kernel, ell, start=None):
 def test_long_scan_chisq_matches_kernels_exactly(theta):
     for family in (symmetric(4), hypercube(3), dihedral(5), dihedral(6)):
         K = chains.long_scan_kernel(family, theta)
+        sums = chains.power_sums(family, theta, chains.long_recipe(family), 2)
         for ell in (1, 2):
             assert long_scan_chisq(family, theta, ell) == brute_chisq(
                 family, theta, K, ell
             )
-            assert long_scan_avg_chisq(family, theta, ell) == (
-                chains.average_start_chi_square(K, ell)
-            )
+            assert long_scan_avg_chisq(family, theta, ell) == sums[ell - 1][1]
 
 
 def test_long_scan_chisq_from_an_arbitrary_hypercube_start():
@@ -305,12 +304,13 @@ def test_short_scan_chisq_matches_kernels_exactly():
     for n in (3, 4):
         family = symmetric(n)
         K = chains.short_scan_kernel(family, theta)
+        sums = chains.power_sums(family, theta, chains.short_recipe(family), 2)
         for ell in (1, 2):
             assert short_scan_chisq_symmetric(n, theta, ell) == brute_chisq(
                 family, theta, K, ell
             )
             assert short_scan_chisq_symmetric(n, theta, ell, averaged=True) == (
-                chains.average_start_chi_square(K, ell)
+                sums[ell - 1][1]
             )
 
 
@@ -329,12 +329,13 @@ def test_dihedral_random_scan_chisq_matches_kernels_closely():
     theta = 0.5
     family = dihedral(6)
     K = chains.random_scan_kernel(family, Fraction(1, 2))
+    sums = chains.power_sums(family, Fraction(1, 2), "random", 2)
     for ell in (1, 2):
         exact = brute_chisq(family, Fraction(1, 2), K, ell)
         assert math.isclose(
             dihedral_random_scan_chisq(6, theta, ell), float(exact), rel_tol=1e-12
         )
-        averaged = chains.average_start_chi_square(K, ell)
+        _, averaged = sums[ell - 1]
         assert math.isclose(
             dihedral_random_scan_chisq(6, theta, ell, averaged=True),
             float(averaged),
@@ -345,17 +346,18 @@ def test_dihedral_random_scan_chisq_matches_kernels_closely():
 @pytest.mark.parametrize("family", FAMILIES, ids=str)
 def test_long_scan_traces_match_kernel_traces(family):
     theta = Fraction(1, 2)
-    K = chains.long_scan_kernel(family, theta)
-    for m in range(1, 6):
-        assert long_scan_trace(family, theta, m) == chains.trace_of_power(K, m)
+    sums = chains.power_sums(family, theta, chains.long_recipe(family), 5)
+    for m, (trace, _) in enumerate(sums, start=1):
+        assert long_scan_trace(family, theta, m) == trace
 
 
 def test_short_scan_traces_match_kernel_traces():
     theta = Fraction(2, 5)
     for n in (3, 4):
-        K = chains.short_scan_kernel(symmetric(n), theta)
-        for m in range(1, 6):
-            assert short_scan_trace_symmetric(n, theta, m) == chains.trace_of_power(K, m)
+        family = symmetric(n)
+        sums = chains.power_sums(family, theta, chains.short_recipe(family), 5)
+        for m, (trace, _) in enumerate(sums, start=1):
+            assert short_scan_trace_symmetric(n, theta, m) == trace
 
 
 # ---------------------------------------------------------------------------

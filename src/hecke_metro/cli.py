@@ -56,11 +56,13 @@ import csv
 import decimal
 import functools
 import io
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -218,14 +220,16 @@ def _check_out(ctx, param, out: str | None) -> str | None:
     return out
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write atomically to ``out``, or to stdout when no path was given.
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    """Write the pieces in order, atomically to ``out``, or to stdout when
+    no path was given.
 
     A directory that cannot be written to (missing, no permission) is a
     usage error.
     """
     if out is None:
-        click.echo(text, nl=False)
+        for piece in pieces:
+            click.echo(piece, nl=False)
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
     try:
@@ -234,7 +238,7 @@ def _emit(text: str, out: str | None) -> None:
         raise click.UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, out)
     except BaseException:
         try:
@@ -246,6 +250,35 @@ def _emit(text: str, out: str | None) -> None:
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+# draws of ``sample`` encoded into one piece of output
+_ROW_BATCH = 2**12
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def _sample_json_pieces(payload: dict) -> Iterator[str]:
+    """``payload`` as JSON indented by two spaces, except that each entry of
+    ``rows`` is one compact line, in pieces of bounded size.
+
+    The draws are nearly all of a large ``sample``: a line each keeps the
+    text about a third of its fully indented size, and the C encoder writes
+    it.
+    """
+    sep = "{\n"
+    for key, value in payload.items():
+        yield f"{sep}  {json.dumps(key)}: "
+        sep = ",\n"
+        if key != "rows":
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+            continue
+        yield "["
+        rows, lead = iter(value), "\n    "
+        while batch := list(itertools.islice(rows, _ROW_BATCH)):
+            yield lead + ",\n    ".join(map(_COMPACT.encode, batch))
+            lead = ",\n    "
+        yield "\n  ]"
+    yield "\n}\n"
 
 
 def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
@@ -288,7 +321,7 @@ def _analyze_rows(cfg: RunConfig) -> list[dict]:
             spectral.closed_form(cfg.family, cfg.scan, cfg.theta, ell, cfg.averaged)
             for ell in range(cfg.lmin, cfg.lmax + 1)
         ]
-    except ValueError as exc:  # no form for this scan, or too many tableaux
+    except ValueError as exc:  # no form for this scan
         raise click.UsageError(str(exc)) from exc
     within_cap = cfg.family.order <= coxeter.enumeration_cap()
     if cfg.averaged and cfg.family.order**2 > chains.dense_cell_budget():
@@ -428,18 +461,20 @@ def analyze(ctx, family_kind, n, theta_raw, scan, lmin, lmax, averaged, mode, fm
     except CapExceededError as exc:
         raise click.UsageError(str(exc)) from exc
     if cfg.fmt == "csv":
-        text = _csv_text(_ANALYZE_COLUMNS, rows)
+        pieces = [_csv_text(_ANALYZE_COLUMNS, rows)]
     else:
-        text = _json_text(
-            {
-                "config": cfg.as_dict("analyze"),
-                "rows": [
-                    {k: _json_value(row[k]) for k in _ANALYZE_COLUMNS} for row in rows
-                ],
-                "provenance": _PROVENANCE,
-            }
-        )
-    _emit(text, cfg.out)
+        pieces = [
+            _json_text(
+                {
+                    "config": cfg.as_dict("analyze"),
+                    "rows": [
+                        {k: _json_value(row[k]) for k in _ANALYZE_COLUMNS} for row in rows
+                    ],
+                    "provenance": _PROVENANCE,
+                }
+            )
+        ]
+    _emit(pieces, cfg.out)
     if any(row["match"] is False for row in rows):
         ctx.exit(1)
 
@@ -608,8 +643,9 @@ def sample(ctx, family_kind, n, theta_raw, num_samples, seed, out):
     The summary compares the empirical length mean/variance with the
     closed forms, reports a z-score for the mean, and (when the group is
     within the enumeration cap) the empirical total variation distance.
-    Same seed, same output, byte for byte.  Exits 1 if the mean lands
-    more than three standard errors from the prediction.
+    Same seed, same output, byte for byte; the JSON gives each draw one
+    line.  Exits 1 if the mean lands more than three standard errors from
+    the prediction.
     """
     if num_samples <= 0:
         raise click.UsageError("--num-samples must be positive")
@@ -659,7 +695,7 @@ def sample(ctx, family_kind, n, theta_raw, num_samples, seed, out):
         "rows": [list(w.payload) for w in draws],
         "provenance": _PROVENANCE,
     }
-    _emit(_json_text(payload), cfg.out)
+    _emit(_sample_json_pieces(payload), cfg.out)
     if abs(z) > 3:
         ctx.exit(1)
 
@@ -821,7 +857,7 @@ def bounds(ns, theta_raws, cs, out):
     for c in cs:
         if not (math.isfinite(c) and c > 0):
             raise click.UsageError(f"slack constants must be positive and finite, got {c}")
-    _emit(_csv_text(_BOUND_COLUMNS, _bound_rows(ns, tuple(thetas), cs)), out)
+    _emit([_csv_text(_BOUND_COLUMNS, _bound_rows(ns, tuple(thetas), cs))], out)
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ of every generator in that order, and :func:`check_theta` and
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import os
 from dataclasses import dataclass
@@ -266,13 +267,15 @@ def length(w: GroupElement) -> int:
     """
     fam = w.family
     if fam.kind == "symmetric":
-        p = w.payload
-        return sum(
-            1
-            for a in range(fam.n)
-            for b in range(a + 1, fam.n)
-            if p[a] > p[b]
-        )
+        # inversions, counted from the right: each value against the
+        # sorted values after it
+        seen: list[int] = []
+        count = 0
+        for value in reversed(w.payload):
+            k = bisect.bisect_left(seen, value)
+            count += k
+            seen.insert(k, value)
+        return count
     if fam.kind == "hypercube":
         return sum(w.payload)
     n = fam.n

@@ -17,10 +17,20 @@ distance of scan chains to the stationary measure ``pi``:
   where ``L`` is the length of the longest element;
 * pi-averaged over starting points, ``t_lam d_lam`` becomes ``d_lam^2``;
 * short systematic scan on the symmetric group: the exponent is controlled
-  by the content of the box containing ``n`` in a standard tableau;
+  by the content of the box containing ``n``, so the sum over standard
+  tableaux collapses by the branching rule to a sum over the removable
+  corners of each partition, the corner weighted by the number of tableaux
+  of the smaller shape;
 * single-site random scans admit eigenvalue forms on the hypercube
   (exact, via binomial grouping) and the dihedral family (floating point,
   the eigenvalues involve cosines).
+
+The symmetric forms are evaluated at partition scale: one cached table per
+``n`` holds each partition's dimension, content sum, sub-diagonal shift
+and hooks, and every call builds the q-integers ``[k]_q`` (k <= n) once,
+so a generic degree costs one product over the hooks (the q-hook formula).
+Nothing enumerates tableaux, so no enumeration cap applies to these forms;
+:func:`standard_tableaux` remains as the reference the tests compare with.
 
 Everything downstream of a rational ``theta`` is exact `Fraction` arithmetic
 except where irrational eigenvalues force floats (dihedral random scan and
@@ -38,7 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .coxeter import (
     CapExceededError,
@@ -127,33 +137,26 @@ def conjugate_partition(lam: Sequence[int]) -> Partition:
     return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
 
 
+def _hooks(lam: Partition) -> tuple[int, ...]:
+    # hook lengths row-major, from one conjugate
+    cols = [0] * (lam[0] if lam else 0)
+    for part in lam:
+        for j in range(part):
+            cols[j] += 1
+    return tuple(
+        part - j + cols[j] - i - 1 for i, part in enumerate(lam) for j in range(part)
+    )
+
+
 def hook_lengths(lam: Sequence[int]) -> list[int]:
     """Hook lengths of all boxes, row-major (arm + leg + 1)."""
-    lam = _check_partition(lam)
-    cols = conjugate_partition(lam)
-    return [
-        lam[i] - (j + 1) + cols[j] - (i + 1) + 1
-        for i in range(len(lam))
-        for j in range(lam[i])
-    ]
+    return list(_hooks(_check_partition(lam)))
 
 
 def content_sum(lam: Sequence[int]) -> int:
     """Sum of ``column - row`` over all boxes of the diagram."""
     lam = _check_partition(lam)
     return sum(j - i for i in range(len(lam)) for j in range(lam[i]))
-
-
-def _subdiagonal_weight(lam: Partition) -> int:
-    # sum over rows of (row index - 1) * (row length), rows counted from 1
-    return sum(i * lam[i] for i in range(len(lam)))
-
-
-def _dimension(lam: Partition) -> int:
-    n = sum(lam)
-    d, rem = divmod(math.factorial(n), math.prod(hook_lengths(lam)))
-    assert rem == 0
-    return d
 
 
 @dataclass(frozen=True)
@@ -210,7 +213,7 @@ def _tableau_fillings(lam: Partition) -> tuple[tuple[tuple[int, ...], ...], ...]
 def standard_tableaux(lam: Sequence[int]) -> list[StandardTableau]:
     """Enumerate every standard tableau of the given shape."""
     lam = _check_partition(lam)
-    count = _dimension(lam)
+    count = math.factorial(sum(lam)) // math.prod(_hooks(lam))
     if count > enumeration_cap():
         raise CapExceededError(
             f"shape {lam} has {count} standard tableaux "
@@ -259,6 +262,59 @@ class IrrepData:
     t_of_q: Callable[[Scalar], Scalar]
 
 
+class _Block(NamedTuple):
+    """One partition of ``n`` with the data the symmetric closed forms read:
+    the number ``d`` of standard tableaux, the content sum ``c``, the
+    sub-diagonal weight ``shift = sum_i (i - 1) lam_i`` (rows from 1) and
+    the hook lengths, row-major."""
+
+    lam: Partition
+    d: int
+    c: int
+    shift: int
+    hooks: tuple[int, ...]
+
+
+@lru_cache(maxsize=8)
+def _symmetric_blocks(n: int) -> tuple[_Block, ...]:
+    """The blocks of the symmetric family on ``n`` letters, in the order of
+    :func:`partitions`, so the trivial block ``(n,)`` comes first."""
+    factorial = math.factorial(n)
+    blocks = []
+    for lam in partitions(n):
+        hooks = _hooks(lam)
+        blocks.append(
+            _Block(
+                lam=lam,
+                d=factorial // math.prod(hooks),
+                c=sum(part * (part - 1) // 2 - i * part for i, part in enumerate(lam)),
+                shift=sum(i * part for i, part in enumerate(lam)),
+                hooks=hooks,
+            )
+        )
+    return tuple(blocks)
+
+
+@lru_cache(maxsize=8)
+def _removable_corners(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each block of ``n`` (table order), ``(content, f)`` for each
+    removable corner: ``f = d`` of the shape with that corner removed, the
+    number of standard tableaux holding ``n`` in the corner (the branching
+    rule, Sagan, *The Symmetric Group*, 2.8)."""
+    smaller = {block.lam: block.d for block in _symmetric_blocks(n - 1)}
+    out = []
+    for block in _symmetric_blocks(n):
+        lam = block.lam
+        corners = []
+        for i, part in enumerate(lam):
+            if i + 1 < len(lam) and lam[i + 1] == part:
+                continue
+            rest = lam[:i] + (part - 1,) + lam[i + 1 :] if part > 1 else lam[:i]
+            corners.append((part - 1 - i, smaller[rest]))
+        out.append(tuple(corners))
+    return tuple(out)
+
+
 def _q_int(q: Scalar, k: int) -> Scalar:
     """The q-integer ``1 + q + ... + q^(k-1)`` (safe at q = 1)."""
     total = q - q  # zero of matching type
@@ -269,23 +325,34 @@ def _q_int(q: Scalar, k: int) -> Scalar:
     return total
 
 
-def _q_factorial(q: Scalar, k: int) -> Scalar:
-    out = 1 + (q - q)
-    for i in range(1, k + 1):
-        out *= _q_int(q, i)
-    return out
+def _q_table(q: Scalar, n: int) -> tuple[list[Scalar], Scalar]:
+    """``[k]_q`` for ``k = 0..n`` and ``[n]_q!``, each built by the same
+    multiplications as :func:`_q_int`, so a float table equals the values
+    computed one at a time bit for bit."""
+    ints = [q - q]
+    total, power = q - q, 1 + (q - q)
+    factorial = power
+    for _ in range(n):
+        total += power
+        power *= q
+        ints.append(total)
+        factorial *= total
+    return ints, factorial
 
 
-def _symmetric_degree(lam: Partition) -> Callable[[Scalar], Scalar]:
-    hooks = hook_lengths(lam)
-    n = sum(lam)
-    shift = _subdiagonal_weight(lam)
+def _degree(block: _Block, q: Scalar, table: tuple[list[Scalar], Scalar]) -> Scalar:
+    """The generic degree ``t_lam(q) = q^shift [n]_q! / prod_h [h]_q``
+    (Macdonald, *Symmetric Functions and Hall Polynomials*, I.3 ex. 2)."""
+    ints, factorial = table
+    val = q**block.shift * factorial
+    for h in block.hooks:
+        val /= ints[h]
+    return val
 
+
+def _symmetric_degree(block: _Block) -> Callable[[Scalar], Scalar]:
     def t_of_q(q: Scalar) -> Scalar:
-        val = q**shift * _q_factorial(q, n)
-        for h in hooks:
-            val /= _q_int(q, h)
-        return val
+        return _degree(block, q, _q_table(q, sum(block.lam)))
 
     return t_of_q
 
@@ -297,14 +364,79 @@ def _log_q_int(q: float, k: int) -> float:
     return k * math.log(q) + math.log1p(-(q**-k)) - math.log(q - 1)
 
 
-def _log_symmetric_degree(lam: Partition, q: float) -> float:
-    """log t_lam(q) for float ``q >= 1``, for when t_lam(q) is beyond the float range."""
-    n = sum(lam)
+def _log_symmetric_degree(block: _Block, q: float, logs: list[float]) -> float:
+    """log t_lam(q) for float ``q >= 1``, for when t_lam(q) is beyond the
+    float range; ``logs[k]`` is ``log [k]_q`` for ``k = 1..n``."""
     return (
-        _subdiagonal_weight(lam) * math.log(q)
-        + sum(_log_q_int(q, i) for i in range(1, n + 1))
-        - sum(_log_q_int(q, h) for h in hook_lengths(lam))
+        block.shift * math.log(q)
+        + sum(logs[1:])
+        - sum(logs[h] for h in block.hooks)
     )
+
+
+def _block_sum(theta: Scalar, n: int, terms, degrees: bool) -> Scalar:
+    """``sum over (block, pairs) in terms of [t_lam(1/theta)] * sum over
+    (mult, k) in pairs of mult * theta^k``, with the generic degree of
+    the block only when ``degrees``.  A float theta gives a float, a
+    `Fraction` theta the exact value."""
+    if isinstance(theta, float):
+        return _float_block_sum(theta, n, terms, degrees)
+    return _exact_block_sum(theta, n, terms, degrees)
+
+
+def _float_block_sum(theta: float, n: int, terms, degrees: bool) -> float:
+    # in the order given, each term t * mult * theta^k as written; a term
+    # past the float range (or inf * 0) is taken in logs instead
+    q = 1 / theta
+    table = _q_table(q, n) if degrees else None
+    logs = None
+    total = theta - theta
+    for block, pairs in terms:
+        t, log_t = 1, None
+        if degrees:
+            try:
+                t = _degree(block, q, table)
+            except OverflowError:  # q^shift
+                t = math.inf
+        for mult, k in pairs:
+            term = t * mult * theta**k
+            if not math.isfinite(term):
+                # float t_lam overflowed (and theta^k may have underflowed)
+                if log_t is None:
+                    logs = logs or [0.0] + [_log_q_int(q, i) for i in range(1, n + 1)]
+                    log_t = _log_symmetric_degree(block, q, logs)
+                term = _log_domain(log_t + math.log(mult) + k * math.log(theta))
+            total += term
+    return total
+
+
+def _exact_block_sum(theta: Fraction, n: int, terms, degrees: bool) -> Fraction:
+    """The sum in integers.  With ``theta = a/b``, so ``q = b/a``,
+    ``[k]_q = P_k / a^(k-1)`` with ``P_k = sum_j a^(k-1-j) b^j``, hence
+    ``t_lam = b^shift R / a^e`` with ``R = prod_(i<=n) P_i // prod_h P_h``
+    (exact: the q-hook quotient is a polynomial in q) and
+    ``e = C(n, 2) - c - shift``.  Every term goes over one common
+    denominator ``a^i b^j`` and one `Fraction` is built at the end."""
+    a, b = theta.numerator, theta.denominator
+    if degrees:
+        P = [0, 1]
+        for k in range(2, n + 1):
+            P.append(a * P[-1] + b ** (k - 1))
+        factorial = math.prod(P[1:])
+        big_l = n * (n - 1) // 2  # C(n, 2), the longest length
+    items = []
+    for block, pairs in terms:
+        ratio, a_exp, b_exp = 1, 0, 0
+        if degrees:
+            ratio = factorial // math.prod([P[h] for h in block.hooks])
+            a_exp, b_exp = block.shift + block.c - big_l, block.shift
+        items += [(ratio * mult, a_exp + k, b_exp - k) for mult, k in pairs]
+    if not items:
+        return Fraction(0)
+    a_den = max(0, -min(item[1] for item in items))
+    b_den = max(0, -min(item[2] for item in items))
+    num = sum(m * a ** (i + a_den) * b ** (j + b_den) for m, i, j in items)
+    return Fraction(num, a**a_den * b**b_den)
 
 
 def _dihedral_two_dim_degree(n: int, lam: int) -> Callable[[Scalar], float]:
@@ -328,17 +460,10 @@ def irreps(family: GroupFamily) -> list[IrrepData]:
     """
     n = family.n
     if family.kind == "symmetric":
-        out = []
-        for lam in partitions(n):
-            out.append(
-                IrrepData(
-                    label=lam,
-                    d=_dimension(lam),
-                    c=content_sum(lam),
-                    t_of_q=_symmetric_degree(lam),
-                )
-            )
-        return out
+        return [
+            IrrepData(label=b.lam, d=b.d, c=b.c, t_of_q=_symmetric_degree(b))
+            for b in _symmetric_blocks(n)
+        ]
     if family.kind == "hypercube":
         if family.order > enumeration_cap():
             raise CapExceededError(
@@ -400,11 +525,14 @@ def sum_d_t(family: GroupFamily, q) -> Fraction:
     ``P_W(q)``, which makes the pair an effective cross-check.
     """
     q = check_q(q)
-    if family.kind in ("symmetric", "hypercube"):
+    n = family.n
+    if family.kind == "symmetric":
+        blocks = _symmetric_blocks(n)
+        return _block_sum(1 / q, n, ((b, ((b.d, 0),)) for b in blocks), degrees=True)
+    if family.kind == "hypercube":
         return sum(
             (rep.d * rep.t_of_q(q) for rep in irreps(family)), Fraction(0)
         )
-    n = family.n
     return 1 + q**n + _dihedral_root_sum(n, q)
 
 
@@ -497,27 +625,10 @@ def long_scan_chisq(family, theta, ell: int, start: GroupElement | None = None):
             + theta ** ((2 * ell - 1) * n) * hold
             - theta ** (2 * ell * n)
         )
-    # symmetric
-    q = 1 / theta
     big_l = _longest_length(family)
-    total = theta - theta
-    for rep in irreps(family):
-        if rep.label == (n,):
-            continue
-        k = 2 * ell * (big_l - rep.c)
-        try:
-            term = rep.t_of_q(q) * rep.d * theta**k
-        except OverflowError:
-            term = math.inf
-        if isinstance(term, float) and not math.isfinite(term):
-            # float t_lam overflowed (and theta^k may have underflowed)
-            term = _log_domain(
-                _log_symmetric_degree(rep.label, q)
-                + math.log(rep.d)
-                + k * math.log(theta)
-            )
-        total += term
-    return total
+    blocks = _symmetric_blocks(n)[1:]  # the trivial block (n,) comes first
+    terms = ((b, ((b.d, 2 * ell * (big_l - b.c)),)) for b in blocks)
+    return _block_sum(theta, n, terms, degrees=True)
 
 
 def long_scan_avg_chisq(family, theta, ell: int):
@@ -536,12 +647,9 @@ def long_scan_avg_chisq(family, theta, ell: int):
     if family.kind == "dihedral":
         return theta ** (4 * ell * n) + (2 * n - 2) * theta ** (2 * ell * n)
     big_l = _longest_length(family)
-    total = theta - theta
-    for rep in irreps(family):
-        if rep.label == (n,):
-            continue
-        total += rep.d**2 * theta ** (2 * ell * (big_l - rep.c))
-    return total
+    blocks = _symmetric_blocks(n)[1:]  # the trivial block (n,) comes first
+    terms = ((b, ((b.d**2, 2 * ell * (big_l - b.c)),)) for b in blocks)
+    return _block_sum(theta, n, terms, degrees=False)
 
 
 def long_scan_trace(family: GroupFamily, theta, m: int):
@@ -563,9 +671,8 @@ def long_scan_trace(family: GroupFamily, theta, m: int):
             + 1
             + (2 * n - 2) * theta ** (m * n)  # every block with c = 0
         )
-    return sum(
-        rep.d**2 * theta ** (m * (big_l - rep.c)) for rep in irreps(family)
-    )
+    terms = ((b, ((b.d**2, m * (big_l - b.c)),)) for b in _symmetric_blocks(family.n))
+    return _block_sum(theta, family.n, terms, degrees=False)
 
 
 def short_scan_chisq_symmetric(n: int, theta, ell: int, averaged: bool = False):
@@ -579,36 +686,37 @@ def short_scan_chisq_symmetric(n: int, theta, ell: int, averaged: bool = False):
 
         ``sum_{lam != (n)} t_lam sum_S theta^(2 ell (n - 1 - c(S(n))))``
 
-    and the pi-averaged version replaces ``t_lam`` with ``d_lam``.
+    and the pi-averaged version replaces ``t_lam`` with ``d_lam``.  The
+    tableaux with ``n`` in the removable corner ``(i, lam_i)`` are counted
+    by ``f^(lam minus corner)``, so the inner sum runs over corners:
+
+        ``sum_corners f^(lam minus corner) theta^(2 ell (n - 1 - (lam_i - i)))``
+
+    with rows ``i`` counted from 1.  Exact for rational ``theta``.
     """
     theta = check_theta(theta)
     if n < 2:
         raise ValueError("need n >= 2")
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    q = 1 / theta
-    total = theta - theta
-    for lam in partitions(n):
-        if lam == (n,):
-            continue
-        weight = _dimension(lam) if averaged else _symmetric_degree(lam)(q)
-        spectrum = theta - theta
-        for tab in standard_tableaux(lam):
-            spectrum += theta ** (2 * ell * (n - 1 - content_of_n_box(tab)))
-        total += weight * spectrum
-    return total
+    blocks = zip(_symmetric_blocks(n)[1:], _removable_corners(n)[1:])
+    terms = (  # x is the content of the corner
+        (b, [(f * (b.d if averaged else 1), 2 * ell * (n - 1 - x)) for x, f in corners])
+        for b, corners in blocks
+    )
+    return _block_sum(theta, n, terms, degrees=not averaged)
 
 
 def short_scan_trace_symmetric(n: int, theta, m: int):
     """Trace of the ``m``-th power of the short-scan kernel on the
-    symmetric family: ``sum_lam d_lam sum_S theta^(m (n - 1 - c(S(n))))``."""
+    symmetric family: ``sum_lam d_lam sum_S theta^(m (n - 1 - c(S(n))))``,
+    summed over removable corners as in :func:`short_scan_chisq_symmetric`."""
     theta = check_theta(theta)
-    total = theta - theta
-    for lam in partitions(n):
-        d = _dimension(lam)
-        for tab in standard_tableaux(lam):
-            total += d * theta ** (m * (n - 1 - content_of_n_box(tab)))
-    return total
+    blocks = zip(_symmetric_blocks(n), _removable_corners(n))
+    terms = (
+        (b, [(b.d * f, m * (n - 1 - x)) for x, f in corners]) for b, corners in blocks
+    )
+    return _block_sum(theta, n, terms, degrees=False)
 
 
 def random_scan_chisq_hypercube(n: int, theta, ell: int, start=None):
@@ -755,6 +863,15 @@ def _log_domain(log_value: float) -> float:
         return math.inf
 
 
+def _expm1(x: float) -> float:
+    """``e^x - 1`` without cancellation at small ``x``; ``math.inf`` past
+    the float range."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
+
+
 def bound_theorem_1_4(n: int, theta, c) -> float:
     """Total-variation-squared upper bound for the short scan on the
     symmetric family started at the identity, evaluated at
@@ -820,10 +937,10 @@ def bound_symmetric_scans(n: int, theta, which: str, c=None) -> float:
         tail = _log_domain(
             math.lgamma(n + 1) + (n * n / 8 + 5 * n / 4) * log_theta
         )
-        return _log_domain(n * n * theta ** (n / 2)) - 1 + tail
+        return _expm1(n * n * theta ** (n / 2)) + tail
     if which == "long_avg":
         tail = _log_domain(math.lgamma(n + 1) + (n * n / 2 + n) * log_theta)
-        return _log_domain(n * n * theta**n) - 1 + tail
+        return _expm1(n * n * theta**n) + tail
     if c is None or float(c) <= 0:
         raise ValueError(f"{which!r} requires c > 0, got {c}")
     c = float(c)
@@ -899,19 +1016,18 @@ def lemma_7_2_bounds(lam: Sequence[int], theta) -> DegreeBoundReport:
     j = n - lam[0]
     q = 1 / theta
 
-    t_val = _symmetric_degree(lam)(q)
-    d_val = _dimension(lam)
-    degree_ok = t_val <= theta ** (math.comb(lam[0], 2) - math.comb(n, 2)) * d_val
+    blocks = _symmetric_blocks(n)
+    block = next(b for b in blocks if b.lam == lam)
+    t_val = _symmetric_degree(block)(q)
+    degree_ok = t_val <= theta ** (math.comb(lam[0], 2) - math.comb(n, 2)) * block.d
 
-    square_sum = sum(
-        _dimension(mu) ** 2 for mu in partitions(n) if mu[0] == lam[0]
-    )
+    square_sum = sum(b.d**2 for b in blocks if b.lam[0] == lam[0])
     if j == 0:
         dimension_sum_ok = square_sum == 1
     else:
         dimension_sum_ok = square_sum <= Fraction(n ** (2 * j), math.factorial(j))
 
-    c_val = content_sum(lam)
+    c_val = block.c
     if 2 * lam[0] >= n:
         content_ok = c_val <= Fraction(
             2 * math.comb(lam[0], 2) + (n - lam[0]) * (n - lam[0] - 3), 2

@@ -10,15 +10,19 @@ oracle the fast versions must equal by ``==``:
   scan), never carried from an earlier power;
 * dense evolution ``start * K^ell`` by vector-matrix products;
 * the dense |W| x |W| matrix of left multiplication in the Hecke algebra,
-  built from the right action of the generators, and its trace.
+  built from the right action of the generators, and its trace;
+* the symmetric-family closed forms term by term: each generic degree by
+  the q-hook formula with every q-integer summed afresh, and the short
+  scan summed over every standard tableau.
 """
 
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from hecke_metro import chains, coxeter, hecke
+from hecke_metro import chains, coxeter, hecke, spectral
 
 
 def tv_distance(p, pi):
@@ -135,3 +139,88 @@ def regular_trace(h):
     """Trace of left multiplication by h on H (basis independent)."""
     M = left_mult_matrix(hecke.to_tilde_basis(h))
     return sum(M.diagonal(), Fraction(0))
+
+
+
+def _q_int(q, k):
+    """1 + q + ... + q^(k-1), one power at a time."""
+    total = q - q
+    power = 1 + total
+    for _ in range(k):
+        total += power
+        power *= q
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def symmetric_degree(lam, q):
+    """Generic degree t_lam(q) = q^n(lam) [n]_q! / prod_h [h]_q, every
+    q-integer summed afresh; a float q gives the float the same steps give."""
+    factorial = 1 + (q - q)
+    for k in range(1, sum(lam) + 1):
+        factorial *= _q_int(q, k)
+    val = q ** sum(i * part for i, part in enumerate(lam)) * factorial
+    for h in _hooks(lam):
+        val /= _q_int(q, h)
+    return val
+
+
+def _hooks(lam):
+    """Arm + leg + 1 of every box, row-major."""
+    return [
+        part - j + sum(1 for below in lam[i + 1 :] if below > j)
+        for i, part in enumerate(lam)
+        for j in range(part)
+    ]
+
+
+def _blocks(n):
+    """(lam, d by the hook length formula, content sum) per partition of n."""
+    out = []
+    for lam in spectral.partitions(n):
+        d = math.factorial(n) // math.prod(_hooks(lam))
+        content = sum(j - i for i, part in enumerate(lam) for j in range(part))
+        out.append((lam, d, content))
+    return out
+
+
+def long_scan_chisq(n, theta, ell):
+    big_l = n * (n - 1) // 2
+    total = theta - theta
+    for lam, d, c in _blocks(n)[1:]:
+        total += symmetric_degree(lam, 1 / theta) * d * theta ** (2 * ell * (big_l - c))
+    return total
+
+
+def long_scan_avg_chisq(n, theta, ell):
+    big_l = n * (n - 1) // 2
+    return sum(d**2 * theta ** (2 * ell * (big_l - c)) for _, d, c in _blocks(n)[1:])
+
+
+def long_scan_trace(n, theta, m):
+    big_l = n * (n - 1) // 2
+    return sum(d**2 * theta ** (m * (big_l - c)) for _, d, c in _blocks(n))
+
+
+def sum_d_t(n, q):
+    return sum(d * symmetric_degree(lam, q) for lam, d, _ in _blocks(n))
+
+
+def _tableau_sum(n, theta, power, lam):
+    """sum over the standard tableaux S of shape lam of theta^(power (n - 1 - c(S(n))))."""
+    return sum(
+        theta ** (power * (n - 1 - spectral.content_of_n_box(tab)))
+        for tab in spectral.standard_tableaux(lam)
+    )
+
+
+def short_scan_chisq(n, theta, ell, averaged=False):
+    return sum(
+        (d if averaged else symmetric_degree(lam, 1 / theta))
+        * _tableau_sum(n, theta, 2 * ell, lam)
+        for lam, d, _ in _blocks(n)[1:]
+    )
+
+
+def short_scan_trace(n, theta, m):
+    return sum(d * _tableau_sum(n, theta, m, lam) for lam, d, _ in _blocks(n))

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -119,6 +120,23 @@ def test_analyze_float_mode_beyond_the_cap_skips_the_oracle(runner):
         assert row["chisq_oracle"] is None
         assert row["tv"] is None
         assert row["match"] is None
+
+
+@pytest.mark.parametrize("averaged", [[], ["--averaged"]], ids=["start", "averaged"])
+def test_analyze_float_short_scan_past_the_old_tableau_cap(runner, averaged):
+    # S_20 has shapes with millions of standard tableaux; the corner sum
+    # enumerates none
+    res = invoke(
+        runner,
+        "analyze", "--family", "symmetric", "--n", "20", "--scan", "short",
+        "--theta", "1/2", "--lmax", "3", "--mode", "float", *averaged,
+    )
+    assert res.exit_code == 0
+    rows = json.loads(res.output)["rows"]
+    assert len(rows) == 3
+    for row in rows:
+        assert math.isfinite(row["chisq_formula"]) and row["chisq_formula"] > 0
+        assert row["chisq_oracle"] is None
 
 
 def test_analyze_exact_mode_beyond_the_cap_is_refused(runner):
@@ -471,6 +489,25 @@ def test_sample_summary_and_determinism(runner, tmp_path):
     assert sorted(payload["rows"][0]) == [1, 2, 3, 4]
 
 
+def test_sample_writes_one_compact_line_per_draw(runner, tmp_path):
+    # 3000 draws, so the rows go out in more than one batch
+    args = (
+        "sample", "--family", "symmetric", "--n", "8", "--theta", "3/4",
+        "-N", "3000", "--seed", "4",
+    )
+    res = runner.invoke(cli.main, list(args), catch_exceptions=False)
+    assert res.exit_code == 0
+    assert invoke(runner, *args, "--out", str(tmp_path / "a.json")).exit_code == 0
+    payload = json.loads(res.stdout_bytes)
+    assert len(payload["rows"]) == 3000
+    rows = ",\n".join("    " + json.dumps(r, separators=(",", ":")) for r in payload["rows"])
+    expected = json.dumps({**payload, "rows": "ROWS"}, indent=2).replace(
+        '"ROWS"', "[\n" + rows + "\n  ]"
+    )
+    assert res.stdout_bytes == (expected + "\n").encode()
+    assert (tmp_path / "a.json").read_bytes() == res.stdout_bytes
+
+
 def test_sample_seed_changes_the_stream(runner, tmp_path):
     base = (
         "sample", "--family", "hypercube", "--n", "6", "--theta", "1/3",
@@ -805,6 +842,11 @@ def cli_argv(draw):
 @example(
     argv=["sample", "--family", "dihedral", "--n", "12", "--theta", "1/2", "-N", "5"],
     cap="20",
+)
+@example(
+    argv=["analyze", "--family", "symmetric", "--n", "12", "--scan", "short",
+          "--mode", "float", "--theta", "1e-5", "--lmax", "3"],
+    cap="50000",
 )
 @settings(max_examples=150, derandomize=True, deadline=None)
 def test_every_argv_ends_in_an_answer_or_a_usage_error(argv, cap):

@@ -2,7 +2,9 @@
 longest elements, cosets, and the algebraic axioms as hypothesis properties."""
 
 import doctest
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -81,6 +83,23 @@ def test_lengths_match_cayley_bfs(family):
     assert len(oracle) == family.order
     for w, d in oracle.items():
         assert length(w) == d
+
+
+def _pair_inversions(word):
+    pairs = itertools.combinations(word, 2)
+    return sum(1 for left, right in pairs if left > right)
+
+
+def test_symmetric_length_is_the_pair_inversion_count():
+    words = [w.payload for n in range(2, 8) for w in coxeter.enumerate(symmetric(n))]
+    rng = random.Random(100)
+    for _ in range(1000):
+        word = list(range(1, 101))
+        rng.shuffle(word)
+        words.append(tuple(word))
+    for word in words:
+        w = coxeter.GroupElement(symmetric(len(word)), word)
+        assert length(w) == _pair_inversions(word)
 
 
 @pytest.mark.parametrize("family", SMALL_FAMILIES, ids=str)

@@ -360,6 +360,51 @@ def test_short_scan_traces_match_kernel_traces():
             assert short_scan_trace_symmetric(n, theta, m) == trace
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize(
+    "theta", [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(1, 4)], ids=str
+)
+def test_symmetric_closed_forms_equal_the_tableau_oracle(n, theta):
+    # partition-scale sums against the term-by-term Fraction forms, the
+    # short scan summed over every standard tableau
+    family = symmetric(n)
+    for ell in range(4):
+        assert long_scan_chisq(family, theta, ell) == oracle.long_scan_chisq(n, theta, ell)
+        assert long_scan_avg_chisq(family, theta, ell) == oracle.long_scan_avg_chisq(
+            n, theta, ell
+        )
+        for averaged in (False, True):
+            assert short_scan_chisq_symmetric(
+                n, theta, ell, averaged=averaged
+            ) == oracle.short_scan_chisq(n, theta, ell, averaged=averaged)
+    for m in range(1, 6):
+        assert long_scan_trace(family, theta, m) == oracle.long_scan_trace(n, theta, m)
+        assert short_scan_trace_symmetric(n, theta, m) == oracle.short_scan_trace(
+            n, theta, m
+        )
+    assert sum_d_t(family, 1 / theta) == oracle.sum_d_t(n, 1 / theta)
+
+
+@pytest.mark.parametrize("n", [12, 20])
+@pytest.mark.parametrize("theta", [0.5, 0.75, 0.25])
+def test_float_long_scan_chisq_is_the_block_by_block_float_sum(n, theta):
+    # one q-integer table per call gives the very floats that summing each
+    # q-integer afresh for every block gives
+    for ell in range(6):
+        assert long_scan_chisq(symmetric(n), theta, ell) == oracle.long_scan_chisq(
+            n, theta, ell
+        )
+
+
+def test_exact_short_scan_on_s13_equals_the_float_form():
+    theta = Fraction(1, 2)
+    for averaged in (False, True):
+        for ell in (1, 2):
+            exact = short_scan_chisq_symmetric(13, theta, ell, averaged=averaged)
+            got = short_scan_chisq_symmetric(13, float(theta), ell, averaged=averaged)
+            assert math.isclose(got, float(exact), rel_tol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # the closed-form registry
 
@@ -510,6 +555,15 @@ def test_float_long_scan_chisq_where_the_generic_degree_leaves_the_float_range()
         assert math.isclose(got, float(exact), rel_tol=1e-9)
 
 
+def test_float_short_scan_chisq_where_the_generic_degree_leaves_the_float_range():
+    # at q = 10^5, q^shift overflows for the longer columns of S_12
+    theta = Fraction(1, 10**5)
+    for ell in (1, 2, 3):
+        exact = short_scan_chisq_symmetric(12, theta, ell)
+        got = short_scan_chisq_symmetric(12, float(theta), ell)
+        assert math.isclose(got, float(exact), rel_tol=1e-12)
+
+
 def test_float_hypercube_random_scan_chisq_beyond_the_float_range():
     # theta^-j overflows, and so does the exact value
     with pytest.raises(OverflowError):
@@ -517,6 +571,32 @@ def test_float_hypercube_random_scan_chisq_beyond_the_float_range():
     assert random_scan_chisq_hypercube(1000, 0.25, 40) == math.inf
     # an overflowed product times an underflowed gap is no longer NaN
     assert not math.isnan(random_scan_chisq_hypercube(1000, 0.5, 200))
+
+
+def test_symmetric_bounds_dominate_the_closed_forms():
+    # the long bounds after one pass; the short bounds at the first whole
+    # pass count at or past the paper's threshold (short_start is Theorem
+    # 1.4).  The leading term e^x - 1 must survive a small x: at n = 19,
+    # theta = 1/10 the exact long_avg value is 3.24e-36.
+    for n in [*range(3, 21), 25, 30, 35, 40]:
+        family = symmetric(n)
+        for theta in (0.1, 0.25, 0.5, 0.75, 0.9):
+            assert long_scan_chisq(family, theta, 1) <= bound_symmetric_scans(
+                n, theta, "long_start"
+            )
+            assert long_scan_avg_chisq(family, theta, 1) <= bound_symmetric_scans(
+                n, theta, "long_avg"
+            )
+            log_ratio = math.log(n) / math.log(theta)
+            for c in (0.5, 1, 2):
+                ell = math.ceil(n / 2 - log_ratio + c)
+                assert short_scan_chisq_symmetric(n, theta, ell) <= bound_symmetric_scans(
+                    n, theta, "short_start", c
+                )
+                ell = math.ceil(c - log_ratio)
+                assert short_scan_chisq_symmetric(
+                    n, theta, ell, averaged=True
+                ) <= bound_symmetric_scans(n, theta, "short_avg", c)
 
 
 def test_bounds_decrease_in_the_slack_constant():

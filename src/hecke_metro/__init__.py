@@ -4,8 +4,8 @@ through Iwahori-Hecke algebra multiplication.
 Modules
 -------
 coxeter   group families, lengths, cosets, Poincare polynomials
-hecke     T / T-tilde basis arithmetic, traces, left-multiplication matrices
-chains    Metropolis kernels, scans, exact evolution, TV / chi-square
+hecke     T / T-tilde basis arithmetic on sparse dicts, products, traces
+chains    Metropolis kernels, scans, exact evolution, num/den distributions, TV / chi-square
 spectral  irrep data and closed-form chi-square / mixing bounds
 sampler   exact stationary sampling and lower-bound witnesses
 cli       command-line front end (``hecke-metro``)

@@ -24,10 +24,12 @@ rows by K_i at O(|W|) per row:
   Work on every start, dense or streamed, is refused before it begins
   when its |W|^2 cells exceed :func:`dense_cell_budget`.
 
-The reductions (:func:`chi_square`, :func:`tv_distance`,
-:func:`power_sums`, :func:`check_reversible`, :func:`check_stationary`)
-scale every distribution to integer numerators over one common
-denominator and work on those; each builds one ``Fraction`` per result.
+A :class:`Distribution` is held the same way, as integer numerators
+``num`` over one denominator ``den``; :meth:`Distribution.of` is the one
+place exact probabilities become numerators.  The reductions
+(:func:`chi_square`, :func:`tv_distance`, :func:`power_sums`,
+:func:`check_reversible`, :func:`check_stationary`) work on ``num`` and
+``den`` directly; each builds one ``Fraction`` per result.
 
 The scan recipe (i_1, ..., i_k) applies K_{i_1} first, i.e. the kernel is
 the matrix product K_{i_1} K_{i_2} ... K_{i_k}; by the multiplication rule
@@ -97,28 +99,37 @@ def check_dense_cells(family: GroupFamily) -> None:
         )
 
 
-def _numerators(probs) -> tuple[np.ndarray, int]:
-    """Integer numerators of exact probabilities over their common denominator."""
-    probs = [p if isinstance(p, Fraction) else Fraction(p) for p in probs]
-    den = math.lcm(*(p.denominator for p in probs))
-    num = np.array([p.numerator * (den // p.denominator) for p in probs], dtype=object)
-    return num, den
-
-
 @dataclass
 class Distribution:
-    """Exact probability vector over the enumeration order of a family."""
+    """Exact probability vector num/den over the enumeration order of a family.
+
+    ``num`` holds integer numerators, ``den`` their one shared denominator;
+    the pair need not be in lowest terms.
+    """
 
     family: GroupFamily
-    probs: np.ndarray  # object dtype, Fraction entries
+    num: np.ndarray  # object dtype, int entries
+    den: int
 
     def __post_init__(self) -> None:
-        num, den = _numerators(self.probs)
-        total = num.sum()
-        if total != den:
-            raise ValueError(f"probabilities sum to {Fraction(total, den)}, not 1")
-        if (num < 0).any():
+        if (self.num < 0).any():
             raise ValueError("negative probability entry")
+        total = self.num.sum()
+        if self.den < 1 or total != self.den:
+            raise ValueError(f"numerators sum to {total}, not the denominator {self.den}")
+
+    @classmethod
+    def of(cls, family: GroupFamily, probs) -> Distribution:
+        """The distribution with exact probabilities ``probs``, over their lcm."""
+        probs = [Fraction(p) for p in probs]
+        den = math.lcm(*(p.denominator for p in probs))
+        num = [p.numerator * (den // p.denominator) for p in probs]
+        return cls(family, np.array(num, dtype=object), den)
+
+    @property
+    def probs(self) -> np.ndarray:
+        """Per-cell ``Fraction`` view (object dtype)."""
+        return np.array([Fraction(int(v), self.den) for v in self.num], dtype=object)
 
 
 @dataclass
@@ -146,7 +157,12 @@ def element_index(family: GroupFamily, w: GroupElement) -> int:
 
 
 def stationary(family: GroupFamily, theta) -> Distribution:
-    """pi(w) = theta^{-length(w)} / P_W(1/theta), exactly."""
+    """pi(w) = theta^{-length(w)} / P_W(1/theta), exactly.
+
+    For theta = a/b and L the longest length, the numerator of w is
+    b^length(w) a^(L - length(w)), never reduced; :func:`power_sums` relies
+    on that form.
+    """
     theta = Fraction(coxeter.check_theta(theta))
     a, b = theta.numerator, theta.denominator
     lengths = coxeter.action_tables(family).lengths
@@ -154,14 +170,13 @@ def stationary(family: GroupFamily, theta) -> Distribution:
     # q^l up to the common factor a^top, for l = 0..top
     weights = [b**l * a ** (top - l) for l in range(top + 1)]
     norm = sum(int(c) * w for c, w in zip(np.bincount(lengths), weights))
-    by_length = np.array([Fraction(w, norm) for w in weights], dtype=object)
-    return Distribution(family, by_length[lengths])
+    return Distribution(family, np.array(weights, dtype=object)[lengths], norm)
 
 
 def point_mass(family: GroupFamily, w: GroupElement) -> Distribution:
-    probs = np.full(family.order, Fraction(0), dtype=object)
-    probs[element_index(family, w)] = Fraction(1)
-    return Distribution(family, probs)
+    num = np.zeros(family.order, dtype=object)
+    num[element_index(family, w)] = 1
+    return Distribution(family, num, 1)
 
 
 def _apply_letter_columns(num: np.ndarray, perm, up, a: int, b: int) -> np.ndarray:
@@ -278,8 +293,8 @@ def evolve_scan(
     """Exact distribution start * K^ell, one scan letter at a time.
 
     ``scan`` is a recipe (i_1, ..., i_k) or ``"random"``.  The start is
-    held as one row of integer numerators over their common denominator
-    and right-multiplied by each letter's K_i in turn, so a pass costs
+    held as one row of its integer numerators over its denominator and
+    right-multiplied by each letter's K_i in turn, so a pass costs
     O(|W| * letters) and no |W| x |W| kernel is formed.  Equal by ``==``
     to ``start`` times the ell-th power of :func:`scan_kernel` (or of
     :func:`random_scan_kernel` for the random scan).
@@ -290,20 +305,18 @@ def evolve_scan(
         raise ValueError("family mismatch")
     theta = Fraction(coxeter.check_theta(theta))
     scan = _check_scan(family, scan)
-    num, den = _numerators(start.probs)
-    block = num[None, :]
+    block, den = start.num[None, :], start.den
     for _ in range(ell):
         block, factor = _apply_scan(family, theta, scan, block)
         den *= factor
-    probs = np.array([Fraction(int(v), den) for v in block[0]], dtype=object)
-    return Distribution(family, probs)
+    return Distribution(family, block[0], den)
 
 
 def tv_distance(p: Distribution, pi: Distribution) -> Fraction:
     """Total variation distance (half the L1 distance)."""
     if p.family != pi.family:
         raise ValueError("family mismatch")
-    (P, dp), (Q, dq) = _numerators(p.probs), _numerators(pi.probs)
+    P, dp, Q, dq = p.num, p.den, pi.num, pi.den
     # over the common denominator dp * dq
     return Fraction(int(np.abs(P * dq - Q * dp).sum()), 2 * dp * dq)
 
@@ -312,7 +325,7 @@ def chi_square(p: Distribution, pi: Distribution) -> Fraction:
     """Chi-square divergence sum_x (p(x) - pi(x))^2 / pi(x)."""
     if p.family != pi.family:
         raise ValueError("family mismatch")
-    (P, dp), (Q, dq) = _numerators(p.probs), _numerators(pi.probs)
+    P, dp, Q, dq = p.num, p.den, pi.num, pi.den
     if not Q.all():
         raise ValueError("reference distribution has a zero entry")
     # (p - pi)^2 / pi = (P dq - Q dp)^2 / (dp^2 dq Q), over lcm(Q) = M
@@ -323,15 +336,13 @@ def chi_square(p: Distribution, pi: Distribution) -> Fraction:
 
 def check_reversible(K: Kernel, pi: Distribution) -> bool:
     """Exact detailed-balance check pi(x) K(x,y) == pi(y) K(y,x)."""
-    w, _ = _numerators(pi.probs)
-    weighted = w[:, None] * K.num
+    weighted = pi.num[:, None] * K.num
     return bool((weighted == weighted.T).all())
 
 
 def check_stationary(K: Kernel, pi: Distribution) -> bool:
     """Exact check that pi K == pi."""
-    w, _ = _numerators(pi.probs)
-    return bool((w @ K.num == w * K.den).all())
+    return bool((pi.num @ K.num == pi.num * K.den).all())
 
 
 def power_sums(
@@ -342,9 +353,9 @@ def power_sums(
     ``scan`` is a recipe or ``"random"``, as :func:`evolve_scan` takes it,
     and K its kernel.  The identity runs through the scan letters in blocks
     of rows; after pass m a block adds its diagonal to tr(K^m), and its
-    squared rows to the average.  With pi(x) proportional to
-    v_x = b^len(x) a^(L - len(x)) for theta = a/b and L the longest
-    length, pi(x) / pi(y) = v_x u_y / (ab)^L where
+    squared rows to the average.  With pi(x) proportional to its
+    numerator v_x = b^len(x) a^(L - len(x)) in :func:`stationary`, for
+    theta = a/b and L the longest length, pi(x) / pi(y) = v_x u_y / (ab)^L where
     u_y = a^len(y) b^(L - len(y)).  So the average is
 
         sum_x v_x sum_y num[x,y]^2 u_y / ((ab)^L den^2) - 1
@@ -357,12 +368,9 @@ def power_sums(
     scan = _check_scan(family, scan)
     check_dense_cells(family)
     a, b = theta.numerator, theta.denominator
-    lengths = [int(l) for l in coxeter.action_tables(family).lengths]
-    top = max(lengths)
-    pow_a = [a**k for k in range(top + 1)]
-    pow_b = [b**k for k in range(top + 1)]
-    u = np.array([pow_a[l] * pow_b[top - l] for l in lengths], dtype=object)
-    v = np.array([pow_b[l] * pow_a[top - l] for l in lengths], dtype=object)
+    top = int(coxeter.action_tables(family).lengths.max())
+    v = stationary(family, theta).num
+    u = (a * b) ** top // v  # exact, since u_y v_y = (ab)^L
     height = max(1, BLOCK_CELLS // family.order)
     traces, squares = [0] * passes, [0] * passes
     for first in range(0, family.order, height):

@@ -98,7 +98,6 @@ class RunConfig:
     lmin: int = 1
     lmax: int = 1
     averaged: bool = False
-    seed: int = 4
     fmt: str = "json"
     out: str | None = None
     theta: Fraction | float = field(init=False, repr=False, compare=False)
@@ -133,7 +132,6 @@ class RunConfig:
             "lmin": self.lmin,
             "lmax": self.lmax,
             "averaged": self.averaged,
-            "seed": self.seed,
         }
 
 
@@ -528,8 +526,8 @@ def _verify_checks(family: GroupFamily, theta: Fraction, perturb: bool):
     def long_scan_is_squared_longest_element() -> bool:
         tw0 = hecke.tilde_unit(family, q, coxeter.longest_element(family))
         start = chains.point_mass(family, coxeter.identity(family))
-        row = chains.evolve_scan(family, theta, long_scan, start, 1).probs
-        return row_is(row, hecke.product(tw0, tw0))
+        row = chains.evolve_scan(family, theta, long_scan, start, 1)
+        return row_is(row.num, hecke.product(tw0, tw0), row.den)
 
     def generator_kernels_preserve_stationary() -> bool:
         return all(chains.check_stationary(kernels[i], pi) for i in gens)
@@ -652,7 +650,7 @@ def sample(ctx, family_kind, n, theta_raw, num_samples, seed, out):
     family = _family(family_kind, n)
     # sampling itself never enumerates; only the TV summary needs the cap
     mode = "exact" if family.order <= coxeter.enumeration_cap() else "float"
-    cfg = _config(family=family, theta_raw=theta_raw, mode=mode, seed=seed, out=out)
+    cfg = _config(family=family, theta_raw=theta_raw, mode=mode, out=out)
     theta = Fraction(cfg.theta)  # exact moments, for a float theta too
     rng = sampler.random_source(seed)
     draws = [sampler.mallows_sample(family, theta, rng) for _ in range(num_samples)]
@@ -672,7 +670,7 @@ def sample(ctx, family_kind, n, theta_raw, num_samples, seed, out):
             counts[chains.element_index(family, w)] += 1
         freqs = counts / num_samples
         empirical_tv = float(
-            sum(abs(f - float(p)) for f, p in zip(freqs, pi.probs)) / 2
+            sum(abs(f - v / pi.den) for f, v in zip(freqs, pi.num)) / 2
         )
 
     payload = {

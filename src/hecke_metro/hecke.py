@@ -81,36 +81,32 @@ def tilde_unit(family: GroupFamily, q, w: GroupElement | None = None) -> HeckeVe
     return HeckeVector(family, coxeter.check_q(q), TILDE_BASIS, {w: Fraction(1)})
 
 
-def generator_times(i: int, h: HeckeVector) -> HeckeVector:
-    """T_i * h in the T basis."""
-    if h.basis != T_BASIS:
-        raise ValueError("generator_times needs a T-basis vector")
-    q = h.q
+def _generator_times(i: int, h: HeckeVector, hold, move) -> HeckeVector:
+    """The i-th generator of h's basis times h: a rise moves each term to
+    s_i w; a descent keeps ``hold`` times it on w and moves ``move`` times it."""
     out: dict[GroupElement, Fraction] = {}
     for w, a in h.coeffs.items():
         sw = coxeter.apply_generator(i, w)
         if coxeter.length(sw) > coxeter.length(w):
             out[sw] = out.get(sw, Fraction(0)) + a
         else:
-            out[w] = out.get(w, Fraction(0)) + (q - 1) * a
-            out[sw] = out.get(sw, Fraction(0)) + q * a
-    return HeckeVector(h.family, q, T_BASIS, _clean(out))
+            out[w] = out.get(w, Fraction(0)) + hold * a
+            out[sw] = out.get(sw, Fraction(0)) + move * a
+    return HeckeVector(h.family, h.q, h.basis, _clean(out))
+
+
+def generator_times(i: int, h: HeckeVector) -> HeckeVector:
+    """T_i * h in the T basis."""
+    if h.basis != T_BASIS:
+        raise ValueError("generator_times needs a T-basis vector")
+    return _generator_times(i, h, h.q - 1, h.q)
 
 
 def tilde_generator_times(i: int, h: HeckeVector) -> HeckeVector:
     """T~_i * h in the T~ basis."""
     if h.basis != TILDE_BASIS:
         raise ValueError("tilde_generator_times needs a T~-basis vector")
-    theta = h.theta
-    out: dict[GroupElement, Fraction] = {}
-    for w, a in h.coeffs.items():
-        sw = coxeter.apply_generator(i, w)
-        if coxeter.length(sw) > coxeter.length(w):
-            out[sw] = out.get(sw, Fraction(0)) + a
-        else:
-            out[w] = out.get(w, Fraction(0)) + (1 - theta) * a
-            out[sw] = out.get(sw, Fraction(0)) + theta * a
-    return HeckeVector(h.family, h.q, TILDE_BASIS, _clean(out))
+    return _generator_times(i, h, 1 - h.theta, h.theta)
 
 
 def tilde_word(family: GroupFamily, q, word) -> HeckeVector:
@@ -146,20 +142,20 @@ def star(h: HeckeVector) -> HeckeVector:
     return HeckeVector(h.family, h.q, h.basis, out)
 
 
-def to_t_basis(h: HeckeVector) -> HeckeVector:
-    if h.basis == T_BASIS:
+def _rebase(h: HeckeVector, basis: str, sign: int) -> HeckeVector:
+    """h on ``basis``, each coefficient times q^(sign * length(w)) on the way."""
+    if h.basis == basis:
         return h
-    q = h.q
-    out = {w: a * q ** (-coxeter.length(w)) for w, a in h.coeffs.items()}
-    return HeckeVector(h.family, q, T_BASIS, _clean(out))
+    out = {w: a * h.q ** (sign * coxeter.length(w)) for w, a in h.coeffs.items()}
+    return HeckeVector(h.family, h.q, basis, _clean(out))
+
+
+def to_t_basis(h: HeckeVector) -> HeckeVector:
+    return _rebase(h, T_BASIS, -1)
 
 
 def to_tilde_basis(h: HeckeVector) -> HeckeVector:
-    if h.basis == TILDE_BASIS:
-        return h
-    q = h.q
-    out = {w: a * q ** coxeter.length(w) for w, a in h.coeffs.items()}
-    return HeckeVector(h.family, q, TILDE_BASIS, _clean(out))
+    return _rebase(h, TILDE_BASIS, 1)
 
 
 def trace_t(h: HeckeVector) -> Fraction:

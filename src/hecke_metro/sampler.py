@@ -151,10 +151,9 @@ def insertion_distribution(n: int, theta) -> Distribution:
                     grown.get(extended, Fraction(0)) + p * theta ** (k - 1) / norm
                 )
         weights = grown
-    probs = np.array(
-        [weights[w.payload] for w in coxeter.enumerate(family)], dtype=object
+    return Distribution.of(
+        family, [weights[w.payload] for w in coxeter.enumerate(family)]
     )
-    return Distribution(family, probs)
 
 
 # --------------------------------------------------------------------------

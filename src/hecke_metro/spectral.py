@@ -58,6 +58,7 @@ from .coxeter import (
     check_theta,
     degrees,
     enumeration_cap,
+    hypercube,
     identity,
 )
 
@@ -719,9 +720,9 @@ def short_scan_trace_symmetric(n: int, theta, m: int):
     return _block_sum(theta, n, terms, degrees=False)
 
 
-def random_scan_chisq_hypercube(n: int, theta, ell: int, start=None):
+def random_scan_chisq_hypercube(n: int, theta, ell: int, start: GroupElement | None = None):
     """Chi-square distance for the single-site random scan on the
-    hypercube, started from ``start`` (default all zeros):
+    hypercube, started from the element ``start`` (default all zeros):
 
         ``sum_{lam != 0} theta^(2 lam.x - |lam|)
           (1 - (|lam|/n)(1 + theta))^(2 ell)``.
@@ -730,14 +731,7 @@ def random_scan_chisq_hypercube(n: int, theta, ell: int, start=None):
     so the sum costs O(n^2) instead of 2^n.
     """
     theta = check_theta(theta)
-    if isinstance(start, GroupElement):
-        bits = start.payload
-    elif start is None:
-        bits = (0,) * n
-    else:
-        bits = tuple(int(b) for b in start)
-    if len(bits) != n or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"start must be n bits, got {start!r}")
+    bits = _start_bits(hypercube(n), start)
     exact = isinstance(theta, Fraction)
     counts = _hypercube_weight_counts(bits, n)
     total = theta - theta

@@ -51,7 +51,7 @@ def evolve(K, start, ell):
     probs = start.probs
     for _ in range(ell):
         probs = (probs @ K.num) / K.den
-    return chains.Distribution(K.family, probs)
+    return chains.Distribution.of(K.family, probs)
 
 
 def commutes_with_metropolis(K, i):
@@ -83,7 +83,7 @@ def average_start_chi_square(family, theta, scan, ell):
     total = Fraction(0)
     for x in range(Kl.num.shape[0]):
         row = np.array([Fraction(int(v), Kl.den) for v in Kl.num[x]], dtype=object)
-        total += pi.probs[x] * chi_square(chains.Distribution(family, row), pi)
+        total += pi.probs[x] * chi_square(chains.Distribution.of(family, row), pi)
     return total
 
 

@@ -210,11 +210,9 @@ def test_integer_reductions_equal_the_fraction_oracle(family, scan):
     scan = {"long": long_recipe(family), "short": short_recipe(family)}.get(scan, scan)
     for theta in (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(1, 4)):
         pi = stationary(family, theta)
-        uniform = Distribution(
-            family, np.array([Fraction(1, family.order)] * family.order, dtype=object)
-        )
+        uniform = Distribution.of(family, [Fraction(1, family.order)] * family.order)
         # positive and, unless theta = 1, not the stationary law
-        mixed = Distribution(family, (pi.probs + uniform.probs) / 2)
+        mixed = Distribution.of(family, (pi.probs + uniform.probs) / 2)
         for ell in range(4):
             starts = (
                 point_mass(family, coxeter.identity(family)),
@@ -267,7 +265,7 @@ def test_integer_balance_checks_equal_the_fraction_oracle(family):
         pi = stationary(family, theta)
         longest = point_mass(family, coxeter.longest_element(family))
         # never stationary: half its mass sits on the longest element
-        mixed = Distribution(family, (pi.probs + longest.probs) / 2)
+        mixed = Distribution.of(family, (pi.probs + longest.probs) / 2)
         first, last = (scan_kernel(family, theta, (i,)) for i in (1, family.rank))
         mixture = random_scan_kernel(family, theta)
         kernels = [first, last, long_scan_kernel(family, theta), mixture]
@@ -333,7 +331,19 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         evolve_scan(symmetric(4), Fraction(1, 2), (1, 2), start, 1)
     with pytest.raises(ValueError):
-        Distribution(symmetric(3), np.array([Fraction(1)] * 6, dtype=object))
+        Distribution.of(symmetric(3), [Fraction(1)] * 6)
+    with pytest.raises(ValueError):
+        Distribution(symmetric(3), np.array([1, 1, 1, 1, 1, 0], dtype=object), 6)
+    with pytest.raises(ValueError):
+        Distribution(symmetric(3), np.array([2, -1, 0, 0, 0, 0], dtype=object), 1)
+    # numerators and denominator need not be in lowest terms
+    pi = stationary(symmetric(3), Fraction(1, 2))
+    p = Distribution.of(symmetric(3), [Fraction(k, 12) for k in (4, 0, 2, 0, 1, 5)])
+    scaled = Distribution(symmetric(3), p.num * 7, p.den * 7)
+    scaled_pi = Distribution(symmetric(3), pi.num * 5, pi.den * 5)
+    for ref in (pi, scaled_pi):
+        assert chi_square(scaled, ref) == chi_square(p, pi)
+        assert tv_distance(scaled, ref) == tv_distance(p, pi)
     with pytest.raises(ValueError):
         tv_distance(
             stationary(symmetric(3), Fraction(1, 2)),
@@ -361,6 +371,6 @@ def rational_distribution(draw, size):
 def test_four_tv_squared_is_at_most_chi_square(data):
     family = symmetric(3)
     pi = stationary(family, data.draw(st.sampled_from(THETAS)))
-    p = Distribution(family, data.draw(rational_distribution(family.order)))
+    p = Distribution.of(family, data.draw(rational_distribution(family.order)))
     tv = tv_distance(p, pi)
     assert 4 * tv**2 <= chi_square(p, pi)

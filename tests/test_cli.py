@@ -303,6 +303,32 @@ def test_verify_still_builds_the_dense_generator_kernels(runner, monkeypatch):
 @pytest.mark.parametrize(
     "args",
     [
+        ("analyze", "--family", "symmetric", "--n", "4", "--scan", "long", "--lmax", "3"),
+        ("analyze", "--family", "symmetric", "--n", "4", "--scan", "short", "--lmax", "3"),
+        ("analyze", "--family", "hypercube", "--n", "4", "--scan", "random", "--lmax", "3"),
+        ("analyze", "--family", "symmetric", "--n", "4", "--averaged", "--lmax", "3"),
+        ("verify", "--family", "symmetric", "--n", "4"),
+        ("sample", "--family", "symmetric", "--n", "4", "-N", "200"),
+    ],
+    ids=["long", "short", "random", "averaged", "verify", "sample"],
+)
+def test_run_paths_read_no_per_cell_fractions(runner, monkeypatch, args):
+    """Every run path reduces on a distribution's numerators and denominator;
+    the per-cell Fraction view is for tests only."""
+
+    def refuse(self):
+        raise AssertionError("a per-cell Fraction view was read")
+
+    monkeypatch.setattr(chains.Distribution, "probs", property(refuse))
+    res = invoke(runner, *args, "--theta", "1/2")
+    assert res.exit_code == 0, res.output
+    if args[0] == "sample":
+        assert json.loads(res.output)["summary"]["empirical_tv"] is not None
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ("verify", "--family", "symmetric", "--n", "8", "--theta", "1/2"),
         ("analyze", "--family", "hypercube", "--n", "15", "--theta", "1/2",
          "--averaged", "--lmax", "1"),

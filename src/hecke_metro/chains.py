@@ -17,12 +17,23 @@ rows by K_i at O(|W|) per row:
   kernel is ever formed (the matrix-free path);
 * :func:`power_sums` applies it to the identity, one block of rows at a
   time, and reads tr(K^m) and the pi-averaged chi-square of K^m off each
-  block as it passes; it holds one block, never a |W| x |W| power;
+  block as it passes; :func:`power_sums_with_crosses` also reads the
+  pi-weighted cross sum of K^(m-1) and K^m.  Neither holds more than two
+  blocks, never a |W| x |W| power;
 * :func:`scan_kernel` and :func:`random_scan_kernel` apply it to the
   whole identity, giving the dense |W| x |W| kernel (O(|W|^2) cells).  A
   single-generator kernel K_i is the scan of the one-letter recipe (i,).
   Work on every start, dense or streamed, is refused before it begins
   when its |W|^2 cells exceed :func:`dense_cell_budget`.
+
+A block of rows over one denominator ``den`` has no negative entry and
+every row sums to ``den``, so no entry exceeds it, and after a letter over
+b none exceeds ``den * b`` (``den * b * m`` after a random-scan pass, the
+sum of m letters).  So a block is held as ``np.int64`` while that product
+fits, and moved to Python ints (object dtype) just before a letter or a
+random-scan pass would take it past 2^63 - 1; one letter routine serves
+both.  Every reduction, and every :class:`Kernel` or
+:class:`Distribution` that leaves this module, is on Python ints.
 
 A :class:`Distribution` is held the same way, as integer numerators
 ``num`` over one denominator ``den``; :meth:`Distribution.of` is the one
@@ -39,6 +50,7 @@ T~_{i_k} ... T~_{i_1}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,6 +73,7 @@ __all__ = [
     "long_scan_kernel",
     "point_mass",
     "power_sums",
+    "power_sums_with_crosses",
     "random_scan_kernel",
     "scan_kernel",
     "short_recipe",
@@ -80,6 +93,9 @@ DENSE_CELLS_PER_ELEMENT = 20
 # dihedral(60) took 1.3 s at 2^12 cells and 1.7 s in one block of all 120
 # rows; S_6, at 5 rows a block, lost 0.05 s to per-letter overhead.
 BLOCK_CELLS = 1 << 12
+
+# The largest row sum a block may keep in int64 (see _apply_scan).
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def dense_cell_budget() -> int:
@@ -179,13 +195,25 @@ def point_mass(family: GroupFamily, w: GroupElement) -> Distribution:
     return Distribution(family, num, 1)
 
 
-def _apply_letter_columns(num: np.ndarray, perm, up, a: int, b: int) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _letter_columns(family: GroupFamily) -> tuple:
+    """Per generator i: the descent columns z (length(s_i z) < length(z)), their
+    sources s_i z, the ascent columns and theirs, as index arrays."""
+    tables = coxeter.action_tables(family)
+    letters = []
+    for perm, up in zip(tables.perms, tables.ups):
+        down, rise = np.flatnonzero(~up), np.flatnonzero(up)
+        letters.append((down, perm[down], rise, perm[rise]))
+    return tuple(letters)
+
+
+def _apply_letter_columns(num: np.ndarray, letter, a: int, b: int) -> np.ndarray:
     """Right-multiply num (over den) by K_i (over b); result is over den*b."""
-    out = np.zeros_like(num)
-    down = ~up
-    # column z receives from y = s_i z, plus a holding term when z is a descent
-    out[:, down] = num[:, perm[down]] * b + num[:, down] * (b - a)
-    out[:, up] = num[:, perm[up]] * a
+    down, from_down, rise, from_rise = letter
+    out = np.empty_like(num)
+    # a descent column z receives the move up from s_i z plus its holding term
+    out[:, down] = np.take(num, from_down, axis=1) * b + np.take(num, down, axis=1) * (b - a)
+    out[:, rise] = np.take(num, from_rise, axis=1) * a
     return out
 
 
@@ -203,31 +231,47 @@ def _check_scan(family: GroupFamily, scan) -> tuple[int, ...] | str:
     return recipe
 
 
-def _apply_scan(family: GroupFamily, theta: Fraction, scan, block=None):
-    """Right-multiply a row block by one pass of the scan kernel.
+def _fit(block: np.ndarray, den: int, factor: int) -> np.ndarray:
+    """``block``, moved to Python ints if its row sum ``den`` times ``factor`` would
+    pass the int64 range."""
+    if block.dtype != object and den * factor > INT64_MAX:
+        return block.astype(object)
+    return block
 
-    Returns the new block and the factor by which its denominator grows:
-    b per letter of a recipe, b*m for the random scan, which is the sum of
-    the m one-letter images.  Without a block this is the kernel itself;
-    for a recipe, the identity it starts from is dropped after the first
-    letter rather than held by the caller for the whole pass.
+
+def _exact(block: np.ndarray) -> np.ndarray:
+    """``block`` as Python ints (object dtype), for reductions and results."""
+    return block if block.dtype == object else block.astype(object)
+
+
+def _apply_scan(family: GroupFamily, theta: Fraction, scan, block=None, den: int = 1):
+    """Right-multiply a row block over ``den`` by one pass of the scan kernel.
+
+    Every row of the block sums to ``den`` and no entry is negative.
+    Returns the new block and its denominator: ``den`` times b per letter
+    of a recipe, or times b*m for the random scan, which is the sum of the
+    m one-letter images.  An int64 block is moved to Python ints just
+    before a letter (or a random-scan pass) would take that row sum past
+    int64 (see the module docstring).  Without a block this is the kernel
+    itself; for a recipe, the identity it starts from is dropped after the
+    first letter rather than held by the caller for the whole pass.
     """
     if block is None:
         check_dense_cells(family)
-        block = np.identity(family.order, dtype=object)
-    tables = coxeter.action_tables(family)
+        block = np.identity(family.order, dtype=np.int64)
     a, b = theta.numerator, theta.denominator
     if scan == "random":
+        factor = b * family.rank
+        block = _fit(block, den, factor)
         out = np.zeros_like(block)
-        for perm, up in zip(tables.perms, tables.ups):
-            out += _apply_letter_columns(block, perm, up, a, b)
-        return out, b * family.rank
-    factor = 1
+        for letter in _letter_columns(family):
+            out += _apply_letter_columns(block, letter, a, b)
+        return out, den * factor
     for i in scan:
-        perm, up = tables.perms[i - 1], tables.ups[i - 1]
-        block = _apply_letter_columns(block, perm, up, a, b)
-        factor *= b
-    return block, factor
+        block = _fit(block, den, b)
+        block = _apply_letter_columns(block, _letter_columns(family)[i - 1], a, b)
+        den *= b
+    return block, den
 
 
 def scan_kernel(family: GroupFamily, theta, recipe) -> Kernel:
@@ -235,7 +279,7 @@ def scan_kernel(family: GroupFamily, theta, recipe) -> Kernel:
     theta = Fraction(coxeter.check_theta(theta))
     recipe = _check_scan(family, tuple(recipe))
     num, den = _apply_scan(family, theta, recipe)
-    return Kernel(family, theta, num, den)
+    return Kernel(family, theta, _exact(num), den)
 
 
 def short_recipe(family: GroupFamily) -> tuple[int, ...]:
@@ -284,7 +328,7 @@ def random_scan_kernel(family: GroupFamily, theta) -> Kernel:
     """Uniform mixture (1/rank) sum_i K_i."""
     theta = Fraction(coxeter.check_theta(theta))
     num, den = _apply_scan(family, theta, "random")
-    return Kernel(family, theta, num, den)
+    return Kernel(family, theta, _exact(num), den)
 
 
 def evolve_scan(
@@ -306,10 +350,11 @@ def evolve_scan(
     theta = Fraction(coxeter.check_theta(theta))
     scan = _check_scan(family, scan)
     block, den = start.num[None, :], start.den
+    if den <= INT64_MAX:
+        block = block.astype(np.int64)
     for _ in range(ell):
-        block, factor = _apply_scan(family, theta, scan, block)
-        den *= factor
-    return Distribution(family, block[0], den)
+        block, den = _apply_scan(family, theta, scan, block, den)
+    return Distribution(family, _exact(block[0]), den)
 
 
 def tv_distance(p: Distribution, pi: Distribution) -> Fraction:
@@ -348,43 +393,92 @@ def check_stationary(K: Kernel, pi: Distribution) -> bool:
 def power_sums(
     family: GroupFamily, theta, scan, passes: int
 ) -> list[tuple[Fraction, Fraction]]:
-    """(tr(K^m), pi-averaged chi_square(delta_x K^m, pi)) for m = 1..passes.
+    """(tr(K^m), averaged chi-square of K^m) for m = 1..passes.
+
+    :func:`power_sums_with_crosses` without the cross sums, whose second
+    reduction per block and pass it skips.
+    """
+    return _power_sums(family, theta, scan, passes, crosses=False)
+
+
+def power_sums_with_crosses(
+    family: GroupFamily, theta, scan, passes: int
+) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """(tr(K^m), averaged chi-square of K^m, <K^(m-1), K^m>_pi) for m = 1..passes.
 
     ``scan`` is a recipe or ``"random"``, as :func:`evolve_scan` takes it,
     and K its kernel.  The identity runs through the scan letters in blocks
-    of rows; after pass m a block adds its diagonal to tr(K^m), and its
-    squared rows to the average.  With pi(x) proportional to its
-    numerator v_x = b^len(x) a^(L - len(x)) in :func:`stationary`, for
-    theta = a/b and L the longest length, pi(x) / pi(y) = v_x u_y / (ab)^L where
-    u_y = a^len(y) b^(L - len(y)).  So the average is
+    of rows; after pass m a block adds its diagonal to tr(K^m), its squared
+    rows to the average and its rows times those of K^(m-1) to the cross
+    sum.  Both weighted sums are
+    <A, B>_pi = sum_{x,y} (pi(x) / pi(y)) A[x,y] B[x,y]; the averaged
+    chi-square sum_x pi(x) chi_square(delta_x K^m, pi) is <K^m, K^m>_pi - 1.
+    With pi(x) proportional to its numerator v_x = b^len(x) a^(L - len(x))
+    in :func:`stationary`, for theta = a/b and L the longest length,
+    pi(x) / pi(y) = v_x u_y / (ab)^L where u_y = a^len(y) b^(L - len(y)).  So
+    on integer numerators A over d_A and B over d_B,
 
-        sum_x v_x sum_y num[x,y]^2 u_y / ((ab)^L den^2) - 1
+        <A, B>_pi = sum_x v_x sum_y A[x,y] B[x,y] u_y / ((ab)^L d_A d_B),
 
-    on the integer numerators num over den of K^m.
+    and since u_y depends on len(y) alone, each row sums its products by
+    length before it meets the large weights.
+
+    When K is pi-reversible, pi(x) K^k(x,y) = pi(y) K^k(y,x), so
+    <K^j, K^k>_pi = tr(K^(j+k)): the cross sum of pass m is tr(K^(2m-1)),
+    and the averaged chi-square of pass m is tr(K^(2m)) - 1.
     """
+    return _power_sums(family, theta, scan, passes, crosses=True)
+
+
+def _power_sums(family: GroupFamily, theta, scan, passes: int, crosses: bool) -> list[tuple]:
+    """:func:`power_sums_with_crosses`, or :func:`power_sums` unless ``crosses``."""
     if passes < 1:
         raise ValueError("need passes >= 1")
     theta = Fraction(coxeter.check_theta(theta))
     scan = _check_scan(family, scan)
     check_dense_cells(family)
     a, b = theta.numerator, theta.denominator
-    top = int(coxeter.action_tables(family).lengths.max())
+    lengths = coxeter.action_tables(family).lengths
+    top = int(lengths.max())
     v = stationary(family, theta).num
-    u = (a * b) ** top // v  # exact, since u_y v_y = (ab)^L
+    u = np.array([a**k * b ** (top - k) for k in range(top + 1)], dtype=object)
+    # columns grouped by length; every length 0..top occurs
+    by_length = np.argsort(lengths, kind="stable")
+    starts = np.searchsorted(lengths[by_length], np.arange(top + 1))
+
+    def weighted(rows, A, B) -> int:
+        """sum_x v_x sum_y A[x,y] B[x,y] u_y over the block's rows x."""
+        per_length = np.add.reduceat((A * B)[:, by_length], starts, axis=1)
+        return v[rows] @ (per_length @ u)
+
     height = max(1, BLOCK_CELLS // family.order)
-    traces, squares = [0] * passes, [0] * passes
+    traces, squares, cross = [0] * passes, [0] * passes, [0] * passes
+    dens = [1] * (passes + 1)
     for first in range(0, family.order, height):
         rows = np.arange(first, min(first + height, family.order))
         diagonal = (np.arange(len(rows)), rows)
-        block = np.zeros((len(rows), family.order), dtype=object)
+        block = np.zeros((len(rows), family.order), dtype=np.int64)
         block[diagonal] = 1
+        previous = _exact(block)
         for m in range(passes):
-            block, factor = _apply_scan(family, theta, scan, block)
-            traces[m] += block[diagonal].sum()
-            squares[m] += v[rows] @ ((block * block) @ u)
-    out, den = [], 1
-    for trace, square in zip(traces, squares):
-        den *= factor
-        averaged = Fraction(int(square), (a * b) ** top * den**2) - 1
-        out.append((Fraction(int(trace), den), averaged))
-    return out
+            block, dens[m + 1] = _apply_scan(family, theta, scan, block, dens[m])
+            current = _exact(block)
+            traces[m] += current[diagonal].sum()
+            squares[m] += weighted(rows, current, current)
+            if crosses:
+                cross[m] += weighted(rows, previous, current)
+                previous = current
+    scale = (a * b) ** top
+    sums = [
+        (
+            Fraction(int(traces[m]), dens[m + 1]),
+            Fraction(int(squares[m]), scale * dens[m + 1] ** 2) - 1,
+        )
+        for m in range(passes)
+    ]
+    if not crosses:
+        return sums
+    return [
+        sums[m] + (Fraction(int(cross[m]), scale * dens[m] * dens[m + 1]),)
+        for m in range(passes)
+    ]

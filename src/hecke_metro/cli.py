@@ -494,8 +494,10 @@ def _verify_checks(family: GroupFamily, theta: Fraction, perturb: bool):
 
     Checks 1 and 2 compare kernel rows with sparse products in the algebra;
     :func:`verify` says why that proves the kernels equal left
-    multiplications.  Checks 5 and 6 share one :func:`chains.power_sums`,
-    run when first needed.  ``perturb`` corrupts K_1 for check 1 to catch.
+    multiplications.  Checks 5 and 6 share one three-pass
+    :func:`chains.power_sums_with_crosses`, run when first needed;
+    :func:`verify` says where tr(K^4) and tr(K^5) come from.  ``perturb``
+    corrupts K_1 for check 1 to catch.
     """
     q = 1 / theta
     gens = coxeter.generators(family)
@@ -507,8 +509,13 @@ def _verify_checks(family: GroupFamily, theta: Fraction, perturb: bool):
     long_scan = chains.long_recipe(family)
 
     @functools.cache
-    def long_sums() -> list[tuple[Fraction, Fraction]]:
-        return chains.power_sums(family, theta, long_scan, 5)
+    def long_sums() -> list[tuple[Fraction, Fraction, Fraction]]:
+        return chains.power_sums_with_crosses(family, theta, long_scan, 3)
+
+    def long_traces() -> list[Fraction]:
+        """tr(K^1..K^5): three diagonals, then K^2 against itself and K^3."""
+        sums = long_sums()
+        return [trace for trace, _, _ in sums] + [sums[1][1] + 1, sums[2][2]]
 
     def row_is(row: np.ndarray, h: hecke.HeckeVector, scale=1) -> bool:
         """Whether row == scale * h over the T~ basis, with no other nonzero."""
@@ -536,13 +543,13 @@ def _verify_checks(family: GroupFamily, theta: Fraction, perturb: bool):
         return all(chains.check_reversible(kernels[i], pi) for i in gens)
 
     def averaged_chi_square_equals_trace() -> bool:
-        (_, averaged), (trace, _) = long_sums()[:2]
+        (_, averaged, _), (trace, _, _) = long_sums()[:2]
         return averaged == trace - 1
 
     def long_scan_traces_match_block_sum() -> bool:
         return all(
             trace == spectral.long_scan_trace(family, theta, m)
-            for m, (trace, _) in enumerate(long_sums(), start=1)
+            for m, trace in enumerate(long_traces(), start=1)
         )
 
     def squared_dimensions_sum_to_order() -> bool:
@@ -580,11 +587,16 @@ def verify(ctx, family_kind, n, theta_raw, perturb_kernel):
     Theta is always parsed exactly here (any decimal or p/q string is a
     rational), so every check is an exact comparison; the operator checks
     reduce on integer numerators.  Checks 5 and 6 stream every start
-    through five passes of the long scan in row blocks: check 5 compares
+    through three passes of the long scan in row blocks: check 5 compares
     the squared rows of K (the averaged chi-square) with the diagonal of
-    K^2, check 6 the diagonals of K^1..K^5 with the block sums.  So groups
-    whose |W|^2 cells exceed 20 x HECKE_METRO_CAP are refused with exit 2
-    before anything is allocated.
+    K^2, check 6 tr(K^1..K^5) with the block sums.  tr(K^1..K^3) are
+    diagonals; tr(K^4) is the averaged chi-square of K^2 plus one and
+    tr(K^5) the pi-weighted cross sum of K^2 and K^3.  Both rest on the
+    long scan being pi-reversible (its recipe reversed is again two
+    reduced words of w0), so that sum_{x,y} pi(x) K^j(x,y) K^k(x,y) / pi(y)
+    is tr(K^(j+k)).  So groups whose |W|^2 cells exceed
+    20 x HECKE_METRO_CAP are refused with exit 2 before anything is
+    allocated.
 
     Checks 1 and 2 read kernel rows, not dense matrices of the algebra.
     Write L(h) for left multiplication by h in the T~ basis:

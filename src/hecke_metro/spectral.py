@@ -276,10 +276,50 @@ class _Block(NamedTuple):
     hooks: tuple[int, ...]
 
 
-@lru_cache(maxsize=8)
+def _partition_count(n: int, cap: int) -> tuple[int, int]:
+    """``(m, p(m))`` for the first ``m <= n`` with p(m) > ``cap``, else ``(n, p(n))``.
+
+    p by Euler's pentagonal number recurrence, listing no partition.  p is
+    nondecreasing, so past the cap p(n) >= p(m) > cap: the recurrence stops
+    there, and its cost depends on the cap, not on ``n``.
+
+    >>> [_partition_count(n, 50_000) for n in (0, 4, 41, 42, 10**6)]
+    [(0, 1), (4, 5), (41, 44583), (42, 53174), (42, 53174)]
+    """
+    p = [1]
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while (gap := k * (3 * k - 1) // 2) <= m:
+            term = p[m - gap] + (p[m - gap - k] if gap + k <= m else 0)
+            total += term if k % 2 else -term
+            k += 1
+        p.append(total)
+        if total > cap:
+            return m, total
+    return n, p[n]
+
+
 def _symmetric_blocks(n: int) -> tuple[_Block, ...]:
     """The blocks of the symmetric family on ``n`` letters, in the order of
-    :func:`partitions`, so the trivial block ``(n,)`` comes first."""
+    :func:`partitions`, so the trivial block ``(n,)`` comes first.
+
+    Refused before any partition is listed when their number p(n) exceeds
+    the enumeration cap.
+    """
+    cap = enumeration_cap()
+    m, count = _partition_count(n, cap)
+    if count > cap:
+        bound = f"p({n}) = {count}" if m == n else f"p({n}) >= p({m}) = {count}"
+        raise CapExceededError(
+            f"the symmetric closed forms on S_{n} sum over {bound} partitions, "
+            f"over the enumeration cap {cap} (raise HECKE_METRO_CAP to allow it)"
+        )
+    return _block_table(n)
+
+
+@lru_cache(maxsize=8)
+def _block_table(n: int) -> tuple[_Block, ...]:
+    """:func:`_symmetric_blocks` without the cap check."""
     factorial = math.factorial(n)
     blocks = []
     for lam in partitions(n):

@@ -9,6 +9,9 @@ oracle the fast versions must equal by ``==``:
   kernel rebuilt from the repeated recipe (multiplied out for the random
   scan), never carried from an earlier power;
 * dense evolution ``start * K^ell`` by vector-matrix products;
+* the scan kernel as a product of Fraction matrices K_i built from their
+  definition, without ``chains``, with its traces, averaged chi-squares and
+  pi-weighted cross sums of consecutive powers;
 * the dense |W| x |W| matrix of left multiplication in the Hecke algebra,
   built from the right action of the generators, and its trace;
 * the symmetric-family closed forms term by term: each generic degree by
@@ -52,6 +55,66 @@ def evolve(K, start, ell):
     for _ in range(ell):
         probs = (probs @ K.num) / K.den
     return chains.Distribution.of(K.family, probs)
+
+
+def metropolis_kernel(family, theta, i):
+    """K_i from its definition, one Fraction per cell, built without chains."""
+    tables = coxeter.action_tables(family)
+    K = np.full((family.order, family.order), Fraction(0), dtype=object)
+    for x, w in enumerate(tables.elements):
+        y = tables.index[coxeter.apply_generator(i, w)]
+        if tables.lengths[y] > tables.lengths[x]:
+            K[x, y] = Fraction(1)
+        else:
+            K[x, y], K[x, x] = Fraction(theta), 1 - Fraction(theta)
+    return K
+
+
+def dense_scan_kernel(family, theta, scan):
+    """The scan kernel (a recipe or "random") as a product of the K_i."""
+    kernels = [metropolis_kernel(family, theta, i) for i in coxeter.generators(family)]
+    if scan == "random":
+        return sum(kernels[1:], kernels[0]) / family.rank
+    K = np.identity(family.order, dtype=object) * Fraction(1)
+    for i in scan:
+        K = K @ kernels[i - 1]
+    return K
+
+
+def _stationary_probs(family, theta):
+    weights = [Fraction(theta) ** -int(l) for l in coxeter.action_tables(family).lengths]
+    total = sum(weights)
+    return np.array([w / total for w in weights], dtype=object)
+
+
+def dense_evolve(family, theta, scan, start, ell):
+    """start * K^ell by vector-matrix products with the dense scan kernel."""
+    K = dense_scan_kernel(family, theta, scan)
+    probs = start.probs
+    for _ in range(ell):
+        probs = probs @ K
+    return probs
+
+
+def dense_power_sums(family, theta, scan, passes):
+    """(tr K^m, <K^m, K^m>_pi - 1, <K^(m-1), K^m>_pi) for m = 1..passes, with
+    <A, B>_pi = sum_{x,y} pi(x) A[x,y] B[x,y] / pi(y), on dense Fraction powers."""
+    K = dense_scan_kernel(family, theta, scan)
+    pi = _stationary_probs(family, theta)
+    ratio = pi[:, None] / pi[None, :]
+    previous = np.identity(family.order, dtype=object) * Fraction(1)
+    out = []
+    for _ in range(passes):
+        current = previous @ K
+        out.append(
+            (
+                sum(current.diagonal(), Fraction(0)),
+                (ratio * current * current).sum() - 1,
+                (ratio * previous * current).sum(),
+            )
+        )
+        previous = current
+    return out
 
 
 def commutes_with_metropolis(K, i):

@@ -21,6 +21,7 @@ from hecke_metro.chains import (
     long_scan_kernel,
     point_mass,
     power_sums,
+    power_sums_with_crosses,
     random_scan_kernel,
     scan_kernel,
     short_recipe,
@@ -255,6 +256,123 @@ def test_power_sums_do_not_depend_on_the_block_height(family, scan, monkeypatch)
         monkeypatch.setattr(chains, "BLOCK_CELLS", cells)
         results.append(power_sums(family, theta, scan, 3))
     assert results[0] == results[1] == results[2]
+
+
+def _letter_dtypes(monkeypatch):
+    """The dtype of the block each letter is applied to, in order, from now on."""
+    seen = []
+    apply = chains._apply_letter_columns
+
+    def spy(num, *args):
+        seen.append(num.dtype)
+        return apply(num, *args)
+
+    monkeypatch.setattr(chains, "_apply_letter_columns", spy)
+    return seen
+
+
+def _scans(family):
+    return [long_recipe(family), short_recipe(family), "random"]
+
+
+def _assert_lane_equals_the_dense_oracle(family, theta, scan, passes):
+    sums = power_sums_with_crosses(family, theta, scan, passes)
+    assert sums == oracle.dense_power_sums(family, theta, scan, passes)
+    assert power_sums(family, theta, scan, passes) == [entry[:2] for entry in sums]
+    for start in (point_mass(family, coxeter.identity(family)), stationary(family, theta)):
+        fast = evolve_scan(family, theta, scan, start, passes)
+        assert fast.num.dtype == object
+        assert all(type(v) is int for v in fast.num)
+        assert (fast.probs == oracle.dense_evolve(family, theta, scan, start, passes)).all()
+
+
+INT64_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize("family", [symmetric(3), hypercube(3), dihedral(4)], ids=str)
+def test_a_denominator_past_int64_widens_before_the_first_letter(family, monkeypatch):
+    theta = Fraction(1, 2**63)
+    seen = _letter_dtypes(monkeypatch)
+    for scan in _scans(family):
+        _assert_lane_equals_the_dense_oracle(family, theta, scan, 3)
+    assert seen and all(dtype == object for dtype in seen)
+
+
+def test_the_block_widens_in_the_middle_of_a_pass(monkeypatch):
+    # six letters a pass at theta = 1/2: the row sum 2^62 before letter 63,
+    # the third letter of pass 11, would pass int64 after it
+    family, theta = hypercube(3), Fraction(1, 2)
+    scan = long_recipe(family)
+    seen = _letter_dtypes(monkeypatch)
+    evolve_scan(family, theta, scan, point_mass(family, coxeter.identity(family)), 11)
+    assert seen == [np.dtype(np.int64)] * 62 + [np.dtype(object)] * 4
+    _assert_lane_equals_the_dense_oracle(family, theta, scan, 11)
+
+
+@pytest.mark.parametrize("family", [symmetric(3), hypercube(3), dihedral(5)], ids=str)
+def test_theta_one_stays_on_machine_integers(family, monkeypatch):
+    seen = _letter_dtypes(monkeypatch)
+    for scan in _scans(family):
+        _assert_lane_equals_the_dense_oracle(family, Fraction(1), scan, 4)
+    assert seen and all(dtype == np.int64 for dtype in seen)
+
+
+def test_random_scan_and_a_stationary_start_with_a_large_denominator(monkeypatch):
+    # pi of hypercube(3) at theta = 1/2^20 has a denominator near 2^60: the
+    # start fits int64, and the first random pass (factor 3 * 2^20) does not
+    family, theta = hypercube(3), Fraction(1, 2**20)
+    pi = stationary(family, theta)
+    assert 2**59 < pi.den <= INT64_MAX < pi.den * 3 * 2**20
+    seen = _letter_dtypes(monkeypatch)
+    _assert_lane_equals_the_dense_oracle(family, theta, "random", 3)
+    assert np.dtype(object) in seen
+    # at theta = 1/4 a pass multiplies the row sum by b * rank = 12: 12^17
+    # times b still fits int64, times 12 does not, so pass 18 widens
+    theta = Fraction(1, 4)
+    start = point_mass(family, coxeter.identity(family))
+    seen.clear()
+    evolve_scan(family, theta, "random", start, 18)
+    assert seen == [np.dtype(np.int64)] * 51 + [np.dtype(object)] * 3
+    _assert_lane_equals_the_dense_oracle(family, theta, "random", 18)
+
+
+@pytest.mark.parametrize("theta", [Fraction(1), Fraction(1, 2), Fraction(1, 2**70)], ids=str)
+def test_kernels_and_distributions_leave_chains_as_python_ints(theta):
+    family = symmetric(3)
+    start = point_mass(family, coxeter.identity(family))
+    results = [
+        scan_kernel(family, theta, (1, 2)).num,
+        random_scan_kernel(family, theta).num,
+        evolve_scan(family, theta, long_recipe(family), start, 2).num,
+        evolve_scan(family, theta, "random", stationary(family, theta), 2).num,
+    ]
+    for num in results:
+        assert num.dtype == object
+        assert all(type(v) is int for v in num.flat)
+
+
+CROSS_FAMILIES = [symmetric(3), symmetric(4), hypercube(3), dihedral(4), dihedral(5), dihedral(6)]
+
+
+@pytest.mark.parametrize("family", CROSS_FAMILIES, ids=str)
+@pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(2, 3)], ids=str)
+def test_cross_sums_of_a_reversible_scan_are_odd_traces(family, theta):
+    """<K^(m-1), K^m>_pi == tr(K^(2m-1)) and <K^m, K^m>_pi == tr(K^(2m)) for
+    the long, short and random scans, which are pi-reversible."""
+    for scan in _scans(family):
+        sums = power_sums_with_crosses(family, theta, scan, 5)
+        traces = [trace for trace, _, _ in sums]
+        for m, (_, averaged, cross) in enumerate(sums[:3], start=1):
+            assert cross == traces[2 * m - 2]
+            if m <= 2:
+                assert averaged + 1 == traces[2 * m - 1]
+
+
+def test_cross_sums_of_a_non_reversible_recipe_are_not_traces():
+    family, theta, scan = symmetric(3), Fraction(1, 2), (1, 2)
+    sums = power_sums_with_crosses(family, theta, scan, 3)
+    assert sums == oracle.dense_power_sums(family, theta, scan, 3)
+    assert sums[1][2] != sums[2][0]  # <K, K^2>_pi != tr(K^3)
 
 
 @pytest.mark.parametrize("family", EVOLVE_FAMILIES, ids=str)

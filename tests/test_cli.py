@@ -149,6 +149,21 @@ def test_analyze_exact_mode_beyond_the_cap_is_refused(runner):
     assert "cap" in res.output.lower()
 
 
+@pytest.mark.parametrize(
+    "n, bound", [("42", "p(42) = 53174"), ("80", "p(80) >= p(42) = 53174"),
+                 ("1000000", "p(1000000) >= p(42) = 53174")],
+)
+def test_float_symmetric_analyze_past_the_partition_cap_is_refused(runner, n, bound):
+    res = invoke(
+        runner,
+        "analyze", "--family", "symmetric", "--n", n, "--mode", "float",
+        "--theta", "1/2", "--lmax", "1",
+    )
+    assert res.exit_code == 2
+    assert bound in res.output
+    assert "cap 50000" in res.output
+
+
 def test_analyze_cap_is_configurable_through_the_environment(runner):
     res = invoke(
         runner,

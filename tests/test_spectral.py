@@ -113,6 +113,41 @@ def test_tableau_validation():
         StandardTableau(((1, 2, 3), (4, 5, 6, 7)))  # shape not a partition
 
 
+def test_partition_count_is_the_number_listed():
+    big = 10**9
+    assert [spectral._partition_count(n, big) for n in range(31)] == [
+        (n, len(partitions(n))) for n in range(31)
+    ]
+    # at the default cap S_41 is summed and S_42 refused
+    cap = coxeter.DEFAULT_ENUMERATION_CAP
+    assert spectral._partition_count(41, cap) == (41, 44583)
+    assert spectral._partition_count(42, cap) == (42, 53174)
+
+
+@pytest.mark.parametrize("n", [43, 80, 1000], ids=str)
+def test_partition_count_stops_at_the_first_count_past_the_cap(n):
+    """The recurrence stops at p(42), so its cost does not grow with n."""
+    assert spectral._partition_count(n, coxeter.DEFAULT_ENUMERATION_CAP) == (42, 53174)
+    assert spectral._partition_count(n, 100) == (13, 101)
+
+
+def test_symmetric_closed_forms_refuse_past_the_cap_before_listing(monkeypatch):
+    monkeypatch.setenv("HECKE_METRO_CAP", "77")  # p(12) = 77, p(13) = 101
+    assert long_scan_chisq(symmetric(12), 0.5, 1) > 0
+    listed = []
+    monkeypatch.setattr(spectral, "partitions", lambda n: listed.append(n) or [])
+    for form in (
+        lambda: long_scan_chisq(symmetric(13), 0.5, 1),
+        lambda: short_scan_chisq_symmetric(13, Fraction(1, 2), 1),
+        lambda: irreps(symmetric(13)),
+    ):
+        with pytest.raises(CapExceededError, match=r"p\(13\) = 101 .*cap 77"):
+            form()
+    with pytest.raises(CapExceededError, match=r"p\(10000\) >= p\(13\) = 101 .*cap 77"):
+        irreps(symmetric(10**4))
+    assert listed == []
+
+
 def test_tableau_enumeration_respects_the_cap(monkeypatch):
     monkeypatch.setenv("HECKE_METRO_CAP", "100")
     with pytest.raises(CapExceededError):

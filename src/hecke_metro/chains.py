@@ -15,15 +15,22 @@ rows by K_i at O(|W|) per row:
 * :func:`evolve_scan` applies it to the single row of a start
   distribution, so one pass of a scan costs O(|W| * letters) and no
   kernel is ever formed (the matrix-free path);
-* :func:`power_sums` applies it to the identity, one block of rows at a
-  time, and reads tr(K^m) and the pi-averaged chi-square of K^m off each
-  block as it passes; :func:`power_sums_with_crosses` also reads the
+* :func:`power_sums` applies it to the identity row alone, giving
+  e K^m at O(|W| * letters) a pass, and derives every other row of K^m
+  from that one.  K is left multiplication L(h) by an element h of the
+  algebra (see below), and left multiplication commutes with right
+  multiplication, so row x of K^m, the T~-coefficients of h^m T~_x, is
+  row x s_i times T~_i for a right descent i of x.  The same letter
+  routine applies right multiplication by T~_i, on right-action columns,
+  one length level at a time, so a pass costs O(|W|^2) whatever the
+  number of letters.  It reads tr(K^m) and the pi-averaged chi-square of
+  K^m off each level; :func:`power_sums_with_crosses` also reads the
   pi-weighted cross sum of K^(m-1) and K^m.  Neither holds more than two
-  blocks, never a |W| x |W| power;
+  levels each of two powers, never a |W| x |W| power;
 * :func:`scan_kernel` and :func:`random_scan_kernel` apply it to the
   whole identity, giving the dense |W| x |W| kernel (O(|W|^2) cells).  A
   single-generator kernel K_i is the scan of the one-letter recipe (i,).
-  Work on every start, dense or streamed, is refused before it begins
+  Work on every start, dense or row by row, is refused before it begins
   when its |W|^2 cells exceed :func:`dense_cell_budget`.
 
 A block of rows over one denominator ``den`` has no negative entry and
@@ -32,7 +39,9 @@ b none exceeds ``den * b`` (``den * b * m`` after a random-scan pass, the
 sum of m letters).  So a block is held as ``np.int64`` while that product
 fits, and moved to Python ints (object dtype) just before a letter or a
 random-scan pass would take it past 2^63 - 1; one letter routine serves
-both.  Every reduction, and every :class:`Kernel` or
+both.  A length-k level of K^m over ``den``, the identity row's
+denominator, is over ``den * b^k``, which is again its row sum, so the same
+rule holds level by level.  Every reduction, and every :class:`Kernel` or
 :class:`Distribution` that leaves this module, is on Python ints.
 
 A :class:`Distribution` is held the same way, as integer numerators
@@ -45,12 +54,14 @@ place exact probabilities become numerators.  The reductions
 The scan recipe (i_1, ..., i_k) applies K_{i_1} first, i.e. the kernel is
 the matrix product K_{i_1} K_{i_2} ... K_{i_k}; by the multiplication rule
 of the rescaled Hecke basis this is left multiplication by
-T~_{i_k} ... T~_{i_1}.
+T~_{i_k} ... T~_{i_1}, and the random scan is left multiplication by
+(T~_1 + ... + T~_m) / m.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,15 +94,17 @@ __all__ = [
 ]
 
 
-# Work on every start (a dense |W| x |W| kernel, or the |W| rows that
-# power_sums streams) may cover this many cells per element that the
+# Work on every start (a dense |W| x |W| kernel, or the |W| rows of each
+# power that power_sums derives) may cover this many cells per element that the
 # enumeration cap admits: 10^6 cells at the default cap, which admits the
 # symmetric group S_6 (518400 cells) and refuses S_7 (25.4 million).
 DENSE_CELLS_PER_ELEMENT = 20
 
-# Cells in one block of power_sums.  On a 2-core host, 5 long-scan passes on
-# dihedral(60) took 1.3 s at 2^12 cells and 1.7 s in one block of all 120
-# rows; S_6, at 5 rows a block, lost 0.05 s to per-letter overhead.
+# Cells of a level that power_sums reduces at once.  On a 2-core host the
+# time did not depend on it from 2^10 cells to whole levels (S_6, hypercube(8),
+# dihedral(60)); the traced peak did: 1.7 MiB up to 2^14 cells and 2.5 MiB
+# with whole levels for one short-scan pass on S_6, 1.9 and 2.7 MiB for two
+# long-scan passes on hypercube(8), where the levels themselves are small.
 BLOCK_CELLS = 1 << 12
 
 # The largest row sum a block may keep in int64 (see _apply_scan).
@@ -195,26 +208,95 @@ def point_mass(family: GroupFamily, w: GroupElement) -> Distribution:
     return Distribution(family, num, 1)
 
 
+def _columns(perm: np.ndarray, up: np.ndarray) -> tuple:
+    """The descent columns z (not ``up[z]``), their sources ``perm[z]``, the
+    ascent columns and theirs, as index arrays."""
+    down, rise = np.flatnonzero(~up), np.flatnonzero(up)
+    return down, perm[down], rise, perm[rise]
+
+
 @functools.lru_cache(maxsize=16)
 def _letter_columns(family: GroupFamily) -> tuple:
-    """Per generator i: the descent columns z (length(s_i z) < length(z)), their
-    sources s_i z, the ascent columns and theirs, as index arrays."""
+    """Per generator i, the columns of K_i: descents are length(s_i z) < length(z)."""
     tables = coxeter.action_tables(family)
-    letters = []
-    for perm, up in zip(tables.perms, tables.ups):
-        down, rise = np.flatnonzero(~up), np.flatnonzero(up)
-        letters.append((down, perm[down], rise, perm[rise]))
-    return tuple(letters)
+    return tuple(_columns(perm, up) for perm, up in zip(tables.perms, tables.ups))
+
+
+@functools.lru_cache(maxsize=16)
+def _right_letter_columns(family: GroupFamily) -> tuple:
+    """Per generator i, the columns of right multiplication by T~_i in the T~
+    basis, which :func:`_apply_letter_columns` applies as it applies K_i.
+
+    The right action w -> w s_i is read off the left tables as
+    ``inv[perm_i[inv]]``, since w s_i = (s_i w^-1)^-1; descents are
+    length(z s_i) < length(z).
+    """
+    tables = coxeter.action_tables(family)
+    inv = np.array([tables.index[coxeter.inverse(w)] for w in tables.elements])
+    rights = [inv[perm[inv]] for perm in tables.perms]
+    return tuple(_columns(right, tables.lengths[right] > tables.lengths) for right in rights)
+
+
+@functools.lru_cache(maxsize=16)
+def _length_levels(family: GroupFamily) -> tuple:
+    """The elements by length, as (rows, steps) per length k = 0..L.
+
+    ``rows`` lists the elements of length k, grouped by their first right
+    descent i; ``steps`` gives per such i the positions, in level k - 1, of
+    their parents x s_i, in the same order.  Level 0 is the identity alone.
+    """
+    lengths = coxeter.action_tables(family).lengths
+    right = _right_letter_columns(family)
+    first = np.full(family.order, family.rank)  # the first right descent
+    for i in range(family.rank - 1, -1, -1):
+        first[right[i][0]] = i
+    rows = np.flatnonzero(lengths == 0)
+    levels = [(rows, [])]
+    position = np.empty(family.order, dtype=np.intp)  # of each row in its level
+    position[rows] = 0
+    for k in range(1, int(lengths.max()) + 1):
+        children, steps = [], []
+        for i, (down, parent, _, _) in enumerate(right):
+            keep = (lengths[down] == k) & (first[down] == i)
+            if keep.any():
+                children.append(down[keep])
+                steps.append((i, position[parent[keep]]))
+        rows = np.concatenate(children)
+        position[rows] = np.arange(len(rows))
+        levels.append((rows, steps))
+    return tuple(levels)
 
 
 def _apply_letter_columns(num: np.ndarray, letter, a: int, b: int) -> np.ndarray:
-    """Right-multiply num (over den) by K_i (over b); result is over den*b."""
+    """Right-multiply num (over den) by the matrix of ``letter``, over b: K_i
+    from :func:`_letter_columns`, or right multiplication by T~_i from
+    :func:`_right_letter_columns`.  The result is over den*b."""
     down, from_down, rise, from_rise = letter
     out = np.empty_like(num)
     # a descent column z receives the move up from s_i z plus its holding term
     out[:, down] = np.take(num, from_down, axis=1) * b + np.take(num, down, axis=1) * (b - a)
     out[:, rise] = np.take(num, from_rise, axis=1) * a
     return out
+
+
+def _levels(family: GroupFamily, a: int, b: int, row: np.ndarray, den: int):
+    """The rows of L(h) by length, from its identity row ``row``, the
+    T~-coefficients of h over ``den``, for theta = a/b.
+
+    Yields each level of :func:`_length_levels` in turn, level k over
+    ``den * b^k``.  Left multiplication commutes with right multiplication,
+    so row x, the coefficients of h T~_x, is row x s_i times T~_i; each
+    level is made from the one before and replaces it.
+    """
+    right = _right_letter_columns(family)
+    level = row
+    for k, (_, steps) in enumerate(_length_levels(family)):
+        if k:
+            level = _fit(level, den * b ** (k - 1), b)
+            level = np.concatenate(
+                [_apply_letter_columns(level[at], right[i], a, b) for i, at in steps]
+            )
+        yield level
 
 
 def _check_scan(family: GroupFamily, scan) -> tuple[int, ...] | str:
@@ -396,7 +478,7 @@ def power_sums(
     """(tr(K^m), averaged chi-square of K^m) for m = 1..passes.
 
     :func:`power_sums_with_crosses` without the cross sums, whose second
-    reduction per block and pass it skips.
+    reduction per level and power it skips.
     """
     return _power_sums(family, theta, scan, passes, crosses=False)
 
@@ -407,10 +489,16 @@ def power_sums_with_crosses(
     """(tr(K^m), averaged chi-square of K^m, <K^(m-1), K^m>_pi) for m = 1..passes.
 
     ``scan`` is a recipe or ``"random"``, as :func:`evolve_scan` takes it,
-    and K its kernel.  The identity runs through the scan letters in blocks
-    of rows; after pass m a block adds its diagonal to tr(K^m), its squared
-    rows to the average and its rows times those of K^(m-1) to the cross
-    sum.  Both weighted sums are
+    and K its kernel, which is L(h) for any scan (see the module
+    docstring).  Only the identity row runs through the scan letters, pass
+    by pass, giving e K^m over d_m.  The other rows follow one length level
+    at a time: row x of K^m is row x s_i of K^m times T~_i, for i the first
+    right descent of x, so level k is over d_m b^k.  Each level of K^m adds
+    its diagonal to tr(K^m), its squared rows to the average and its rows
+    times those of K^(m-1), swept again beside it, to the cross sum, in
+    chunks of at most ``BLOCK_CELLS`` cells, each lifted by b^(L - k) onto
+    d_m b^L.  At most two levels each of K^(m-1) and K^m are held.  Both
+    weighted sums are
     <A, B>_pi = sum_{x,y} (pi(x) / pi(y)) A[x,y] B[x,y]; the averaged
     chi-square sum_x pi(x) chi_square(delta_x K^m, pi) is <K^m, K^m>_pi - 1.
     With pi(x) proportional to its numerator v_x = b^len(x) a^(L - len(x))
@@ -447,38 +535,54 @@ def _power_sums(family: GroupFamily, theta, scan, passes: int, crosses: bool) ->
     starts = np.searchsorted(lengths[by_length], np.arange(top + 1))
 
     def weighted(rows, A, B) -> int:
-        """sum_x v_x sum_y A[x,y] B[x,y] u_y over the block's rows x."""
+        """sum_x v_x sum_y A[x,y] B[x,y] u_y over the chunk's rows x."""
         per_length = np.add.reduceat((A * B)[:, by_length], starts, axis=1)
         return v[rows] @ (per_length @ u)
 
+    levels = _length_levels(family)
+    # the identity row of K^m, e K^m over dens[m], is level 0 of K^m
+    identity_rows = [np.zeros((1, family.order), dtype=np.int64)]
+    identity_rows[0][0, levels[0][0]] = 1
+    dens = [1]
+    for m in range(passes):
+        row, den = _apply_scan(family, theta, scan, identity_rows[m], dens[m])
+        identity_rows.append(row)
+        dens.append(den)
     height = max(1, BLOCK_CELLS // family.order)
-    traces, squares, cross = [0] * passes, [0] * passes, [0] * passes
-    dens = [1] * (passes + 1)
-    for first in range(0, family.order, height):
-        rows = np.arange(first, min(first + height, family.order))
-        diagonal = (np.arange(len(rows)), rows)
-        block = np.zeros((len(rows), family.order), dtype=np.int64)
-        block[diagonal] = 1
-        previous = _exact(block)
-        for m in range(passes):
-            block, dens[m + 1] = _apply_scan(family, theta, scan, block, dens[m])
-            current = _exact(block)
-            traces[m] += current[diagonal].sum()
-            squares[m] += weighted(rows, current, current)
-            if crosses:
-                cross[m] += weighted(rows, previous, current)
-                previous = current
     scale = (a * b) ** top
-    sums = [
-        (
-            Fraction(int(traces[m]), dens[m + 1]),
-            Fraction(int(squares[m]), scale * dens[m + 1] ** 2) - 1,
+    sums = []
+    for m in range(1, passes + 1):
+        # K^(m-1) is swept again beside K^m for the cross sum, so that two
+        # powers at most are held, whatever the number of passes
+        current_levels = _levels(family, a, b, identity_rows[m], dens[m])
+        previous_levels = (
+            _levels(family, a, b, identity_rows[m - 1], dens[m - 1])
+            if crosses and m > 1
+            else itertools.repeat(None)
         )
-        for m in range(passes)
-    ]
-    if not crosses:
-        return sums
-    return [
-        sums[m] + (Fraction(int(cross[m]), scale * dens[m] * dens[m + 1]),)
-        for m in range(passes)
-    ]
+        trace = square = cross = 0
+        for k, ((rows, _), current_level, previous_level) in enumerate(
+            zip(levels, current_levels, previous_levels)
+        ):
+            # level k is over dens[m] * b^k; b^(top - k) lifts its sums
+            # onto dens[m] * b^top
+            lift = b ** (top - k)
+            for first in range(0, len(rows), height):
+                chunk = slice(first, first + height)
+                current = _exact(current_level[chunk])
+                trace += current[np.arange(len(current)), rows[chunk]].sum() * lift
+                square += weighted(rows[chunk], current, current) * lift**2
+                if previous_level is not None:
+                    previous = _exact(previous_level[chunk])
+                    cross += weighted(rows[chunk], previous, current) * lift**2
+        den = dens[m] * b**top
+        entry = (Fraction(int(trace), den), Fraction(int(square), scale * den**2) - 1)
+        if crosses:
+            # <K^0, K>_pi = sum_x K[x,x] = tr(K), since pi(x) / pi(x) = 1
+            entry += (
+                entry[0]
+                if m == 1
+                else Fraction(int(cross), scale * dens[m - 1] * b**top * den),
+            )
+        sums.append(entry)
+    return sums

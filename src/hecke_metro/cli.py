@@ -6,8 +6,9 @@ Four subcommands drive the library end to end:
     Per-pass chi-square distances for a chosen scan: the closed form from
     the irreducible-block data next to the exact brute-force evolution
     (when the group is small enough to enumerate: matrix-free from the
-    identity, streamed in row blocks with ``--averaged``), the exact total
-    variation distance, and the generic bound ``tv^2 <= chisq / 4``.
+    identity; with ``--averaged``, every row of K^l derived from the
+    identity row by right multiplications), the exact total variation
+    distance, and the generic bound ``tv^2 <= chisq / 4``.
     The reductions work on integer numerators, not a Fraction per cell.
 
 ``verify``
@@ -18,8 +19,9 @@ Four subcommands drive the library end to end:
     pi-averaged chi-square, the long-scan trace spectrum, and the two
     numerical identities satisfied by the block data.  Exit code 1 if
     anything fails.  The operator checks compare integer numerators over
-    common denominators with sparse products in the algebra, or stream
-    row blocks; the only dense kernels are the generators ``K_i``.
+    common denominators with sparse products in the algebra, or derive
+    the rows of the long scan's powers from its identity row; the only
+    dense kernels are the generators ``K_i``.
 
 ``sample``
     Draws from the exact stationary sampler, with the empirical length
@@ -312,7 +314,8 @@ def _analyze_rows(cfg: RunConfig) -> list[dict]:
 
     The identity-start oracle evolves the point mass at the identity one
     scan letter at a time (matrix-free); ``--averaged`` needs every start,
-    so it streams row blocks (:func:`chains.power_sums`), within the budget.
+    so it derives each row of K^l from the identity row, one length level
+    at a time (:func:`chains.power_sums`), within the budget.
     """
     try:
         formulas = [
@@ -438,10 +441,11 @@ def analyze(ctx, family_kind, n, theta_raw, scan, lmin, lmax, averaged, mode, fm
     cap), the total variation distance, the bound tv^2 <= chisq/4, and a
     match flag.  Exits 1 if any row mismatches.  From the identity the
     oracle applies the scan letters to the start vector (matrix-free);
-    with --averaged it streams every start through the scan in row blocks
-    on integer numerators.  Exact --averaged is refused (exit 2) when its
-    |W|^2 cells exceed 20 x HECKE_METRO_CAP; float --averaged then leaves
-    the oracle columns empty.
+    with --averaged it runs the identity row through the scan and derives
+    every other start's row from it by right multiplications in the
+    algebra, on integer numerators.  Exact --averaged is refused (exit 2)
+    when its |W|^2 cells exceed 20 x HECKE_METRO_CAP; float --averaged
+    then leaves the oracle columns empty.
     """
     cfg = _config(
         family=_family(family_kind, n),
@@ -586,10 +590,11 @@ def verify(ctx, family_kind, n, theta_raw, perturb_kernel):
 
     Theta is always parsed exactly here (any decimal or p/q string is a
     rational), so every check is an exact comparison; the operator checks
-    reduce on integer numerators.  Checks 5 and 6 stream every start
-    through three passes of the long scan in row blocks: check 5 compares
-    the squared rows of K (the averaged chi-square) with the diagonal of
-    K^2, check 6 tr(K^1..K^5) with the block sums.  tr(K^1..K^3) are
+    reduce on integer numerators.  Checks 5 and 6 read every row of K,
+    K^2 and K^3 for the long scan K, each derived from the identity row
+    of its power by right multiplications in the algebra: check 5
+    compares the squared rows of K (the averaged chi-square) with the
+    diagonal of K^2, check 6 tr(K^1..K^5) with the block sums.  tr(K^1..K^3) are
     diagonals; tr(K^4) is the averaged chi-square of K^2 plus one and
     tr(K^5) the pi-weighted cross sum of K^2 and K^3.  Both rest on the
     long scan being pi-reversible (its recipe reversed is again two

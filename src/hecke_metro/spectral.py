@@ -56,7 +56,6 @@ from .coxeter import (
     GroupFamily,
     check_q,
     check_theta,
-    degrees,
     enumeration_cap,
     hypercube,
     identity,
@@ -552,7 +551,11 @@ def irreps(family: GroupFamily) -> list[IrrepData]:
 
 
 def _longest_length(family: GroupFamily) -> int:
-    return sum(d - 1 for d in degrees(family))
+    """L = sum of (degree - 1), in closed form, so a huge n lists no degrees."""
+    n = family.n
+    if family.kind == "symmetric":
+        return n * (n - 1) // 2
+    return n  # hypercube: n degrees 2; dihedral: degrees 2 and n
 
 
 def sum_d_t(family: GroupFamily, q) -> Fraction:

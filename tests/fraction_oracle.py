@@ -12,6 +12,9 @@ oracle the fast versions must equal by ``==``:
 * the scan kernel as a product of Fraction matrices K_i built from their
   definition, without ``chains``, with its traces, averaged chi-squares and
   pi-weighted cross sums of consecutive powers;
+* the same sums with every row of the identity streamed through every
+  scan letter on integer numerators, in blocks of rows (the library's path
+  before it read each row of K^m off the identity row);
 * the dense |W| x |W| matrix of left multiplication in the Hecke algebra,
   built from the right action of the generators, and its trace;
 * the symmetric-family closed forms term by term: each generic degree by
@@ -115,6 +118,55 @@ def dense_power_sums(family, theta, scan, passes):
         )
         previous = current
     return out
+
+
+def streamed_power_sums(family, theta, scan, passes):
+    """(tr K^m, <K^m, K^m>_pi - 1, <K^(m-1), K^m>_pi) for m = 1..passes, with
+    every row of the identity streamed through every scan letter in blocks of
+    ``chains.BLOCK_CELLS`` cells, on integer numerators: the library's path
+    before it derived each row of K^m from the identity row."""
+    if passes < 1:
+        raise ValueError("need passes >= 1")
+    theta = Fraction(coxeter.check_theta(theta))
+    scan = chains._check_scan(family, scan)
+    chains.check_dense_cells(family)
+    a, b = theta.numerator, theta.denominator
+    lengths = coxeter.action_tables(family).lengths
+    top = int(lengths.max())
+    v = chains.stationary(family, theta).num
+    u = np.array([a**k * b ** (top - k) for k in range(top + 1)], dtype=object)
+    by_length = np.argsort(lengths, kind="stable")
+    starts = np.searchsorted(lengths[by_length], np.arange(top + 1))
+
+    def weighted(rows, A, B):
+        per_length = np.add.reduceat((A * B)[:, by_length], starts, axis=1)
+        return v[rows] @ (per_length @ u)
+
+    height = max(1, chains.BLOCK_CELLS // family.order)
+    traces, squares, cross = [0] * passes, [0] * passes, [0] * passes
+    dens = [1] * (passes + 1)
+    for first in range(0, family.order, height):
+        rows = np.arange(first, min(first + height, family.order))
+        diagonal = (np.arange(len(rows)), rows)
+        block = np.zeros((len(rows), family.order), dtype=np.int64)
+        block[diagonal] = 1
+        previous = chains._exact(block)
+        for m in range(passes):
+            block, dens[m + 1] = chains._apply_scan(family, theta, scan, block, dens[m])
+            current = chains._exact(block)
+            traces[m] += current[diagonal].sum()
+            squares[m] += weighted(rows, current, current)
+            cross[m] += weighted(rows, previous, current)
+            previous = current
+    scale = (a * b) ** top
+    return [
+        (
+            Fraction(int(traces[m]), dens[m + 1]),
+            Fraction(int(squares[m]), scale * dens[m + 1] ** 2) - 1,
+            Fraction(int(cross[m]), scale * dens[m] * dens[m + 1]),
+        )
+        for m in range(passes)
+    ]
 
 
 def commutes_with_metropolis(K, i):

@@ -375,6 +375,140 @@ def test_cross_sums_of_a_non_reversible_recipe_are_not_traces():
     assert sums[1][2] != sums[2][0]  # <K, K^2>_pi != tr(K^3)
 
 
+# ---------------------------------------------------------------------------
+# power sums from the identity row: row x of K^m is row(x s_i) times T~_i
+
+GRID_THETAS = [
+    Fraction(1),
+    Fraction(1, 2),
+    Fraction(2, 3),
+    Fraction(3, 4),
+    Fraction(1, 2**63),
+    Fraction(1, 3**70),
+    Fraction(10**30 + 1, 10**30 + 7),
+]
+ROW_FAMILIES = (
+    [symmetric(n) for n in range(2, 6)]
+    + [hypercube(n) for n in range(1, 6)]
+    + [dihedral(n) for n in range(3, 13)]
+)
+# the dense Fraction oracle costs |W|^3 per letter: on the whole grid these
+# take 12 s, and S_5, hypercube(5) and dihedral(9..12) would add 40 s more,
+# so those meet it through the streamed oracle, itself checked against it
+DENSE_ROW_FAMILIES = (
+    [symmetric(n) for n in range(2, 5)]
+    + [hypercube(n) for n in range(1, 5)]
+    + [dihedral(n) for n in range(3, 9)]
+)
+
+
+def _grid_scans(family):
+    """The long, short and random scans, and the ascending sweep (1, ..., rank),
+    which is not pi-reversible once the rank is 2 or more."""
+    return _scans(family) + [tuple(coxeter.generators(family))]
+
+
+@pytest.mark.parametrize("family", DENSE_ROW_FAMILIES, ids=str)
+def test_power_sums_from_the_identity_row_equal_the_dense_oracle(family):
+    for theta in GRID_THETAS:
+        for scan in _grid_scans(family):
+            sums = power_sums_with_crosses(family, theta, scan, 2)
+            assert sums == oracle.dense_power_sums(family, theta, scan, 2), (theta, scan)
+            assert power_sums(family, theta, scan, 2) == [entry[:2] for entry in sums]
+
+
+@pytest.mark.parametrize("family", ROW_FAMILIES, ids=str)
+def test_power_sums_from_the_identity_row_equal_the_streamed_rows(family):
+    for theta in GRID_THETAS:
+        for scan in _grid_scans(family):
+            sums = power_sums_with_crosses(family, theta, scan, 3)
+            assert sums == oracle.streamed_power_sums(family, theta, scan, 3), (theta, scan)
+            assert power_sums(family, theta, scan, 3) == [entry[:2] for entry in sums]
+
+
+@pytest.mark.parametrize("family", [symmetric(6), hypercube(8), dihedral(60)], ids=str)
+def test_power_sums_equal_the_streamed_rows_on_large_groups(family):
+    theta = Fraction(3, 4)
+    for scan in _scans(family):
+        sums = power_sums_with_crosses(family, theta, scan, 2)
+        assert sums == oracle.streamed_power_sums(family, theta, scan, 2), scan
+
+
+@given(
+    family=st.sampled_from([symmetric(3), symmetric(4), hypercube(3), dihedral(5)]),
+    theta=st.sampled_from(GRID_THETAS[:5]),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_power_sums_of_random_recipes_equal_the_dense_oracle(family, theta, data):
+    gens = st.integers(min_value=1, max_value=family.rank)
+    recipe = tuple(data.draw(st.lists(gens, min_size=1, max_size=6)))
+    passes = data.draw(st.integers(min_value=1, max_value=3))
+    sums = power_sums_with_crosses(family, theta, recipe, passes)
+    assert sums == oracle.dense_power_sums(family, theta, recipe, passes)
+    assert power_sums(family, theta, recipe, passes) == [entry[:2] for entry in sums]
+
+
+def test_a_level_widens_in_the_middle_of_the_sweep(monkeypatch):
+    # hypercube(3) long at theta = 1/2: six letters a pass, so the identity
+    # row of K^10 is over 2^60 and stays int64 through 60 letters.  Its
+    # level-k rows are over 2^(60 + k); the level-3 row would reach 2^63,
+    # so only the last of the 60 sweep letters (10 powers, 3 + 2 + 1 rows
+    # grouped by first right descent) runs on Python ints
+    family, theta = hypercube(3), Fraction(1, 2)
+    scan = long_recipe(family)
+    seen = _letter_dtypes(monkeypatch)
+    sums = power_sums(family, theta, scan, 10)
+    assert seen == [np.dtype(np.int64)] * 119 + [np.dtype(object)]
+    dense = oracle.dense_power_sums(family, theta, scan, 10)
+    assert sums == [entry[:2] for entry in dense]
+    assert power_sums_with_crosses(family, theta, scan, 10) == dense
+
+
+def test_power_sums_need_a_pass():
+    for passes in (0, -1):
+        for sums in (power_sums, power_sums_with_crosses):
+            with pytest.raises(ValueError):
+                sums(symmetric(3), Fraction(1, 2), long_recipe(symmetric(3)), passes)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [symmetric(n) for n in range(2, 7)]
+    + [hypercube(n) for n in range(1, 9)]
+    + [dihedral(n) for n in range(3, 13)],
+    ids=str,
+)
+def test_right_action_columns_and_length_levels(family):
+    """The right-action columns read off the left tables equal those of
+    w -> w s_i built element by element; each level-k row is derived from a
+    parent x s_i of length k - 1, with i its first right descent."""
+    perms, ups = oracle.right_action_tables(family)
+    lengths = coxeter.action_tables(family).lengths
+    for (down, from_down, rise, from_rise), perm, up in zip(
+        chains._right_letter_columns(family), perms, ups
+    ):
+        assert (down == np.flatnonzero(~up)).all() and (from_down == perm[down]).all()
+        assert (rise == np.flatnonzero(up)).all() and (from_rise == perm[rise]).all()
+    levels = chains._length_levels(family)
+    assert len(levels) == lengths.max() + 1
+    assert sorted(np.concatenate([rows for rows, _ in levels])) == list(range(family.order))
+    previous = None
+    for k, (rows, steps) in enumerate(levels):
+        assert (lengths[rows] == k).all()
+        if k == 0:
+            assert steps == []
+        else:
+            assert sum(len(at) for _, at in steps) == len(rows)
+            children = iter(rows)
+            for i, at in steps:
+                for parent in previous[at]:
+                    x = next(children)
+                    assert perms[i][x] == parent and lengths[parent] == k - 1
+                    assert [bool(u[x]) for u in ups[:i]] == [True] * i  # no earlier descent
+        previous = rows
+
+
 @pytest.mark.parametrize("family", EVOLVE_FAMILIES, ids=str)
 def test_integer_balance_checks_equal_the_fraction_oracle(family):
     """check_reversible and check_stationary against their Fraction loops, by ==,

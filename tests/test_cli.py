@@ -164,6 +164,19 @@ def test_float_symmetric_analyze_past_the_partition_cap_is_refused(runner, n, bo
     assert "cap 50000" in res.output
 
 
+@pytest.mark.parametrize("scan", ["long", "short"])
+def test_float_symmetric_analyze_at_a_trillion_is_refused(runner, scan):
+    # the longest length n(n-1)/2 is read in closed form, not summed over
+    # the n - 1 degrees, so nothing of size n is built before the gate
+    res = invoke(
+        runner,
+        "analyze", "--family", "symmetric", "--n", "1000000000000", "--scan", scan,
+        "--mode", "float", "--theta", "1/2", "--lmax", "1",
+    )
+    assert res.exit_code == 2
+    assert "p(1000000000000) >= p(42) = 53174" in res.output
+
+
 def test_analyze_cap_is_configurable_through_the_environment(runner):
     res = invoke(
         runner,

@@ -9,8 +9,10 @@ pi(w) proportional to theta^{-length(w)} is
 
 and systematic scans are matrix products of these.  All arithmetic is on
 integers over a single shared denominator, so every identity check in
-this module is exact.  One letter routine right-multiplies a block of
-rows by K_i at O(|W|) per row:
+this module is exact.  One letter routine right-multiplies a row by K_i
+at O(|W|): for theta = a/b a descent cell z of the row takes
+``row[s] * b + row[z] * (b - a)`` and an ascent cell ``row[s] * a``, with
+s = s_i z read off :func:`coxeter.action_tables`.
 
 * :func:`evolve_scan` applies it to the single row of a start
   distribution, so one pass of a scan costs O(|W| * letters) and no
@@ -24,25 +26,20 @@ rows by K_i at O(|W|) per row:
   routine applies right multiplication by T~_i, on right-action columns,
   one length level at a time, so a pass costs O(|W|^2) whatever the
   number of letters.  It reads tr(K^m) and the pi-averaged chi-square of
-  K^m off each level; :func:`power_sums_with_crosses` also reads the
+  K^m off each row; :func:`power_sums_with_crosses` also reads the
   pi-weighted cross sum of K^(m-1) and K^m.  Neither holds more than two
   levels each of two powers, never a |W| x |W| power;
-* :func:`scan_kernel` and :func:`random_scan_kernel` apply it to the
-  whole identity, giving the dense |W| x |W| kernel (O(|W|^2) cells).  A
-  single-generator kernel K_i is the scan of the one-letter recipe (i,).
-  Work on every start, dense or row by row, is refused before it begins
-  when its |W|^2 cells exceed :func:`dense_cell_budget`.
+* :func:`scan_kernel` and :func:`random_scan_kernel` apply it to every
+  row of the identity, giving the dense |W| x |W| kernel (O(|W|^2)
+  cells).  A single-generator kernel K_i is the scan of the one-letter
+  recipe (i,); :func:`generator_rows` reads its rows, at most two
+  nonzeros each, straight off the action tables instead.  Work on every
+  start, dense or row by row, is refused before it begins when its
+  |W|^2 cells exceed :func:`dense_cell_budget`.
 
-A block of rows over one denominator ``den`` has no negative entry and
-every row sums to ``den``, so no entry exceeds it, and after a letter over
-b none exceeds ``den * b`` (``den * b * m`` after a random-scan pass, the
-sum of m letters).  So a block is held as ``np.int64`` while that product
-fits, and moved to Python ints (object dtype) just before a letter or a
-random-scan pass would take it past 2^63 - 1; one letter routine serves
-both.  A length-k level of K^m over ``den``, the identity row's
-denominator, is over ``den * b^k``, which is again its row sum, so the same
-rule holds level by level.  Every reduction, and every :class:`Kernel` or
-:class:`Distribution` that leaves this module, is on Python ints.
+A row is a list of Python ints over one denominator.  Python ints do not
+overflow, so a row never changes representation however large its
+denominator grows, and every reduction runs over one row at a time.
 
 A :class:`Distribution` is held the same way, as integer numerators
 ``num`` over one denominator ``den``; :meth:`Distribution.of` is the one
@@ -65,8 +62,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from operator import mul
 
 from . import coxeter
 from .coxeter import CapExceededError, GroupElement, GroupFamily
@@ -80,6 +76,7 @@ __all__ = [
     "chi_square",
     "dense_cell_budget",
     "evolve_scan",
+    "generator_rows",
     "long_recipe",
     "long_scan_kernel",
     "point_mass",
@@ -99,16 +96,6 @@ __all__ = [
 # enumeration cap admits: 10^6 cells at the default cap, which admits the
 # symmetric group S_6 (518400 cells) and refuses S_7 (25.4 million).
 DENSE_CELLS_PER_ELEMENT = 20
-
-# Cells of a level that power_sums reduces at once.  On a 2-core host the
-# time did not depend on it from 2^10 cells to whole levels (S_6, hypercube(8),
-# dihedral(60)); the traced peak did: 1.7 MiB up to 2^14 cells and 2.5 MiB
-# with whole levels for one short-scan pass on S_6, 1.9 and 2.7 MiB for two
-# long-scan passes on hypercube(8), where the levels themselves are small.
-BLOCK_CELLS = 1 << 12
-
-# The largest row sum a block may keep in int64 (see _apply_scan).
-INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def dense_cell_budget() -> int:
@@ -132,18 +119,23 @@ def check_dense_cells(family: GroupFamily) -> None:
 class Distribution:
     """Exact probability vector num/den over the enumeration order of a family.
 
-    ``num`` holds integer numerators, ``den`` their one shared denominator;
-    the pair need not be in lowest terms.
+    ``num`` holds one integer numerator per element, ``den`` their one
+    shared denominator; the pair need not be in lowest terms.
     """
 
     family: GroupFamily
-    num: np.ndarray  # object dtype, int entries
+    num: list[int]
     den: int
 
     def __post_init__(self) -> None:
-        if (self.num < 0).any():
+        if len(self.num) != self.family.order:
+            raise ValueError(
+                f"{len(self.num)} numerators for the {self.family.order} elements of "
+                f"{self.family}"
+            )
+        if min(self.num) < 0:
             raise ValueError("negative probability entry")
-        total = self.num.sum()
+        total = sum(self.num)
         if self.den < 1 or total != self.den:
             raise ValueError(f"numerators sum to {total}, not the denominator {self.den}")
 
@@ -152,32 +144,41 @@ class Distribution:
         """The distribution with exact probabilities ``probs``, over their lcm."""
         probs = [Fraction(p) for p in probs]
         den = math.lcm(*(p.denominator for p in probs))
-        num = [p.numerator * (den // p.denominator) for p in probs]
-        return cls(family, np.array(num, dtype=object), den)
+        return cls(family, [p.numerator * (den // p.denominator) for p in probs], den)
 
     @property
-    def probs(self) -> np.ndarray:
-        """Per-cell ``Fraction`` view (object dtype)."""
-        return np.array([Fraction(int(v), self.den) for v in self.num], dtype=object)
+    def probs(self) -> list[Fraction]:
+        """Per-cell ``Fraction`` view."""
+        return [Fraction(v, self.den) for v in self.num]
+
+
+def _entries(row) -> list[tuple[int, int]]:
+    """(column, numerator) of the nonzero entries of a dense or sparse row."""
+    return [(y, v) for y, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v]
 
 
 @dataclass
 class Kernel:
-    """Row-stochastic matrix num/den with integer num and shared den."""
+    """Row-stochastic matrix num/den with integer num and shared den.
+
+    ``num`` holds the rows, each a list of |W| numerators or, for a
+    sparse row, a dict {column: numerator} of its nonzero entries.
+    """
 
     family: GroupFamily
     theta: Fraction
-    num: np.ndarray  # object dtype, int entries
+    num: list
     den: int
 
     @property
-    def matrix(self) -> np.ndarray:
+    def matrix(self) -> list[list[Fraction]]:
         """Dense Fraction view (row-stochastic)."""
-        n = self.num.shape[0]
-        out = np.empty((n, n), dtype=object)
-        for x in range(n):
-            row = self.num[x]
-            out[x] = [Fraction(int(v), self.den) for v in row]
+        out = []
+        for row in self.num:
+            dense = [Fraction(0)] * self.family.order
+            for y, v in _entries(row):
+                dense[y] = Fraction(v, self.den)
+            out.append(dense)
         return out
 
 
@@ -195,50 +196,74 @@ def stationary(family: GroupFamily, theta) -> Distribution:
     theta = Fraction(coxeter.check_theta(theta))
     a, b = theta.numerator, theta.denominator
     lengths = coxeter.action_tables(family).lengths
-    top = int(lengths.max())
+    top = max(lengths)
     # q^l up to the common factor a^top, for l = 0..top
     weights = [b**l * a ** (top - l) for l in range(top + 1)]
-    norm = sum(int(c) * w for c, w in zip(np.bincount(lengths), weights))
-    return Distribution(family, np.array(weights, dtype=object)[lengths], norm)
+    num = [weights[l] for l in lengths]
+    return Distribution(family, num, sum(num))
 
 
 def point_mass(family: GroupFamily, w: GroupElement) -> Distribution:
-    num = np.zeros(family.order, dtype=object)
+    num = [0] * family.order
     num[element_index(family, w)] = 1
     return Distribution(family, num, 1)
 
 
-def _columns(perm: np.ndarray, up: np.ndarray) -> tuple:
-    """The descent columns z (not ``up[z]``), their sources ``perm[z]``, the
-    ascent columns and theirs, as index arrays."""
-    down, rise = np.flatnonzero(~up), np.flatnonzero(up)
-    return down, perm[down], rise, perm[rise]
+def generator_rows(family: GroupFamily, theta, i: int) -> list[dict[int, int]]:
+    """The rows of K_i over theta's denominator b, each a dict of its nonzero
+    entries, read straight off the action tables.
 
-
-@functools.lru_cache(maxsize=16)
-def _letter_columns(family: GroupFamily) -> tuple:
-    """Per generator i, the columns of K_i: descents are length(s_i z) < length(z)."""
+    For theta = a/b, row x moves b to s_i x when that lengthens x; otherwise
+    it moves a to s_i x and keeps b - a on x (nothing at theta = 1).
+    """
+    theta = Fraction(coxeter.check_theta(theta))
+    if i not in coxeter.generators(family):
+        raise ValueError(f"generator index {i} out of range for {family}")
+    a, b = theta.numerator, theta.denominator
     tables = coxeter.action_tables(family)
-    return tuple(_columns(perm, up) for perm, up in zip(tables.perms, tables.ups))
+    perm, up = tables.perms[i - 1], tables.ups[i - 1]
+    return [
+        {y: b} if rises or a == b else {y: a, x: b - a}
+        for x, (y, rises) in enumerate(zip(perm, up))
+    ]
+
+
+def _letter(row: list[int], perm: list[int], up: list[bool], a: int, b: int) -> list[int]:
+    """``row``, over some den, times the matrix of a letter, over den*b: K_i
+    for the tables of s_i w, or right multiplication by T~_i in the T~ basis
+    for those of w s_i (:func:`_right_letters`).
+
+    Cell z receives from s = perm[z]: a descent cell (not ``up[z]``) gets
+    the move up from s plus its own holding term, an ascent cell the move
+    down from s.
+    """
+    c = b - a
+    return [
+        moved * a if rises else moved * b + stay * c
+        for moved, rises, stay in zip(map(row.__getitem__, perm), up, row)
+    ]
 
 
 @functools.lru_cache(maxsize=16)
-def _right_letter_columns(family: GroupFamily) -> tuple:
-    """Per generator i, the columns of right multiplication by T~_i in the T~
-    basis, which :func:`_apply_letter_columns` applies as it applies K_i.
+def _right_letters(family: GroupFamily) -> tuple[tuple[list[int], list[bool]], ...]:
+    """Per generator i, the tables of w -> w s_i: index and up-mask, which
+    :func:`_letter` applies as right multiplication by T~_i.
 
-    The right action w -> w s_i is read off the left tables as
-    ``inv[perm_i[inv]]``, since w s_i = (s_i w^-1)^-1; descents are
-    length(z s_i) < length(z).
+    The right action is read off the left tables as ``inv[perm_i[inv[w]]]``,
+    since w s_i = (s_i w^-1)^-1; ups are length(w s_i) > length(w).
     """
     tables = coxeter.action_tables(family)
-    inv = np.array([tables.index[coxeter.inverse(w)] for w in tables.elements])
-    rights = [inv[perm[inv]] for perm in tables.perms]
-    return tuple(_columns(right, tables.lengths[right] > tables.lengths) for right in rights)
+    inv = [tables.index[coxeter.inverse(w)] for w in tables.elements]
+    lengths = tables.lengths
+    letters = []
+    for perm in tables.perms:
+        right = [inv[perm[inverse]] for inverse in inv]
+        letters.append((right, [lengths[t] > l for t, l in zip(right, lengths)]))
+    return tuple(letters)
 
 
 @functools.lru_cache(maxsize=16)
-def _length_levels(family: GroupFamily) -> tuple:
+def _length_levels(family: GroupFamily) -> tuple[tuple[list[int], list], ...]:
     """The elements by length, as (rows, steps) per length k = 0..L.
 
     ``rows`` lists the elements of length k, grouped by their first right
@@ -246,56 +271,46 @@ def _length_levels(family: GroupFamily) -> tuple:
     their parents x s_i, in the same order.  Level 0 is the identity alone.
     """
     lengths = coxeter.action_tables(family).lengths
-    right = _right_letter_columns(family)
-    first = np.full(family.order, family.rank)  # the first right descent
+    right = _right_letters(family)
+    first = [family.rank] * family.order  # the first right descent
     for i in range(family.rank - 1, -1, -1):
-        first[right[i][0]] = i
-    rows = np.flatnonzero(lengths == 0)
-    levels = [(rows, [])]
-    position = np.empty(family.order, dtype=np.intp)  # of each row in its level
-    position[rows] = 0
-    for k in range(1, int(lengths.max()) + 1):
-        children, steps = [], []
-        for i, (down, parent, _, _) in enumerate(right):
-            keep = (lengths[down] == k) & (first[down] == i)
-            if keep.any():
-                children.append(down[keep])
-                steps.append((i, position[parent[keep]]))
-        rows = np.concatenate(children)
-        position[rows] = np.arange(len(rows))
+        for z, rises in enumerate(right[i][1]):
+            if not rises:
+                first[z] = i
+    top = max(lengths)
+    groups = [[[] for _ in range(family.rank)] for _ in range(top + 1)]
+    for z, (k, i) in enumerate(zip(lengths, first)):
+        if k:
+            groups[k][i].append(z)
+    levels = [([lengths.index(0)], [])]
+    position = [0] * family.order  # of each element in its level
+    for k in range(1, top + 1):
+        rows, steps = [], []
+        for i, children in enumerate(groups[k]):
+            if children:
+                perm = right[i][0]
+                steps.append((i, [position[perm[z]] for z in children]))
+                rows.extend(children)
+        for at, z in enumerate(rows):
+            position[z] = at
         levels.append((rows, steps))
     return tuple(levels)
 
 
-def _apply_letter_columns(num: np.ndarray, letter, a: int, b: int) -> np.ndarray:
-    """Right-multiply num (over den) by the matrix of ``letter``, over b: K_i
-    from :func:`_letter_columns`, or right multiplication by T~_i from
-    :func:`_right_letter_columns`.  The result is over den*b."""
-    down, from_down, rise, from_rise = letter
-    out = np.empty_like(num)
-    # a descent column z receives the move up from s_i z plus its holding term
-    out[:, down] = np.take(num, from_down, axis=1) * b + np.take(num, down, axis=1) * (b - a)
-    out[:, rise] = np.take(num, from_rise, axis=1) * a
-    return out
-
-
-def _levels(family: GroupFamily, a: int, b: int, row: np.ndarray, den: int):
+def _levels(family: GroupFamily, a: int, b: int, row: list[int]):
     """The rows of L(h) by length, from its identity row ``row``, the
-    T~-coefficients of h over ``den``, for theta = a/b.
+    T~-coefficients of h over some den, for theta = a/b.
 
-    Yields each level of :func:`_length_levels` in turn, level k over
-    ``den * b^k``.  Left multiplication commutes with right multiplication,
-    so row x, the coefficients of h T~_x, is row x s_i times T~_i; each
-    level is made from the one before and replaces it.
+    Yields each level of :func:`_length_levels` in turn, a list of rows,
+    level k over ``den * b^k``.  Left multiplication commutes with right
+    multiplication, so row x, the coefficients of h T~_x, is row x s_i times
+    T~_i; each level is made from the one before and replaces it.
     """
-    right = _right_letter_columns(family)
-    level = row
+    right = _right_letters(family)
+    level = [row]
     for k, (_, steps) in enumerate(_length_levels(family)):
         if k:
-            level = _fit(level, den * b ** (k - 1), b)
-            level = np.concatenate(
-                [_apply_letter_columns(level[at], right[i], a, b) for i, at in steps]
-            )
+            level = [_letter(level[at], *right[i], a, b) for i, ats in steps for at in ats]
         yield level
 
 
@@ -313,55 +328,40 @@ def _check_scan(family: GroupFamily, scan) -> tuple[int, ...] | str:
     return recipe
 
 
-def _fit(block: np.ndarray, den: int, factor: int) -> np.ndarray:
-    """``block``, moved to Python ints if its row sum ``den`` times ``factor`` would
-    pass the int64 range."""
-    if block.dtype != object and den * factor > INT64_MAX:
-        return block.astype(object)
-    return block
+def _apply_scan(family: GroupFamily, theta: Fraction, scan, row: list[int], den: int):
+    """Right-multiply ``row``, over ``den``, by one pass of the scan kernel.
 
-
-def _exact(block: np.ndarray) -> np.ndarray:
-    """``block`` as Python ints (object dtype), for reductions and results."""
-    return block if block.dtype == object else block.astype(object)
-
-
-def _apply_scan(family: GroupFamily, theta: Fraction, scan, block=None, den: int = 1):
-    """Right-multiply a row block over ``den`` by one pass of the scan kernel.
-
-    Every row of the block sums to ``den`` and no entry is negative.
-    Returns the new block and its denominator: ``den`` times b per letter
-    of a recipe, or times b*m for the random scan, which is the sum of the
-    m one-letter images.  An int64 block is moved to Python ints just
-    before a letter (or a random-scan pass) would take that row sum past
-    int64 (see the module docstring).  Without a block this is the kernel
-    itself; for a recipe, the identity it starts from is dropped after the
-    first letter rather than held by the caller for the whole pass.
+    Returns the new row and its denominator: ``den`` times b per letter of
+    a recipe, or times b*m for the random scan, which is the sum of the m
+    one-letter images.
     """
-    if block is None:
-        check_dense_cells(family)
-        block = np.identity(family.order, dtype=np.int64)
+    tables = coxeter.action_tables(family)
     a, b = theta.numerator, theta.denominator
     if scan == "random":
-        factor = b * family.rank
-        block = _fit(block, den, factor)
-        out = np.zeros_like(block)
-        for letter in _letter_columns(family):
-            out += _apply_letter_columns(block, letter, a, b)
-        return out, den * factor
+        images = [_letter(row, perm, up, a, b) for perm, up in zip(tables.perms, tables.ups)]
+        return list(map(sum, zip(*images))), den * b * family.rank
     for i in scan:
-        block = _fit(block, den, b)
-        block = _apply_letter_columns(block, _letter_columns(family)[i - 1], a, b)
-        den *= b
-    return block, den
+        row = _letter(row, tables.perms[i - 1], tables.ups[i - 1], a, b)
+    return row, den * b ** len(scan)
+
+
+def _kernel(family: GroupFamily, theta, scan) -> Kernel:
+    """The scan's dense kernel: every row of the identity through one pass."""
+    theta = Fraction(coxeter.check_theta(theta))
+    scan = _check_scan(family, scan)
+    check_dense_cells(family)
+    rows, den = [], 1
+    for x in range(family.order):
+        unit = [0] * family.order
+        unit[x] = 1
+        row, den = _apply_scan(family, theta, scan, unit, 1)
+        rows.append(row)
+    return Kernel(family, theta, rows, den)
 
 
 def scan_kernel(family: GroupFamily, theta, recipe) -> Kernel:
     """Systematic scan K_{i_1} K_{i_2} ... K_{i_k} for recipe (i_1, ..., i_k)."""
-    theta = Fraction(coxeter.check_theta(theta))
-    recipe = _check_scan(family, tuple(recipe))
-    num, den = _apply_scan(family, theta, recipe)
-    return Kernel(family, theta, _exact(num), den)
+    return _kernel(family, theta, tuple(recipe))
 
 
 def short_recipe(family: GroupFamily) -> tuple[int, ...]:
@@ -408,9 +408,7 @@ def long_scan_kernel(family: GroupFamily, theta) -> Kernel:
 
 def random_scan_kernel(family: GroupFamily, theta) -> Kernel:
     """Uniform mixture (1/rank) sum_i K_i."""
-    theta = Fraction(coxeter.check_theta(theta))
-    num, den = _apply_scan(family, theta, "random")
-    return Kernel(family, theta, _exact(num), den)
+    return _kernel(family, theta, "random")
 
 
 def evolve_scan(
@@ -431,45 +429,53 @@ def evolve_scan(
         raise ValueError("family mismatch")
     theta = Fraction(coxeter.check_theta(theta))
     scan = _check_scan(family, scan)
-    block, den = start.num[None, :], start.den
-    if den <= INT64_MAX:
-        block = block.astype(np.int64)
+    row, den = start.num, start.den
     for _ in range(ell):
-        block, den = _apply_scan(family, theta, scan, block, den)
-    return Distribution(family, _exact(block[0]), den)
+        row, den = _apply_scan(family, theta, scan, row, den)
+    return Distribution(family, list(row), den)
 
 
 def tv_distance(p: Distribution, pi: Distribution) -> Fraction:
     """Total variation distance (half the L1 distance)."""
     if p.family != pi.family:
         raise ValueError("family mismatch")
-    P, dp, Q, dq = p.num, p.den, pi.num, pi.den
+    dp, dq = p.den, pi.den
     # over the common denominator dp * dq
-    return Fraction(int(np.abs(P * dq - Q * dp).sum()), 2 * dp * dq)
+    return Fraction(sum(abs(P * dq - Q * dp) for P, Q in zip(p.num, pi.num)), 2 * dp * dq)
 
 
 def chi_square(p: Distribution, pi: Distribution) -> Fraction:
     """Chi-square divergence sum_x (p(x) - pi(x))^2 / pi(x)."""
     if p.family != pi.family:
         raise ValueError("family mismatch")
-    P, dp, Q, dq = p.num, p.den, pi.num, pi.den
-    if not Q.all():
+    dp, dq = p.den, pi.den
+    if not all(pi.num):
         raise ValueError("reference distribution has a zero entry")
     # (p - pi)^2 / pi = (P dq - Q dp)^2 / (dp^2 dq Q), over lcm(Q) = M
-    M = math.lcm(*Q)
-    diff = P * dq - Q * dp
-    return Fraction(int((diff * diff * (M // Q)).sum()), dp * dp * dq * M)
+    M = math.lcm(*pi.num)
+    total = sum((P * dq - Q * dp) ** 2 * (M // Q) for P, Q in zip(p.num, pi.num))
+    return Fraction(total, dp * dp * dq * M)
 
 
 def check_reversible(K: Kernel, pi: Distribution) -> bool:
-    """Exact detailed-balance check pi(x) K(x,y) == pi(y) K(y,x)."""
-    weighted = pi.num[:, None] * K.num
-    return bool((weighted == weighted.T).all())
+    """Exact detailed-balance check pi(x) K(x,y) == pi(y) K(y,x), over the
+    nonzero entries of the rows of K, dense or sparse."""
+    v = pi.num
+    rows = [dict(_entries(row)) for row in K.num]
+    return all(
+        v[x] * value == v[y] * rows[y].get(x, 0)
+        for x, row in enumerate(rows)
+        for y, value in row.items()
+    )
 
 
 def check_stationary(K: Kernel, pi: Distribution) -> bool:
-    """Exact check that pi K == pi."""
-    return bool((pi.num @ K.num == pi.num * K.den).all())
+    """Exact check that pi K == pi, over the nonzero entries of the rows of K."""
+    flow = [0] * len(pi.num)
+    for weight, row in zip(pi.num, K.num):
+        for y, value in _entries(row):
+            flow[y] += weight * value
+    return all(f == v * K.den for f, v in zip(flow, pi.num))
 
 
 def power_sums(
@@ -495,9 +501,9 @@ def power_sums_with_crosses(
     at a time: row x of K^m is row x s_i of K^m times T~_i, for i the first
     right descent of x, so level k is over d_m b^k.  Each level of K^m adds
     its diagonal to tr(K^m), its squared rows to the average and its rows
-    times those of K^(m-1), swept again beside it, to the cross sum, in
-    chunks of at most ``BLOCK_CELLS`` cells, each lifted by b^(L - k) onto
-    d_m b^L.  At most two levels each of K^(m-1) and K^m are held.  Both
+    times those of K^(m-1), swept again beside it, to the cross sum, row
+    by row, each level lifted by b^(L - k) onto d_m b^L.  At most two
+    levels each of K^(m-1) and K^m are held.  Both
     weighted sums are
     <A, B>_pi = sum_{x,y} (pi(x) / pi(y)) A[x,y] B[x,y]; the averaged
     chi-square sum_x pi(x) chi_square(delta_x K^m, pi) is <K^m, K^m>_pi - 1.
@@ -509,7 +515,7 @@ def power_sums_with_crosses(
         <A, B>_pi = sum_x v_x sum_y A[x,y] B[x,y] u_y / ((ab)^L d_A d_B),
 
     and since u_y depends on len(y) alone, each row sums its products by
-    length before it meets the large weights.
+    length before it meets the large weights; v_x is shared by a level.
 
     When K is pi-reversible, pi(x) K^k(x,y) = pi(y) K^k(y,x), so
     <K^j, K^k>_pi = tr(K^(j+k)): the cross sum of pass m is tr(K^(2m-1)),
@@ -527,62 +533,59 @@ def _power_sums(family: GroupFamily, theta, scan, passes: int, crosses: bool) ->
     check_dense_cells(family)
     a, b = theta.numerator, theta.denominator
     lengths = coxeter.action_tables(family).lengths
-    top = int(lengths.max())
-    v = stationary(family, theta).num
-    u = np.array([a**k * b ** (top - k) for k in range(top + 1)], dtype=object)
-    # columns grouped by length; every length 0..top occurs
-    by_length = np.argsort(lengths, kind="stable")
-    starts = np.searchsorted(lengths[by_length], np.arange(top + 1))
+    top = max(lengths)
+    # a row read in this order has the columns of each length in one slice;
+    # every length 0..top occurs
+    by_length = sorted(range(family.order), key=lengths.__getitem__)
+    counts = [0] * (top + 1)
+    for length in lengths:
+        counts[length] += 1
+    ends = [0, *itertools.accumulate(counts)]
+    slices = [(a**k * b ** (top - k), ends[k], ends[k + 1]) for k in range(top + 1)]
 
-    def weighted(rows, A, B) -> int:
-        """sum_x v_x sum_y A[x,y] B[x,y] u_y over the chunk's rows x."""
-        per_length = np.add.reduceat((A * B)[:, by_length], starts, axis=1)
-        return v[rows] @ (per_length @ u)
+    def weighted(A: list[int], B: list[int]) -> int:
+        """sum_y A[y] B[y] u_y."""
+        products = list(map(mul, map(A.__getitem__, by_length), map(B.__getitem__, by_length)))
+        return sum(u * sum(products[lo:hi]) for u, lo, hi in slices)
 
     levels = _length_levels(family)
     # the identity row of K^m, e K^m over dens[m], is level 0 of K^m
-    identity_rows = [np.zeros((1, family.order), dtype=np.int64)]
-    identity_rows[0][0, levels[0][0]] = 1
-    dens = [1]
+    row = [0] * family.order
+    row[levels[0][0][0]] = 1
+    identity_rows, dens = [row], [1]
     for m in range(passes):
-        row, den = _apply_scan(family, theta, scan, identity_rows[m], dens[m])
+        row, den = _apply_scan(family, theta, scan, row, dens[m])
         identity_rows.append(row)
         dens.append(den)
-    height = max(1, BLOCK_CELLS // family.order)
     scale = (a * b) ** top
     sums = []
     for m in range(1, passes + 1):
         # K^(m-1) is swept again beside K^m for the cross sum, so that two
         # powers at most are held, whatever the number of passes
-        current_levels = _levels(family, a, b, identity_rows[m], dens[m])
+        current_levels = _levels(family, a, b, identity_rows[m])
         previous_levels = (
-            _levels(family, a, b, identity_rows[m - 1], dens[m - 1])
+            _levels(family, a, b, identity_rows[m - 1])
             if crosses and m > 1
             else itertools.repeat(None)
         )
         trace = square = cross = 0
-        for k, ((rows, _), current_level, previous_level) in enumerate(
+        for k, ((rows, _), current, previous) in enumerate(
             zip(levels, current_levels, previous_levels)
         ):
-            # level k is over dens[m] * b^k; b^(top - k) lifts its sums
-            # onto dens[m] * b^top
+            # level k is over dens[m] * b^k; b^(top - k) lifts its sums onto
+            # dens[m] * b^top, and its rows x share v_x = b^k a^(top - k)
             lift = b ** (top - k)
-            for first in range(0, len(rows), height):
-                chunk = slice(first, first + height)
-                current = _exact(current_level[chunk])
-                trace += current[np.arange(len(current)), rows[chunk]].sum() * lift
-                square += weighted(rows[chunk], current, current) * lift**2
-                if previous_level is not None:
-                    previous = _exact(previous_level[chunk])
-                    cross += weighted(rows[chunk], previous, current) * lift**2
+            weight = b**k * a ** (top - k) * lift * lift
+            trace += sum(map(list.__getitem__, current, rows)) * lift
+            square += sum(weighted(A, A) for A in current) * weight
+            if previous is not None:
+                cross += sum(map(weighted, previous, current)) * weight
         den = dens[m] * b**top
-        entry = (Fraction(int(trace), den), Fraction(int(square), scale * den**2) - 1)
+        entry = (Fraction(trace, den), Fraction(square, scale * den**2) - 1)
         if crosses:
             # <K^0, K>_pi = sum_x K[x,x] = tr(K), since pi(x) / pi(x) = 1
             entry += (
-                entry[0]
-                if m == 1
-                else Fraction(int(cross), scale * dens[m - 1] * b**top * den),
+                entry[0] if m == 1 else Fraction(cross, scale * dens[m - 1] * b**top * den),
             )
         sums.append(entry)
     return sums

@@ -19,14 +19,16 @@ Four subcommands drive the library end to end:
     pi-averaged chi-square, the long-scan trace spectrum, and the two
     numerical identities satisfied by the block data.  Exit code 1 if
     anything fails.  The operator checks compare integer numerators over
-    common denominators with sparse products in the algebra, or derive
-    the rows of the long scan's powers from its identity row; the only
-    dense kernels are the generators ``K_i``.
+    common denominators with sparse products in the algebra, read the rows
+    of the generators ``K_i`` off the action tables, or derive the rows of
+    the long scan's powers from its identity row; no dense kernel is
+    built.
 
 ``sample``
     Draws from the exact stationary sampler, with the empirical length
     moments checked against the closed-form mean and variance (and the
-    empirical total variation, when the group fits under the cap).
+    empirical total variation, when the group fits under the cap).  The
+    one subcommand that imports numpy, whose PCG64 stream it draws from.
 
 ``bounds``
     Evaluates the closed-form upper bounds and the lead-constant table
@@ -69,7 +71,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import click
-import numpy as np
 
 from . import __version__, chains, coxeter, hecke, sampler, spectral
 from .coxeter import CapExceededError, GroupFamily
@@ -485,31 +486,34 @@ def analyze(ctx, family_kind, n, theta_raw, scan, lmin, lmax, averaged, mode, fm
 # verify
 
 
-def _perturb(K: chains.Kernel) -> chains.Kernel:
-    """K with the move out of the identity swapped onto the diagonal."""
-    num = K.num.copy()
-    target = int(np.argmax(num[0]))  # the single off-diagonal move from id
-    num[0, 0], num[0, target] = num[0, target], num[0, 0]
-    return chains.Kernel(K.family, K.theta, num, K.den)
+def _perturb(K: chains.Kernel, x: int) -> chains.Kernel:
+    """K with the move out of x, the one entry of row x, swapped onto the diagonal."""
+    ((_, value),) = K.num[x].items()
+    return chains.Kernel(K.family, K.theta, K.num[:x] + [{x: value}] + K.num[x + 1 :], K.den)
 
 
 def _verify_checks(family: GroupFamily, theta: Fraction, perturb: bool):
     """(name, thunk) pairs; each thunk returns True on success.
 
-    Checks 1 and 2 compare kernel rows with sparse products in the algebra;
-    :func:`verify` says why that proves the kernels equal left
-    multiplications.  Checks 5 and 6 share one three-pass
-    :func:`chains.power_sums_with_crosses`, run when first needed;
-    :func:`verify` says where tr(K^4) and tr(K^5) come from.  ``perturb``
-    corrupts K_1 for check 1 to catch.
+    Checks 1, 3 and 4 read the rows of each K_i off the action tables
+    (:func:`chains.generator_rows`), at most two nonzeros a row, so no
+    dense kernel is built.  Checks 1 and 2 compare kernel rows with sparse
+    products in the algebra; :func:`verify` says why that proves the
+    kernels equal left multiplications.  Checks 5 and 6 share one
+    three-pass :func:`chains.power_sums_with_crosses`, run when first
+    needed; :func:`verify` says where tr(K^4) and tr(K^5) come from.
+    ``perturb`` corrupts the identity row of K_1 for check 1 to catch.
     """
     q = 1 / theta
     gens = coxeter.generators(family)
-    kernels = {i: chains.scan_kernel(family, theta, (i,)) for i in gens}
-    if perturb:
-        kernels[1] = _perturb(kernels[1])
-    pi = chains.stationary(family, theta)
     tables = coxeter.action_tables(family)
+    kernels = {
+        i: chains.Kernel(family, theta, chains.generator_rows(family, theta, i), theta.denominator)
+        for i in gens
+    }
+    if perturb:
+        kernels[1] = _perturb(kernels[1], tables.index[coxeter.identity(family)])
+    pi = chains.stationary(family, theta)
     long_scan = chains.long_recipe(family)
 
     @functools.cache
@@ -521,10 +525,10 @@ def _verify_checks(family: GroupFamily, theta: Fraction, perturb: bool):
         sums = long_sums()
         return [trace for trace, _, _ in sums] + [sums[1][1] + 1, sums[2][2]]
 
-    def row_is(row: np.ndarray, h: hecke.HeckeVector, scale=1) -> bool:
-        """Whether row == scale * h over the T~ basis, with no other nonzero."""
-        want = {tables.index[w]: scale * c for w, c in h.coeffs.items()}
-        return {int(y): row[y] for y in np.flatnonzero(row)} == want
+    def row_is(row: dict[int, int], h: hecke.HeckeVector, scale=1) -> bool:
+        """Whether ``row``, the nonzero entries of a kernel row, is scale * h
+        over the T~ basis."""
+        return row == {tables.index[w]: scale * c for w, c in h.coeffs.items()}
 
     def generator_kernels_match_algebra() -> bool:
         for i in gens:
@@ -538,7 +542,8 @@ def _verify_checks(family: GroupFamily, theta: Fraction, perturb: bool):
         tw0 = hecke.tilde_unit(family, q, coxeter.longest_element(family))
         start = chains.point_mass(family, coxeter.identity(family))
         row = chains.evolve_scan(family, theta, long_scan, start, 1)
-        return row_is(row.num, hecke.product(tw0, tw0), row.den)
+        nonzero = {y: v for y, v in enumerate(row.num) if v}
+        return row_is(nonzero, hecke.product(tw0, tw0), row.den)
 
     def generator_kernels_preserve_stationary() -> bool:
         return all(chains.check_stationary(kernels[i], pi) for i in gens)
@@ -604,8 +609,11 @@ def verify(ctx, family_kind, n, theta_raw, perturb_kernel):
     allocated.
 
     Checks 1 and 2 read kernel rows, not dense matrices of the algebra.
-    Write L(h) for left multiplication by h in the T~ basis:
-    L(h)[x, y] is the coefficient of T~_y in h T~_x.
+    Checks 1, 3 and 4 read each row of K_i straight off the action tables
+    (at most two nonzeros a row): stationarity and detailed balance of K_i
+    come from the same rows as check 1.  Write L(h) for left
+    multiplication by h in the T~ basis: L(h)[x, y] is the coefficient of
+    T~_y in h T~_x.
 
     \b
     - Check 1 compares row x of K_i with T~_i T~_x for every i and x,
@@ -662,6 +670,8 @@ def sample(ctx, family_kind, n, theta_raw, num_samples, seed, out):
     line.  Exits 1 if the mean lands more than three standard errors from
     the prediction.
     """
+    import numpy as np  # the one subcommand that needs it: the draws use its PCG64 stream
+
     if num_samples <= 0:
         raise click.UsageError("--num-samples must be positive")
     family = _family(family_kind, n)

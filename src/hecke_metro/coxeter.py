@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 __all__ = [
     "ActionTables",
@@ -125,8 +124,6 @@ class GroupFamily:
     @property
     def order(self) -> int:
         if self.kind == "symmetric":
-            import math
-
             return math.factorial(self.n)
         if self.kind == "hypercube":
             return 2**self.n
@@ -278,8 +275,11 @@ def length(w: GroupElement) -> int:
         return count
     if fam.kind == "hypercube":
         return sum(w.payload)
-    n = fam.n
-    k, f = w.payload
+    return _dihedral_length(fam.n, *w.payload)
+
+
+def _dihedral_length(n: int, k: int, f: int) -> int:
+    """Length of r^k s_1^f in dihedral(n)."""
     if f == 0:
         return min(2 * k, 2 * (n - k))
     return min(2 * k + 1, 2 * (n - k) - 1)
@@ -349,14 +349,14 @@ class ActionTables(NamedTuple):
 
     ``perms[i - 1][k]`` is the index of ``s_i w`` for the element
     ``w = elements[k]``, and ``ups[i - 1][k]`` says whether that move
-    lengthens ``w``.
+    lengthens ``w``; ``lengths[k]`` is the length of ``w``.
     """
 
     elements: tuple[GroupElement, ...]
     index: dict[GroupElement, int]
-    lengths: np.ndarray
-    perms: list[np.ndarray]
-    ups: list[np.ndarray]
+    lengths: list[int]
+    perms: list[list[int]]
+    ups: list[list[bool]]
 
 
 @lru_cache(maxsize=None)
@@ -364,14 +364,48 @@ def action_tables(family: GroupFamily) -> ActionTables:
     """Index permutations and up-masks of every generator acting on the left."""
     elements = enumerate(family)
     index = {w: k for k, w in zip(range(len(elements)), elements)}
-    lengths = np.array([length(w) for w in elements])
-    perms = []
-    ups = []
-    for i in generators(family):
-        perm = np.array([index[apply_generator(i, w)] for w in elements])
-        perms.append(perm)
-        ups.append(lengths[perm] > lengths)
+    lengths, perms = _left_tables(family, [w.payload for w in elements])
+    ups = [[lengths[t] > l for t, l in zip(perm, lengths)] for perm in perms]
     return ActionTables(elements, index, lengths, perms, ups)
+
+
+def _left_tables(
+    family: GroupFamily, payloads: list[tuple[int, ...]]
+) -> tuple[list[int], list[list[int]]]:
+    """Lengths and, per generator, the index of ``s_i w``, from the payloads
+    in enumeration order by each family's arithmetic."""
+    n = family.n
+    if family.kind == "symmetric":
+        # The lexicographic index of w is its Lehmer code read in the
+        # factorial base: digit j counts the later positions holding smaller
+        # values, and the length of w is the sum of the digits.
+        lengths = [0]
+        for m in range(2, n + 1):  # the first digit runs slowest
+            lengths = [c + l for c in range(m) for l in lengths]
+        where = [[p.index(v) for p in payloads] for v in range(1, n + 1)]
+        weight = [math.factorial(n - 1 - j) for j in range(n)]
+        perms = []
+        for i in range(1, n):
+            # s_i w swaps the values i and i + 1; the first of their
+            # positions, j, gains a digit when i comes first and loses one
+            # otherwise, and no other digit changes
+            perms.append(
+                [
+                    k + weight[j] if j < l else k - weight[l]
+                    for k, j, l in zip(range(len(payloads)), where[i - 1], where[i])
+                ]
+            )
+        return lengths, perms
+    if family.kind == "hypercube":
+        # the index reads the bits as a binary number, coordinate 1 highest
+        order = 1 << n
+        lengths = [k.bit_count() for k in range(order)]
+        return lengths, [[k ^ (1 << (n - i)) for k in range(order)] for i in range(1, n + 1)]
+    # dihedral: (k, f) sits at index 2k + f; s_1 = (0, 1) and s_2 = (n - 1, 1)
+    # send it to (-k, 1 - f) and (n - 1 - k, 1 - f)
+    lengths = [_dihedral_length(n, k, f) for k, f in payloads]
+    perms = [[2 * ((shift - k) % n) + 1 - f for k, f in payloads] for shift in (0, n - 1)]
+    return lengths, perms
 
 
 def degrees(family: GroupFamily) -> tuple[int, ...]:

@@ -46,12 +46,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING, TypeAlias
 
 from . import coxeter
 from .chains import Distribution
 from .coxeter import GroupElement, GroupFamily, degrees, symmetric
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RandomSource",
@@ -67,11 +69,15 @@ __all__ = [
     "symmetric_support_witness",
 ]
 
-RandomSource = np.random.Generator
+# numpy's PCG64 stream; numpy is imported by the functions that draw, on
+# first use, so the exact paths of the package never load it
+RandomSource: TypeAlias = "np.random.Generator"
 
 
 def random_source(seed: int | None = None) -> RandomSource:
     """Seeded deterministic stream of uniforms (same seed, same draws)."""
+    import numpy as np
+
     return np.random.default_rng(seed)
 
 
@@ -100,6 +106,8 @@ def _dihedral_cdf(n: int, theta: float) -> np.ndarray:
     """Cumulative ``pi`` of dihedral(n) over payload index ``2k + f``, from the
     weights ``theta^(n - len)``: relative to the longest length n, no power
     of ``q = 1/theta`` overflows."""
+    import numpy as np
+
     k = np.arange(n)
     lengths = [np.minimum(2 * k, 2 * (n - k)), np.minimum(2 * k + 1, 2 * (n - k) - 1)]
     cum = np.cumsum(theta ** (n - np.stack(lengths, axis=1).ravel()))
@@ -252,6 +260,8 @@ def lower_bound_witness(
         raise ValueError(f"scan must be 'random' or 'systematic', got {scan!r}")
     if n < 1 or N < 2 or ell < 0:
         raise ValueError("need n >= 1, N >= 2, ell >= 0")
+
+    import numpy as np
 
     state = np.zeros((N, n), dtype=bool)
     rows = np.arange(N)

@@ -13,8 +13,12 @@ oracle the fast versions must equal by ``==``:
   definition, without ``chains``, with its traces, averaged chi-squares and
   pi-weighted cross sums of consecutive powers;
 * the same sums with every row of the identity streamed through every
-  scan letter on integer numerators, in blocks of rows (the library's path
-  before it read each row of K^m off the identity row);
+  scan letter on integer numerators, in blocks of rows, by a numpy letter
+  loop of its own (the library's path before it read each row of K^m off
+  the identity row);
+* the action tables built element by element with ``apply_generator``
+  and ``length`` (the library's builder before it read them off the
+  payloads);
 * the dense |W| x |W| matrix of left multiplication in the Hecke algebra,
   built from the right action of the generators, and its trace;
 * the symmetric-family closed forms term by term: each generic degree by
@@ -40,12 +44,12 @@ def chi_square(p, pi):
 
 
 def check_reversible(K, pi):
-    weighted = pi.probs[:, None] * K.num
+    weighted = np.array(pi.probs, dtype=object)[:, None] * np.array(K.matrix, dtype=object)
     return bool((weighted == weighted.T).all())
 
 
 def check_stationary(K, pi):
-    return bool((evolve(K, pi, 1).probs == pi.probs).all())
+    return evolve(K, pi, 1).probs == pi.probs
 
 
 def evolve(K, start, ell):
@@ -54,9 +58,10 @@ def evolve(K, start, ell):
         raise ValueError("negative step count")
     if start.family != K.family:
         raise ValueError("family mismatch")
-    probs = start.probs
+    probs = np.array(start.probs, dtype=object)
+    matrix = np.array(K.matrix, dtype=object)
     for _ in range(ell):
-        probs = (probs @ K.num) / K.den
+        probs = probs @ matrix
     return chains.Distribution.of(K.family, probs)
 
 
@@ -93,7 +98,7 @@ def _stationary_probs(family, theta):
 def dense_evolve(family, theta, scan, start, ell):
     """start * K^ell by vector-matrix products with the dense scan kernel."""
     K = dense_scan_kernel(family, theta, scan)
-    probs = start.probs
+    probs = np.array(start.probs, dtype=object)
     for _ in range(ell):
         probs = probs @ K
     return probs
@@ -120,40 +125,58 @@ def dense_power_sums(family, theta, scan, passes):
     return out
 
 
+# cells of identity rows that streamed_power_sums runs through the scan at once
+STREAM_BLOCK_CELLS = 1 << 12
+
+
+def _stream_letter(block, perm, up, a, b):
+    """The rows of ``block``, over some den, times K_i, over den*b: a descent
+    column z takes the move up from s_i z and its own holding term, an
+    ascent column the move down from s_i z."""
+    moved = block[:, perm]
+    return np.where(up, moved * a, moved * b + block * (b - a))
+
+
 def streamed_power_sums(family, theta, scan, passes):
     """(tr K^m, <K^m, K^m>_pi - 1, <K^(m-1), K^m>_pi) for m = 1..passes, with
     every row of the identity streamed through every scan letter in blocks of
-    ``chains.BLOCK_CELLS`` cells, on integer numerators: the library's path
-    before it derived each row of K^m from the identity row."""
+    ``STREAM_BLOCK_CELLS`` cells, on integer numerators in object arrays: the
+    library's path before it derived each row of K^m from the identity row."""
     if passes < 1:
         raise ValueError("need passes >= 1")
-    theta = Fraction(coxeter.check_theta(theta))
-    scan = chains._check_scan(family, scan)
-    chains.check_dense_cells(family)
+    theta = Fraction(theta)
     a, b = theta.numerator, theta.denominator
-    lengths = coxeter.action_tables(family).lengths
+    tables = coxeter.action_tables(family)
+    letters = [(np.array(perm), np.array(up)) for perm, up in zip(tables.perms, tables.ups)]
+    lengths = np.array(tables.lengths)
     top = int(lengths.max())
-    v = chains.stationary(family, theta).num
+    v = np.array([b ** int(l) * a ** (top - int(l)) for l in lengths], dtype=object)
     u = np.array([a**k * b ** (top - k) for k in range(top + 1)], dtype=object)
     by_length = np.argsort(lengths, kind="stable")
     starts = np.searchsorted(lengths[by_length], np.arange(top + 1))
+
+    def scan_pass(block):
+        if scan == "random":
+            return sum(_stream_letter(block, perm, up, a, b) for perm, up in letters)
+        for i in scan:
+            block = _stream_letter(block, *letters[i - 1], a, b)
+        return block
 
     def weighted(rows, A, B):
         per_length = np.add.reduceat((A * B)[:, by_length], starts, axis=1)
         return v[rows] @ (per_length @ u)
 
-    height = max(1, chains.BLOCK_CELLS // family.order)
+    factor = b * family.rank if scan == "random" else b ** len(scan)
+    dens = [factor**m for m in range(passes + 1)]
+    height = max(1, STREAM_BLOCK_CELLS // family.order)
     traces, squares, cross = [0] * passes, [0] * passes, [0] * passes
-    dens = [1] * (passes + 1)
     for first in range(0, family.order, height):
         rows = np.arange(first, min(first + height, family.order))
         diagonal = (np.arange(len(rows)), rows)
-        block = np.zeros((len(rows), family.order), dtype=np.int64)
-        block[diagonal] = 1
-        previous = chains._exact(block)
+        previous = np.zeros((len(rows), family.order), dtype=int).astype(object)
+        previous[diagonal] = 1
         for m in range(passes):
-            block, dens[m + 1] = chains._apply_scan(family, theta, scan, block, dens[m])
-            current = chains._exact(block)
+            current = scan_pass(previous)
             traces[m] += current[diagonal].sum()
             squares[m] += weighted(rows, current, current)
             cross[m] += weighted(rows, previous, current)
@@ -171,8 +194,9 @@ def streamed_power_sums(family, theta, scan, passes):
 
 def commutes_with_metropolis(K, i):
     """Whether K commutes with the generator kernel K_i, by dense products."""
-    Ki = chains.scan_kernel(K.family, K.theta, (i,))
-    return bool((K.num @ Ki.num == Ki.num @ K.num).all())
+    A = np.array(K.num, dtype=object)
+    B = np.array(chains.scan_kernel(K.family, K.theta, (i,)).num, dtype=object)
+    return bool((A @ B == B @ A).all())
 
 
 def kernel_power(family, theta, scan, m):
@@ -181,24 +205,24 @@ def kernel_power(family, theta, scan, m):
     if scan != "random":
         return chains.scan_kernel(family, theta, tuple(scan) * m)
     K = chains.random_scan_kernel(family, theta)
-    num = np.identity(family.order, dtype=object)
+    step = np.array(K.num, dtype=object)
+    num = np.identity(family.order, dtype=int).astype(object)
     for _ in range(m):
-        num = num @ K.num
-    return chains.Kernel(family, K.theta, num, K.den**m)
+        num = num @ step
+    return chains.Kernel(family, K.theta, num.tolist(), K.den**m)
 
 
 def trace_of_power(family, theta, scan, m):
     Km = kernel_power(family, theta, scan, m)
-    return Fraction(int(sum(Km.num.diagonal())), Km.den)
+    return Fraction(sum(row[x] for x, row in enumerate(Km.num)), Km.den)
 
 
 def average_start_chi_square(family, theta, scan, ell):
     pi = chains.stationary(family, theta)
     Kl = kernel_power(family, theta, scan, ell)
     total = Fraction(0)
-    for x in range(Kl.num.shape[0]):
-        row = np.array([Fraction(int(v), Kl.den) for v in Kl.num[x]], dtype=object)
-        total += pi.probs[x] * chi_square(chains.Distribution.of(family, row), pi)
+    for weight, row in zip(pi.probs, Kl.matrix):
+        total += weight * chi_square(chains.Distribution.of(family, row), pi)
     return total
 
 
@@ -206,11 +230,26 @@ def average_start_chi_square(family, theta, scan, ell):
 def right_action_tables(family):
     """Index permutations and up-masks of w -> w s_i, per generator i."""
     tables = coxeter.action_tables(family)
+    lengths = np.array(tables.lengths)
     perms = []
     for i in coxeter.generators(family):
         moved = [coxeter.right_apply_generator(w, i) for w in tables.elements]
         perms.append(np.array([tables.index[v] for v in moved]))
-    return perms, [tables.lengths[perm] > tables.lengths for perm in perms]
+    return perms, [lengths[perm] > lengths for perm in perms]
+
+
+def action_tables(family):
+    """(lengths, perms, ups) of the left action, element by element: the index
+    of apply_generator(i, w) for every generator i and element w."""
+    elements = coxeter.enumerate(family)
+    index = {w: k for k, w in enumerate(elements)}
+    lengths = [coxeter.length(w) for w in elements]
+    perms = [
+        [index[coxeter.apply_generator(i, w)] for w in elements]
+        for i in coxeter.generators(family)
+    ]
+    ups = [[lengths[t] > l for t, l in zip(perm, lengths)] for perm in perms]
+    return lengths, perms, ups
 
 
 def _right_tilde_apply(v, perm, up, theta):

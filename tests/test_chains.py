@@ -58,12 +58,15 @@ def test_generator_kernel_entries(family, theta):
             v = coxeter.apply_generator(i, w)
             y = chains.element_index(family, v)
             if coxeter.length(v) > coxeter.length(w):
-                assert M[x, y] == 1  # proposed move up is always accepted
-                assert M[x, x] == 0
+                assert M[x][y] == 1  # proposed move up is always accepted
+                assert M[x][x] == 0
             else:
-                assert M[x, y] == theta  # move down accepted with probability theta
-                assert M[x, x] == 1 - theta
+                assert M[x][y] == theta  # move down accepted with probability theta
+                assert M[x][x] == 1 - theta
             assert sum(M[x], Fraction(0)) == 1
+        # the rows read off the tables are the nonzero entries of the same rows
+        rows = chains.generator_rows(family, theta, i)
+        assert rows == [{y: v for y, v in enumerate(row) if v} for row in K.num]
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=str)
@@ -83,7 +86,7 @@ def test_stationarity_and_reversibility(family, theta):
     kernels += [short_scan_kernel(family, theta), long_scan_kernel(family, theta)]
     kernels += [random_scan_kernel(family, theta)]
     for K in kernels:
-        assert (oracle.evolve(K, pi, 1).probs == pi.probs).all()
+        assert oracle.evolve(K, pi, 1).probs == pi.probs
     # single-generator and random-scan kernels are reversible; scans need not be
     for K in kernels[: family.rank] + [kernels[-1]]:
         assert check_reversible(K, pi)
@@ -92,12 +95,11 @@ def test_stationarity_and_reversibility(family, theta):
 def test_reversibility_negative_control():
     family = symmetric(3)
     theta = Fraction(1, 2)
-    K = scan_kernel(family, theta, (1,))
-    num = K.num.copy()
-    moved = int(np.argmax(num[0]))  # the single move out of the identity
-    num[0, 0], num[0, moved] = num[0, moved], num[0, 0]
-    broken = chains.Kernel(family, theta, num, K.den)
-    assert not check_reversible(broken, stationary(family, theta))
+    pi = stationary(family, theta)
+    broken = _perturbed(scan_kernel(family, theta, (1,)))
+    assert not check_reversible(broken, pi)
+    sparse = [{y: v for y, v in enumerate(row) if v} for row in broken.num]
+    assert not check_reversible(chains.Kernel(family, theta, sparse, broken.den), pi)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=str)
@@ -107,7 +109,8 @@ def test_scan_kernels_compose_the_recipe_left_to_right(family):
     i, j = 1, family.rank
     K = scan_kernel(family, theta, (i, j))
     Ki, Kj = scan_kernel(family, theta, (i,)), scan_kernel(family, theta, (j,))
-    assert (K.matrix == Ki.matrix @ Kj.matrix).all()
+    product = np.array(Ki.matrix, dtype=object) @ np.array(Kj.matrix, dtype=object)
+    assert (K.matrix == product).all()
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=str)
@@ -152,7 +155,8 @@ def test_random_scan_is_the_uniform_generator_mixture():
     family = symmetric(4)
     theta = Fraction(1, 3)
     mix = sum(
-        scan_kernel(family, theta, (i,)).matrix for i in coxeter.generators(family)
+        np.array(scan_kernel(family, theta, (i,)).matrix, dtype=object)
+        for i in coxeter.generators(family)
     ) / Fraction(family.rank)
     assert (random_scan_kernel(family, theta).matrix == mix).all()
 
@@ -163,7 +167,7 @@ def test_evolution_from_a_point_mass_reads_off_kernel_rows():
     K = short_scan_kernel(family, theta)
     x = coxeter.longest_element(family)
     dist = oracle.evolve(K, point_mass(family, x), 1)
-    assert (dist.probs == K.matrix[chains.element_index(family, x)]).all()
+    assert dist.probs == K.matrix[chains.element_index(family, x)]
 
 
 EVOLVE_FAMILIES = (
@@ -192,16 +196,17 @@ def test_matrix_free_evolution_equals_dense_evolution(family, scan):
             dense = start
             for ell in range(4):
                 fast = evolve_scan(family, theta, scan, start, ell)
-                assert (fast.probs == dense.probs).all(), (theta, ell)
+                assert fast.probs == dense.probs, (theta, ell)
                 dense = oracle.evolve(K, dense, 1)
 
 
 def _perturbed(K):
-    """K with the move out of the identity swapped onto the diagonal."""
-    num = K.num.copy()
-    moved = int(np.argmax(num[0]))
-    num[0, 0], num[0, moved] = num[0, moved], num[0, 0]
-    return chains.Kernel(K.family, K.theta, num, K.den)
+    """K with the largest entry of the identity row (for K_i, the move out of
+    the identity) swapped onto the diagonal."""
+    row = list(K.num[0])
+    moved = row.index(max(row))
+    row[0], row[moved] = row[moved], row[0]
+    return chains.Kernel(K.family, K.theta, [row] + K.num[1:], K.den)
 
 
 @pytest.mark.parametrize("family", EVOLVE_FAMILIES, ids=str)
@@ -213,7 +218,7 @@ def test_integer_reductions_equal_the_fraction_oracle(family, scan):
         pi = stationary(family, theta)
         uniform = Distribution.of(family, [Fraction(1, family.order)] * family.order)
         # positive and, unless theta = 1, not the stationary law
-        mixed = Distribution.of(family, (pi.probs + uniform.probs) / 2)
+        mixed = Distribution.of(family, [(p + u) / 2 for p, u in zip(pi.probs, uniform.probs)])
         for ell in range(4):
             starts = (
                 point_mass(family, coxeter.identity(family)),
@@ -247,108 +252,80 @@ def test_power_sums_equal_the_fraction_oracle(family, scan):
 @pytest.mark.parametrize("family", [symmetric(4), hypercube(3), dihedral(7)], ids=str)
 @pytest.mark.parametrize("scan", ["short", "random"])
 def test_power_sums_do_not_depend_on_the_block_height(family, scan, monkeypatch):
-    """One row a block, three rows a block (the last one ragged) and one
-    block of all rows give the same sums."""
+    """The streamed oracle, one row a block, three rows a block (the last one
+    ragged) and one block of all rows, gives the sums that power_sums derives
+    row by row."""
     scan = short_recipe(family) if scan == "short" else scan
     theta = Fraction(2, 3)
-    results = []
+    sums = power_sums_with_crosses(family, theta, scan, 3)
     for cells in (1, 3 * family.order, 2**30):
-        monkeypatch.setattr(chains, "BLOCK_CELLS", cells)
-        results.append(power_sums(family, theta, scan, 3))
-    assert results[0] == results[1] == results[2]
-
-
-def _letter_dtypes(monkeypatch):
-    """The dtype of the block each letter is applied to, in order, from now on."""
-    seen = []
-    apply = chains._apply_letter_columns
-
-    def spy(num, *args):
-        seen.append(num.dtype)
-        return apply(num, *args)
-
-    monkeypatch.setattr(chains, "_apply_letter_columns", spy)
-    return seen
+        monkeypatch.setattr(oracle, "STREAM_BLOCK_CELLS", cells)
+        assert oracle.streamed_power_sums(family, theta, scan, 3) == sums
 
 
 def _scans(family):
     return [long_recipe(family), short_recipe(family), "random"]
 
 
-def _assert_lane_equals_the_dense_oracle(family, theta, scan, passes):
+def _assert_python_ints(rows):
+    assert all(type(v) is int for row in rows for v in row)
+
+
+def _assert_equal_to_the_dense_oracle(family, theta, scan, passes):
     sums = power_sums_with_crosses(family, theta, scan, passes)
     assert sums == oracle.dense_power_sums(family, theta, scan, passes)
     assert power_sums(family, theta, scan, passes) == [entry[:2] for entry in sums]
     for start in (point_mass(family, coxeter.identity(family)), stationary(family, theta)):
         fast = evolve_scan(family, theta, scan, start, passes)
-        assert fast.num.dtype == object
-        assert all(type(v) is int for v in fast.num)
-        assert (fast.probs == oracle.dense_evolve(family, theta, scan, start, passes)).all()
+        _assert_python_ints([fast.num])
+        assert fast.probs == list(oracle.dense_evolve(family, theta, scan, start, passes))
 
 
-INT64_MAX = 2**63 - 1
+# Denominators past 2^63 - 1: each row is a list of Python ints, which grow
+# as they need, so these equal the oracle with no change of representation.
 
 
 @pytest.mark.parametrize("family", [symmetric(3), hypercube(3), dihedral(4)], ids=str)
-def test_a_denominator_past_int64_widens_before_the_first_letter(family, monkeypatch):
-    theta = Fraction(1, 2**63)
-    seen = _letter_dtypes(monkeypatch)
-    for scan in _scans(family):
-        _assert_lane_equals_the_dense_oracle(family, theta, scan, 3)
-    assert seen and all(dtype == object for dtype in seen)
+def test_a_denominator_past_int64_widens_before_the_first_letter(family):
+    for theta in (Fraction(1, 2**63), Fraction(1, 3**70)):
+        for scan in _scans(family):
+            _assert_equal_to_the_dense_oracle(family, theta, scan, 3)
 
 
-def test_the_block_widens_in_the_middle_of_a_pass(monkeypatch):
-    # six letters a pass at theta = 1/2: the row sum 2^62 before letter 63,
-    # the third letter of pass 11, would pass int64 after it
-    family, theta = hypercube(3), Fraction(1, 2)
-    scan = long_recipe(family)
-    seen = _letter_dtypes(monkeypatch)
-    evolve_scan(family, theta, scan, point_mass(family, coxeter.identity(family)), 11)
-    assert seen == [np.dtype(np.int64)] * 62 + [np.dtype(object)] * 4
-    _assert_lane_equals_the_dense_oracle(family, theta, scan, 11)
+def test_the_block_widens_in_the_middle_of_a_pass():
+    # six letters a pass at theta = 1/2: the row sum passes 2^63 at the third
+    # letter of pass 11
+    family = hypercube(3)
+    _assert_equal_to_the_dense_oracle(family, Fraction(1, 2), long_recipe(family), 11)
 
 
 @pytest.mark.parametrize("family", [symmetric(3), hypercube(3), dihedral(5)], ids=str)
-def test_theta_one_stays_on_machine_integers(family, monkeypatch):
-    seen = _letter_dtypes(monkeypatch)
+def test_theta_one_stays_on_machine_integers(family):
     for scan in _scans(family):
-        _assert_lane_equals_the_dense_oracle(family, Fraction(1), scan, 4)
-    assert seen and all(dtype == np.int64 for dtype in seen)
+        _assert_equal_to_the_dense_oracle(family, Fraction(1), scan, 4)
 
 
-def test_random_scan_and_a_stationary_start_with_a_large_denominator(monkeypatch):
-    # pi of hypercube(3) at theta = 1/2^20 has a denominator near 2^60: the
-    # start fits int64, and the first random pass (factor 3 * 2^20) does not
+def test_random_scan_and_a_stationary_start_with_a_large_denominator():
+    # pi of hypercube(3) at theta = 1/2^20 has a denominator near 2^60, and
+    # the first random pass (factor 3 * 2^20) takes it past 2^63
     family, theta = hypercube(3), Fraction(1, 2**20)
     pi = stationary(family, theta)
-    assert 2**59 < pi.den <= INT64_MAX < pi.den * 3 * 2**20
-    seen = _letter_dtypes(monkeypatch)
-    _assert_lane_equals_the_dense_oracle(family, theta, "random", 3)
-    assert np.dtype(object) in seen
-    # at theta = 1/4 a pass multiplies the row sum by b * rank = 12: 12^17
-    # times b still fits int64, times 12 does not, so pass 18 widens
-    theta = Fraction(1, 4)
-    start = point_mass(family, coxeter.identity(family))
-    seen.clear()
-    evolve_scan(family, theta, "random", start, 18)
-    assert seen == [np.dtype(np.int64)] * 51 + [np.dtype(object)] * 3
-    _assert_lane_equals_the_dense_oracle(family, theta, "random", 18)
+    assert 2**59 < pi.den < 2**63 < pi.den * 3 * 2**20
+    _assert_equal_to_the_dense_oracle(family, theta, "random", 3)
+    # at theta = 1/4 a pass multiplies the row sum by b * rank = 12, past
+    # 2^63 at pass 18
+    _assert_equal_to_the_dense_oracle(family, Fraction(1, 4), "random", 18)
 
 
 @pytest.mark.parametrize("theta", [Fraction(1), Fraction(1, 2), Fraction(1, 2**70)], ids=str)
 def test_kernels_and_distributions_leave_chains_as_python_ints(theta):
     family = symmetric(3)
     start = point_mass(family, coxeter.identity(family))
-    results = [
-        scan_kernel(family, theta, (1, 2)).num,
-        random_scan_kernel(family, theta).num,
-        evolve_scan(family, theta, long_recipe(family), start, 2).num,
-        evolve_scan(family, theta, "random", stationary(family, theta), 2).num,
-    ]
-    for num in results:
-        assert num.dtype == object
-        assert all(type(v) is int for v in num.flat)
+    _assert_python_ints(scan_kernel(family, theta, (1, 2)).num)
+    _assert_python_ints(random_scan_kernel(family, theta).num)
+    _assert_python_ints([evolve_scan(family, theta, long_recipe(family), start, 2).num])
+    _assert_python_ints([evolve_scan(family, theta, "random", stationary(family, theta), 2).num])
+    _assert_python_ints([row.values() for row in chains.generator_rows(family, theta, 1)])
 
 
 CROSS_FAMILIES = [symmetric(3), symmetric(4), hypercube(3), dihedral(4), dihedral(5), dihedral(6)]
@@ -449,19 +426,13 @@ def test_power_sums_of_random_recipes_equal_the_dense_oracle(family, theta, data
     assert power_sums(family, theta, recipe, passes) == [entry[:2] for entry in sums]
 
 
-def test_a_level_widens_in_the_middle_of_the_sweep(monkeypatch):
+def test_a_level_widens_in_the_middle_of_the_sweep():
     # hypercube(3) long at theta = 1/2: six letters a pass, so the identity
-    # row of K^10 is over 2^60 and stays int64 through 60 letters.  Its
-    # level-k rows are over 2^(60 + k); the level-3 row would reach 2^63,
-    # so only the last of the 60 sweep letters (10 powers, 3 + 2 + 1 rows
-    # grouped by first right descent) runs on Python ints
+    # row of K^10 is over 2^60 and its level-3 rows over 2^63
     family, theta = hypercube(3), Fraction(1, 2)
     scan = long_recipe(family)
-    seen = _letter_dtypes(monkeypatch)
-    sums = power_sums(family, theta, scan, 10)
-    assert seen == [np.dtype(np.int64)] * 119 + [np.dtype(object)]
     dense = oracle.dense_power_sums(family, theta, scan, 10)
-    assert sums == [entry[:2] for entry in dense]
+    assert power_sums(family, theta, scan, 10) == [entry[:2] for entry in dense]
     assert power_sums_with_crosses(family, theta, scan, 10) == dense
 
 
@@ -480,30 +451,27 @@ def test_power_sums_need_a_pass():
     ids=str,
 )
 def test_right_action_columns_and_length_levels(family):
-    """The right-action columns read off the left tables equal those of
+    """The right-action tables read off the left tables equal those of
     w -> w s_i built element by element; each level-k row is derived from a
     parent x s_i of length k - 1, with i its first right descent."""
     perms, ups = oracle.right_action_tables(family)
     lengths = coxeter.action_tables(family).lengths
-    for (down, from_down, rise, from_rise), perm, up in zip(
-        chains._right_letter_columns(family), perms, ups
-    ):
-        assert (down == np.flatnonzero(~up)).all() and (from_down == perm[down]).all()
-        assert (rise == np.flatnonzero(up)).all() and (from_rise == perm[rise]).all()
+    for (right, up), perm, want in zip(chains._right_letters(family), perms, ups):
+        assert right == perm.tolist() and up == want.tolist()
     levels = chains._length_levels(family)
-    assert len(levels) == lengths.max() + 1
-    assert sorted(np.concatenate([rows for rows, _ in levels])) == list(range(family.order))
+    assert len(levels) == max(lengths) + 1
+    assert sorted(x for rows, _ in levels for x in rows) == list(range(family.order))
     previous = None
     for k, (rows, steps) in enumerate(levels):
-        assert (lengths[rows] == k).all()
+        assert all(lengths[x] == k for x in rows)
         if k == 0:
             assert steps == []
         else:
             assert sum(len(at) for _, at in steps) == len(rows)
             children = iter(rows)
             for i, at in steps:
-                for parent in previous[at]:
-                    x = next(children)
+                for position in at:
+                    parent, x = previous[position], next(children)
                     assert perms[i][x] == parent and lengths[parent] == k - 1
                     assert [bool(u[x]) for u in ups[:i]] == [True] * i  # no earlier descent
         previous = rows
@@ -517,7 +485,7 @@ def test_integer_balance_checks_equal_the_fraction_oracle(family):
         pi = stationary(family, theta)
         longest = point_mass(family, coxeter.longest_element(family))
         # never stationary: half its mass sits on the longest element
-        mixed = Distribution.of(family, (pi.probs + longest.probs) / 2)
+        mixed = Distribution.of(family, [(p + w) / 2 for p, w in zip(pi.probs, longest.probs)])
         first, last = (scan_kernel(family, theta, (i,)) for i in (1, family.rank))
         mixture = random_scan_kernel(family, theta)
         kernels = [first, last, long_scan_kernel(family, theta), mixture]
@@ -554,7 +522,7 @@ def test_tv_is_monotone_along_the_long_scan():
 def test_theta_one_degenerates_to_deterministic_flips():
     family = hypercube(2)
     K = scan_kernel(family, Fraction(1), (1,))
-    M = K.matrix
+    M = np.array(K.matrix, dtype=object)
     assert all(sorted(row) == [0, 0, 0, 1] for row in M.tolist())
     assert (M @ M == np.identity(4, dtype=object)).all()
 
@@ -568,6 +536,9 @@ def test_parameter_validation():
         scan_kernel(symmetric(3), Fraction(1, 2), (5,))
     with pytest.raises(ValueError):
         scan_kernel(symmetric(3), Fraction(1, 2), (1, 9))
+    for i in (0, 3):
+        with pytest.raises(ValueError):
+            chains.generator_rows(symmetric(3), Fraction(1, 2), i)
     for passes in (0, -1):
         with pytest.raises(ValueError):
             power_sums(symmetric(3), Fraction(1, 2), (1,), passes)
@@ -585,14 +556,16 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         Distribution.of(symmetric(3), [Fraction(1)] * 6)
     with pytest.raises(ValueError):
-        Distribution(symmetric(3), np.array([1, 1, 1, 1, 1, 0], dtype=object), 6)
+        Distribution(symmetric(3), [1, 1, 1, 1, 1, 0], 6)
     with pytest.raises(ValueError):
-        Distribution(symmetric(3), np.array([2, -1, 0, 0, 0, 0], dtype=object), 1)
+        Distribution(symmetric(3), [2, -1, 0, 0, 0, 0], 1)
+    with pytest.raises(ValueError):  # one numerator per element
+        Distribution(symmetric(3), [1, 1, 1, 1, 1, 1] * 2, 12)
     # numerators and denominator need not be in lowest terms
     pi = stationary(symmetric(3), Fraction(1, 2))
     p = Distribution.of(symmetric(3), [Fraction(k, 12) for k in (4, 0, 2, 0, 1, 5)])
-    scaled = Distribution(symmetric(3), p.num * 7, p.den * 7)
-    scaled_pi = Distribution(symmetric(3), pi.num * 5, pi.den * 5)
+    scaled = Distribution(symmetric(3), [v * 7 for v in p.num], p.den * 7)
+    scaled_pi = Distribution(symmetric(3), [v * 5 for v in pi.num], pi.den * 5)
     for ref in (pi, scaled_pi):
         assert chi_square(scaled, ref) == chi_square(p, pi)
         assert tv_distance(scaled, ref) == tv_distance(p, pi)

@@ -321,11 +321,14 @@ def test_averaged_analyze_builds_no_dense_scan_kernel(runner, monkeypatch, args)
     assert all(row["match"] is True for row in rows)
 
 
-def test_verify_still_builds_the_dense_generator_kernels(runner, monkeypatch):
-    # negative control for the test above: the refusal does fire
+def test_verify_builds_no_dense_kernel(runner, monkeypatch):
     _refuse_dense_kernels(monkeypatch)
+    res = invoke(runner, "verify", "--family", "symmetric", "--n", "4", "--theta", "1/2")
+    assert res.exit_code == 0
+    assert res.output.splitlines()[-1] == "8/8 checks passed"
+    # negative control: the refusal does fire
     with pytest.raises(AssertionError, match="dense scan kernel"):
-        invoke(runner, "verify", "--family", "symmetric", "--n", "4", "--theta", "1/2")
+        chains.scan_kernel(symmetric(4), Fraction(1, 2), (1,))
 
 
 @pytest.mark.parametrize(
@@ -503,13 +506,20 @@ def test_local_operator_checks_equal_the_dense_comparisons(
     # at theta = 1, or when the recipes coincide, the short scan is the long one
     short = chains.short_scan_kernel(family, theta)
     long = chains.long_scan_kernel(family, theta)
-    wrong_recipe_is_long = bool((short.num * long.den == long.num * short.den).all())
+    wrong_recipe_is_long = short.matrix == long.matrix
     if variant == "wrong-recipe":
         monkeypatch.setattr(chains, "long_recipe", chains.short_recipe)
     checks = dict(cli._verify_checks(family, theta, variant == "perturbed"))
-    kernels = [chains.scan_kernel(family, theta, (i,)) for i in coxeter.generators(family)]
+    identity = coxeter.action_tables(family).index[coxeter.identity(family)]
+    kernels = []
+    for i in coxeter.generators(family):
+        rows = chains.generator_rows(family, theta, i)
+        K = chains.Kernel(family, theta, rows, theta.denominator)
+        # the rows read off the tables are those of the one-letter scan
+        assert K.matrix == chains.scan_kernel(family, theta, (i,)).matrix
+        kernels.append(K)
     if variant == "perturbed":
-        kernels[0] = cli._perturb(kernels[0])
+        kernels[0] = cli._perturb(kernels[0], identity)
     generators, square = _dense_left_multiplications(family, theta)
     dense_1 = all((K.matrix == L).all() for K, L in zip(kernels, generators))
     dense_2 = bool((chains.long_scan_kernel(family, theta).matrix == square).all())
@@ -518,6 +528,22 @@ def test_local_operator_checks_equal_the_dense_comparisons(
     # each variant corrupts what it names, and only that
     assert dense_1 == (variant != "perturbed")
     assert dense_2 == (variant != "wrong-recipe" or wrong_recipe_is_long)
+
+
+@pytest.mark.parametrize("family", [hypercube(3), dihedral(6)], ids=str)
+def test_verify_perturbed_kernel_fails_check_one(runner, family):
+    # symmetric(4) is test_verify_negative_control_catches_a_corrupted_kernel
+    res = invoke(
+        runner, "verify", "--family", family.kind, "--n", str(family.n), "--theta", "1/2",
+        "--perturb-kernel",
+    )
+    assert res.exit_code == 1
+    lines = res.output.splitlines()
+    assert "FAIL generator kernels == algebra left multiplication" in lines
+    # the corrupted identity row of K_1 also breaks checks 3 and 4, and only those
+    assert "FAIL generator kernels preserve stationary law" in lines
+    assert "FAIL generator kernels reversible" in lines
+    assert lines[-1] == "5/8 checks passed"
 
 
 # ---------------------------------------------------------------------------
@@ -827,6 +853,37 @@ def test_importing_the_cli_does_not_import_sympy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# Runs the argv given as JSON in a fresh interpreter, then reports on stderr
+# whether numpy was ever imported.
+_NUMPY_PROBE = """
+import json, sys
+from hecke_metro import cli
+cli.main(json.loads(sys.argv[1]), prog_name="hecke-metro", standalone_mode=False)
+print(json.dumps("numpy" in sys.modules), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "args, imports_numpy",
+    [
+        (["analyze", "--family", "symmetric", "--n", "4", "--theta", "1/2", "--lmax", "2"], False),
+        (["analyze", "--family", "symmetric", "--n", "4", "--theta", "1/2", "--lmax", "2",
+          "--averaged"], False),
+        (["verify", "--family", "dihedral", "--n", "5", "--theta", "1/2"], False),
+        (["bounds", "--n", "10", "--theta", "1/2"], False),
+        # the sampler draws from numpy's PCG64 stream
+        (["sample", "--family", "symmetric", "--n", "4", "--theta", "1/2", "-N", "10"], True),
+    ],
+    ids=["analyze", "analyze-averaged", "verify", "bounds", "sample"],
+)
+def test_only_sample_imports_numpy(args, imports_numpy):
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(args)],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stderr.splitlines()[-1] == json.dumps(imports_numpy)
 
 
 # ---------------------------------------------------------------------------

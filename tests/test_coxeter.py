@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_oracle as oracle
 from hecke_metro import coxeter
 from hecke_metro.coxeter import (
     CapExceededError,
@@ -235,6 +236,20 @@ def test_action_tables_follow_the_generator_actions(family):
         assert moved == [apply_generator(i, w) for w in elements]
         ups = [length(v) > length(w) for v, w in zip(moved, elements)]
         assert list(tables.ups[i - 1]) == ups
+
+
+@pytest.mark.parametrize(
+    "family",
+    [symmetric(n) for n in range(2, 7)]
+    + [hypercube(n) for n in range(1, 9)]
+    + [dihedral(n) for n in range(3, 13)],
+    ids=str,
+)
+def test_action_tables_equal_the_element_by_element_builder(family):
+    """Tables read off the payloads equal, cell by cell, those built with one
+    apply_generator and one length per element."""
+    tables = coxeter.action_tables(family)
+    assert (tables.lengths, tables.perms, tables.ups) == oracle.action_tables(family)
 
 
 def test_theta_check_keeps_floats_and_makes_the_rest_exact():

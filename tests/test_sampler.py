@@ -32,7 +32,7 @@ THETAS = [Fraction(1, 2), Fraction(1, 3), Fraction(1)]
 def test_insertion_distribution_is_exactly_stationary(n, theta):
     built = insertion_distribution(n, theta)
     target = chains.stationary(symmetric(n), theta)
-    assert (built.probs == target.probs).all()
+    assert built.probs == target.probs
 
 
 def test_insertion_distribution_requires_rational_theta():

@@ -13,45 +13,49 @@ Example:
 """
 
 import argparse
-from fractions import Fraction
 
 from hecke_metro import spectral
+from hecke_metro.cli import _parse_theta
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=100)
     parser.add_argument(
-        "--theta",
-        type=Fraction,
-        action="append",
-        help="repeatable; defaults to 1/2, 9/10, 1/10",
+        "--theta", action="append", help="repeatable; defaults to 1/2, 9/10, 1/10"
     )
     parser.add_argument("--cmax", type=int, default=8)
     args = parser.parse_args()
-    thetas = [float(t) for t in (args.theta or [Fraction(1, 2), Fraction(9, 10), Fraction(1, 10)])]
+    try:
+        thetas = [_parse_theta(raw, "float") for raw in args.theta or ["1/2", "9/10", "1/10"]]
+        _print_tables(args.n, thetas, args.cmax)
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    print(f"# hypercube lead constants at n = {args.n}")
+
+def _print_tables(n: int, thetas: list[float], cmax: int) -> None:
+    lead = spectral.lead_constant_table(thetas, n)
+    print(f"# hypercube lead constants at n = {n}")
     print(f"{'theta':>8}  {'random scan':>14}  {'systematic':>14}")
-    for row in spectral.lead_constant_table(thetas, args.n):
+    for row in lead:
         print(f"{row.theta:>8.4g}  {row.random_scan:>14.4f}  {row.systematic_scan:>14.4f}")
 
     print()
-    print(f"# symmetric short-scan tail bounds at n = {args.n} (start = identity / averaged)")
+    print(f"# symmetric short-scan tail bounds at n = {n} (start = identity / averaged)")
     print(f"{'theta':>8}  {'c':>3}  {'start bound':>14}  {'avg bound':>14}")
     for theta in thetas:
-        for c in range(1, args.cmax + 1):
-            start = spectral.bound_symmetric_scans(args.n, theta, "short_start", c)
-            avg = spectral.bound_symmetric_scans(args.n, theta, "short_avg", c)
+        for c in range(1, cmax + 1):
+            start = spectral.bound_symmetric_scans(n, theta, "short_start", c)
+            avg = spectral.bound_symmetric_scans(n, theta, "short_avg", c)
             print(f"{theta:>8.4g}  {c:>3}  {start:>14.6e}  {avg:>14.6e}")
 
     print()
-    print(f"# hypercube tail bounds at n = {args.n}")
+    print(f"# hypercube tail bounds at n = {n}")
     print(f"{'theta':>8}  {'c':>3}  {'random scan':>14}  {'systematic':>14}")
     for theta in thetas:
-        for c in range(1, args.cmax + 1):
-            rnd = spectral.bound_hypercube(args.n, theta, c, "random")
-            sys_ = spectral.bound_hypercube(args.n, theta, c, "systematic")
+        for c in range(1, cmax + 1):
+            rnd = spectral.bound_hypercube(n, theta, c, "random")
+            sys_ = spectral.bound_hypercube(n, theta, c, "systematic")
             print(f"{theta:>8.4g}  {c:>3}  {rnd:>14.6e}  {sys_:>14.6e}")
 
 

@@ -11,9 +11,9 @@ Example:
 """
 
 import argparse
-from fractions import Fraction
 
 from hecke_metro import chains, coxeter, spectral
+from hecke_metro.cli import _parse_theta
 
 
 def main() -> None:
@@ -22,13 +22,16 @@ def main() -> None:
         "--family", choices=("symmetric", "hypercube", "dihedral"), default="symmetric"
     )
     parser.add_argument("--n", type=int, default=4)
-    parser.add_argument("--theta", type=Fraction, default=Fraction(1, 2))
+    parser.add_argument("--theta", default="1/2")
     parser.add_argument("--lmax", type=int, default=6)
     args = parser.parse_args()
 
-    family = coxeter.GroupFamily(args.family, args.n)
-    theta = args.theta
-    pi = chains.stationary(family, theta)
+    try:
+        theta = _parse_theta(args.theta, "exact")
+        family = coxeter.GroupFamily(args.family, args.n)
+        pi = chains.stationary(family, theta)
+    except ValueError as exc:  # CapExceededError past the enumeration cap among them
+        parser.error(str(exc))
     scans = {
         "long": chains.long_recipe(family),
         "short": chains.short_recipe(family),

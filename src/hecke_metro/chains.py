@@ -23,12 +23,12 @@ s = s_i z read off :func:`coxeter.action_tables`.
   algebra (see below), and left multiplication commutes with right
   multiplication, so row x of K^m, the T~-coefficients of h^m T~_x, is
   row x s_i times T~_i for a right descent i of x.  The same letter
-  routine applies right multiplication by T~_i, on right-action columns,
-  one length level at a time, so a pass costs O(|W|^2) whatever the
-  number of letters.  It reads tr(K^m) and the pi-averaged chi-square of
-  K^m off each row; :func:`power_sums_with_crosses` also reads the
-  pi-weighted cross sum of K^(m-1) and K^m.  Neither holds more than two
-  levels each of two powers, never a |W| x |W| power;
+  routine applies right multiplication by T~_i, once per edge of a tree
+  of first right descents walked depth first, so a pass costs O(|W|^2)
+  whatever the number of letters.  It reads tr(K^m) and the pi-averaged
+  chi-square of K^m off each row; :func:`power_sums_with_crosses` also
+  reads the pi-weighted cross sum of K^(m-1) and K^m.  Each holds only
+  the rows on the walk's path, never a |W| x |W| power;
 * :func:`scan_kernel` and :func:`random_scan_kernel` apply it to every
   row of the identity, giving the dense |W| x |W| kernel (O(|W|^2)
   cells).  A single-generator kernel K_i is the scan of the one-letter
@@ -57,12 +57,14 @@ T~_{i_k} ... T~_{i_1}, and the random scan is left multiplication by
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from . import coxeter
 from .coxeter import CapExceededError, GroupElement, GroupFamily
@@ -231,7 +233,7 @@ def generator_rows(family: GroupFamily, theta, i: int) -> list[dict[int, int]]:
 def _letter(row: list[int], perm: list[int], up: list[bool], a: int, b: int) -> list[int]:
     """``row``, over some den, times the matrix of a letter, over den*b: K_i
     for the tables of s_i w, or right multiplication by T~_i in the T~ basis
-    for those of w s_i (:func:`_right_letters`).
+    for those of w s_i (:func:`_descent_tree`).
 
     Cell z receives from s = perm[z]: a descent cell (not ``up[z]``) gets
     the move up from s plus its own holding term, an ascent cell the move
@@ -244,74 +246,66 @@ def _letter(row: list[int], perm: list[int], up: list[bool], a: int, b: int) -> 
     ]
 
 
+class _DescentTree(NamedTuple):
+    """The elements by position p in length order, ties by enumeration index.
+
+    ``order[p]`` is the element's enumeration index and ``lengths[p]`` its
+    length; ``right[i]`` is the (index, up-mask) of w -> w s_(i+1) by
+    position; ``children[p]`` lists (i, c) for each c with c s_(i+1) at p,
+    s_(i+1) the first right descent of c.
+    """
+
+    order: list[int]
+    lengths: list[int]
+    right: tuple[tuple[list[int], list[bool]], ...]
+    children: list[list[tuple[int, int]]]
+
+
 @functools.lru_cache(maxsize=16)
-def _right_letters(family: GroupFamily) -> tuple[tuple[list[int], list[bool]], ...]:
-    """Per generator i, the tables of w -> w s_i: index and up-mask, which
-    :func:`_letter` applies as right multiplication by T~_i.
+def _descent_tree(family: GroupFamily) -> _DescentTree:
+    """The tree of first right descents over the elements in length order.
 
     The right action is read off the left tables as ``inv[perm_i[inv[w]]]``,
-    since w s_i = (s_i w^-1)^-1; ups are length(w s_i) > length(w).
+    since w s_i = (s_i w^-1)^-1.  Lengths only grow along the order, so
+    w s_i is longer than w exactly when its position is larger.
     """
     tables = coxeter.action_tables(family)
+    order = sorted(range(family.order), key=tables.lengths.__getitem__)
+    position = [0] * family.order
+    for p, x in enumerate(order):
+        position[x] = p
     inv = [tables.index[coxeter.inverse(w)] for w in tables.elements]
-    lengths = tables.lengths
-    letters = []
+    right = []
     for perm in tables.perms:
-        right = [inv[perm[inverse]] for inverse in inv]
-        letters.append((right, [lengths[t] > l for t, l in zip(right, lengths)]))
-    return tuple(letters)
+        moves = [position[inv[perm[inv[x]]]] for x in order]
+        right.append((moves, [t > p for p, t in enumerate(moves)]))
+    children = [[] for _ in order]
+    for c in range(1, family.order):
+        i = next(i for i, (_, up) in enumerate(right) if not up[c])
+        children[right[i][0][c]].append((i, c))
+    return _DescentTree(order, [tables.lengths[x] for x in order], tuple(right), children)
 
 
-@functools.lru_cache(maxsize=16)
-def _length_levels(family: GroupFamily) -> tuple[tuple[list[int], list], ...]:
-    """The elements by length, as (rows, steps) per length k = 0..L.
-
-    ``rows`` lists the elements of length k, grouped by their first right
-    descent i; ``steps`` gives per such i the positions, in level k - 1, of
-    their parents x s_i, in the same order.  Level 0 is the identity alone.
-    """
-    lengths = coxeter.action_tables(family).lengths
-    right = _right_letters(family)
-    first = [family.rank] * family.order  # the first right descent
-    for i in range(family.rank - 1, -1, -1):
-        for z, rises in enumerate(right[i][1]):
-            if not rises:
-                first[z] = i
-    top = max(lengths)
-    groups = [[[] for _ in range(family.rank)] for _ in range(top + 1)]
-    for z, (k, i) in enumerate(zip(lengths, first)):
-        if k:
-            groups[k][i].append(z)
-    levels = [([lengths.index(0)], [])]
-    position = [0] * family.order  # of each element in its level
-    for k in range(1, top + 1):
-        rows, steps = [], []
-        for i, children in enumerate(groups[k]):
-            if children:
-                perm = right[i][0]
-                steps.append((i, [position[perm[z]] for z in children]))
-                rows.extend(children)
-        for at, z in enumerate(rows):
-            position[z] = at
-        levels.append((rows, steps))
-    return tuple(levels)
-
-
-def _levels(family: GroupFamily, a: int, b: int, row: list[int]):
-    """The rows of L(h) by length, from its identity row ``row``, the
+def _walk(tree: _DescentTree, a: int, b: int, row: list[int]):
+    """The rows of L(h), from its identity row ``row`` in length order, the
     T~-coefficients of h over some den, for theta = a/b.
 
-    Yields each level of :func:`_length_levels` in turn, a list of rows,
-    level k over ``den * b^k``.  Left multiplication commutes with right
-    multiplication, so row x, the coefficients of h T~_x, is row x s_i times
-    T~_i; each level is made from the one before and replaces it.
+    Yields (p, row x) for the element x at each position p, row x over
+    ``den * b^length(x)``, depth first down ``tree``.  Left multiplication
+    commutes with right multiplication, so row x, the coefficients of
+    h T~_x, is its parent's row x s_i times T~_i: one letter per edge.  The
+    stack holds the edges still to take, and a row is dropped with the last
+    of its own, so only rows on the current path that have children left
+    are held.
     """
-    right = _right_letters(family)
-    level = [row]
-    for k, (_, steps) in enumerate(_length_levels(family)):
-        if k:
-            level = [_letter(level[at], *right[i], a, b) for i, ats in steps for at in ats]
-        yield level
+    right, children = tree.right, tree.children
+    yield 0, row
+    stack = [(row, i, c) for i, c in children[0]]
+    while stack:
+        parent, i, c = stack.pop()
+        row = _letter(parent, *right[i], a, b)
+        yield c, row
+        stack.extend((row, j, d) for j, d in children[c])
 
 
 def _check_scan(family: GroupFamily, scan) -> tuple[int, ...] | str:
@@ -484,7 +478,7 @@ def power_sums(
     """(tr(K^m), averaged chi-square of K^m) for m = 1..passes.
 
     :func:`power_sums_with_crosses` without the cross sums, whose second
-    reduction per level and power it skips.
+    walk and reduction per row it skips.
     """
     return _power_sums(family, theta, scan, passes, crosses=False)
 
@@ -497,14 +491,14 @@ def power_sums_with_crosses(
     ``scan`` is a recipe or ``"random"``, as :func:`evolve_scan` takes it,
     and K its kernel, which is L(h) for any scan (see the module
     docstring).  Only the identity row runs through the scan letters, pass
-    by pass, giving e K^m over d_m.  The other rows follow one length level
-    at a time: row x of K^m is row x s_i of K^m times T~_i, for i the first
-    right descent of x, so level k is over d_m b^k.  Each level of K^m adds
-    its diagonal to tr(K^m), its squared rows to the average and its rows
-    times those of K^(m-1), swept again beside it, to the cross sum, row
-    by row, each level lifted by b^(L - k) onto d_m b^L.  At most two
-    levels each of K^(m-1) and K^m are held.  Both
-    weighted sums are
+    by pass, giving e K^m over d_m, and is put into length order.  The
+    other rows follow down a tree walked depth first: row x of K^m is row
+    x s_i of K^m times T~_i, for i the first right descent of x, so a row
+    of length k is over d_m b^k.  Each row of K^m adds its diagonal to
+    tr(K^m), its square to the average and its product with the row of
+    K^(m-1), walked again beside it, to the cross sum, the sums of length
+    k lifted by b^(L - k) onto d_m b^L.  Only the rows on the path of each
+    walk are held.  Both weighted sums are
     <A, B>_pi = sum_{x,y} (pi(x) / pi(y)) A[x,y] B[x,y]; the averaged
     chi-square sum_x pi(x) chi_square(delta_x K^m, pi) is <K^m, K^m>_pi - 1.
     With pi(x) proportional to its numerator v_x = b^len(x) a^(L - len(x))
@@ -514,8 +508,9 @@ def power_sums_with_crosses(
 
         <A, B>_pi = sum_x v_x sum_y A[x,y] B[x,y] u_y / ((ab)^L d_A d_B),
 
-    and since u_y depends on len(y) alone, each row sums its products by
-    length before it meets the large weights; v_x is shared by a level.
+    and since u_y depends on len(y) alone, each row sums its products over
+    a slice per length before they meet the large weights; v_x is shared
+    by the rows of one length.
 
     When K is pi-reversible, pi(x) K^k(x,y) = pi(y) K^k(y,x), so
     <K^j, K^k>_pi = tr(K^(j+k)): the cross sum of pass m is tr(K^(2m-1)),
@@ -532,58 +527,59 @@ def _power_sums(family: GroupFamily, theta, scan, passes: int, crosses: bool) ->
     scan = _check_scan(family, scan)
     check_dense_cells(family)
     a, b = theta.numerator, theta.denominator
-    lengths = coxeter.action_tables(family).lengths
-    top = max(lengths)
-    # a row read in this order has the columns of each length in one slice;
+    tree = _descent_tree(family)
+    lengths = tree.lengths
+    top = lengths[-1]
+    # a row in length order has the columns of each length in one slice;
     # every length 0..top occurs
-    by_length = sorted(range(family.order), key=lengths.__getitem__)
-    counts = [0] * (top + 1)
-    for length in lengths:
-        counts[length] += 1
-    ends = [0, *itertools.accumulate(counts)]
+    ends = [bisect.bisect_left(lengths, k) for k in range(top + 2)]
     slices = [(a**k * b ** (top - k), ends[k], ends[k + 1]) for k in range(top + 1)]
 
     def weighted(A: list[int], B: list[int]) -> int:
         """sum_y A[y] B[y] u_y."""
-        products = list(map(mul, map(A.__getitem__, by_length), map(B.__getitem__, by_length)))
+        products = list(map(mul, A, B))
         return sum(u * sum(products[lo:hi]) for u, lo, hi in slices)
 
-    levels = _length_levels(family)
-    # the identity row of K^m, e K^m over dens[m], is level 0 of K^m
+    # e K^m over dens[m]: the scan takes it by enumeration index, the walk
+    # in length order, where the identity is at position 0
     row = [0] * family.order
-    row[levels[0][0][0]] = 1
-    identity_rows, dens = [row], [1]
+    row[tree.order[0]] = 1
+    identity_rows, dens = [[1] + [0] * (family.order - 1)], [1]
     for m in range(passes):
         row, den = _apply_scan(family, theta, scan, row, dens[m])
-        identity_rows.append(row)
+        identity_rows.append(list(map(row.__getitem__, tree.order)))
         dens.append(den)
+    # b^(top - k) lifts the sums of length k onto dens[m] * b^top, and their
+    # rows x share v_x = b^k a^(top - k)
+    lifts = [b ** (top - k) for k in range(top + 1)]
+    weights = [b**k * a ** (top - k) * lift * lift for k, lift in enumerate(lifts)]
     scale = (a * b) ** top
     sums = []
     for m in range(1, passes + 1):
-        # K^(m-1) is swept again beside K^m for the cross sum, so that two
-        # powers at most are held, whatever the number of passes
-        current_levels = _levels(family, a, b, identity_rows[m])
-        previous_levels = (
-            _levels(family, a, b, identity_rows[m - 1])
+        # K^(m-1) is walked again beside K^m, in the same order, for the
+        # cross sum, so that one path of rows of each of two powers at most
+        # is held, whatever the number of passes
+        current = _walk(tree, a, b, identity_rows[m])
+        previous = (
+            _walk(tree, a, b, identity_rows[m - 1])
             if crosses and m > 1
-            else itertools.repeat(None)
+            else itertools.repeat((None, None))
         )
-        trace = square = cross = 0
-        for k, ((rows, _), current, previous) in enumerate(
-            zip(levels, current_levels, previous_levels)
-        ):
-            # level k is over dens[m] * b^k; b^(top - k) lifts its sums onto
-            # dens[m] * b^top, and its rows x share v_x = b^k a^(top - k)
-            lift = b ** (top - k)
-            weight = b**k * a ** (top - k) * lift * lift
-            trace += sum(map(list.__getitem__, current, rows)) * lift
-            square += sum(weighted(A, A) for A in current) * weight
-            if previous is not None:
-                cross += sum(map(weighted, previous, current)) * weight
+        # per length k; a row of length k is over dens[m] * b^k, and its
+        # diagonal cell is the cell at its own position
+        traces, squares, cross_sums = ([0] * (top + 1) for _ in range(3))
+        for (p, A), (_, B) in zip(current, previous):
+            k = lengths[p]
+            traces[k] += A[p]
+            squares[k] += weighted(A, A)
+            if B is not None:
+                cross_sums[k] += weighted(B, A)
+        trace, square = sum(map(mul, traces, lifts)), sum(map(mul, squares, weights))
         den = dens[m] * b**top
         entry = (Fraction(trace, den), Fraction(square, scale * den**2) - 1)
         if crosses:
             # <K^0, K>_pi = sum_x K[x,x] = tr(K), since pi(x) / pi(x) = 1
+            cross = sum(map(mul, cross_sums, weights))
             entry += (
                 entry[0] if m == 1 else Fraction(cross, scale * dens[m - 1] * b**top * den),
             )

@@ -301,6 +301,14 @@ def _match(formula, oracle, mode: str) -> bool:
     return math.isclose(float(formula), float(oracle), rel_tol=1e-9, abs_tol=1e-15)
 
 
+def _float(value: Fraction) -> float:
+    """A nonnegative exact value as a float, ``inf`` past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _scan_letters(cfg: RunConfig) -> tuple[int, ...] | str:
     """The configured scan as chains.evolve_scan and chains.power_sums take it."""
     if cfg.scan == "long":
@@ -315,8 +323,9 @@ def _analyze_rows(cfg: RunConfig) -> list[dict]:
 
     The identity-start oracle evolves the point mass at the identity one
     scan letter at a time (matrix-free); ``--averaged`` needs every start,
-    so it derives each row of K^l from the identity row, one length level
-    at a time (:func:`chains.power_sums`), within the budget.
+    so it derives each row of K^l from the identity row, one right
+    multiplication per edge of a tree of right descents
+    (:func:`chains.power_sums`), within the budget.
     """
     try:
         formulas = [
@@ -348,7 +357,7 @@ def _analyze_rows(cfg: RunConfig) -> list[dict]:
                 oracle = chains.chi_square(dist, pi)
                 tv = chains.tv_distance(dist, pi)
         if cfg.mode == "float":
-            oracle = None if oracle is None else float(oracle)
+            oracle = None if oracle is None else _float(oracle)
             tv = None if tv is None else float(tv)
         rows.append(
             {

@@ -629,6 +629,15 @@ def _start_bits(family: GroupFamily, start: GroupElement | None) -> tuple[int, .
     return start.payload
 
 
+def _times_power(mult: int, theta: Scalar, k: int) -> Scalar:
+    """``mult * theta^k``; for a float theta, in logs where the direct
+    product overflows (say a binomial past the float range)."""
+    try:
+        return mult * theta**k
+    except OverflowError:
+        return _log_domain(math.log(mult) + k * math.log(theta))
+
+
 def long_scan_chisq(family, theta, ell: int, start: GroupElement | None = None):
     """Chi-square distance to ``pi`` after ``ell`` passes of the long scan.
 
@@ -656,7 +665,7 @@ def long_scan_chisq(family, theta, ell: int, start: GroupElement | None = None):
         for j in range(1, n + 1):
             for k, mult in enumerate(counts[j]):
                 if mult:
-                    total += mult * theta ** ((4 * ell - 1) * j + 2 * k)
+                    total += _times_power(mult, theta, (4 * ell - 1) * j + 2 * k)
         return total
     if start is not None and start != identity(family):
         raise ValueError(
@@ -686,7 +695,7 @@ def long_scan_avg_chisq(family, theta, ell: int):
     if family.kind == "hypercube":
         total = theta - theta
         for j in range(1, n + 1):
-            total += math.comb(n, j) * theta ** (4 * ell * j)
+            total += _times_power(math.comb(n, j), theta, 4 * ell * j)
         return total
     if family.kind == "dihedral":
         return theta ** (4 * ell * n) + (2 * n - 2) * theta ** (2 * ell * n)
@@ -705,9 +714,7 @@ def long_scan_trace(family: GroupFamily, theta, m: int):
     big_l = _longest_length(family)
     if family.kind == "hypercube":
         n = family.n
-        return sum(
-            math.comb(n, j) * theta ** (2 * m * j) for j in range(n + 1)
-        )
+        return sum(_times_power(math.comb(n, j), theta, 2 * m * j) for j in range(n + 1))
     if family.kind == "dihedral":
         n = family.n
         return (
@@ -824,17 +831,23 @@ def dihedral_random_scan_chisq(n: int, theta, ell: int, averaged: bool = False) 
             total += 2 * eig ** (2 * ell)
         return total
     series = sum(theta**i for i in range(n))
-    prefactor = theta ** (1 - n) / n * (1 + theta) * series
-    total = theta ** (2 * ell - n)
+    try:
+        prefactor = theta ** (1 - n) / n * (1 + theta) * series
+    except OverflowError:  # theta^(1 - n); the terms are then taken in logs
+        prefactor = math.inf
+    log_prefactor = (1 - n) * math.log(theta) - math.log(n) + math.log1p(theta) + math.log(series)
+    total = _times_power(1, theta, 2 * ell - n)
     for lam in range(1, n):
         two_cos = 2 * math.cos(2 * math.pi * lam / n)
         eig = (theta + 2 * math.cos(math.pi * lam / n) * root - 1) / 2
-        total += (
-            prefactor
-            * (2 - two_cos)
-            / (theta**2 - two_cos * theta + 1)
-            * eig ** (2 * ell)
-        )
+        spread = theta**2 - two_cos * theta + 1
+        term = prefactor * (2 - two_cos) / spread * eig ** (2 * ell)
+        if not math.isfinite(term):
+            # past the float range on the way: the term in logs, 0 where eig^(2 ell) is
+            log_power = 2 * ell * math.log(abs(eig) or 1.0)
+            logs = log_prefactor + math.log((2 - two_cos) / spread) + log_power
+            term = 0.0 if ell and not eig else _log_domain(logs)
+        total += term
     return total
 
 

@@ -10,8 +10,9 @@ oracle the fast versions must equal by ``==``:
   scan), never carried from an earlier power;
 * dense evolution ``start * K^ell`` by vector-matrix products;
 * the scan kernel as a product of Fraction matrices K_i built from their
-  definition, without ``chains``, with its traces, averaged chi-squares and
-  pi-weighted cross sums of consecutive powers;
+  definition, without ``chains``, each product reading only the nonzero
+  cells of K_i, with its traces, averaged chi-squares and pi-weighted
+  cross sums of consecutive powers;
 * the same sums with every row of the identity streamed through every
   scan letter on integer numerators, in blocks of rows, by a numpy letter
   loop of its own (the library's path before it read each row of K^m off
@@ -78,6 +79,15 @@ def metropolis_kernel(family, theta, i):
     return K
 
 
+def _times_generator(K, Ki):
+    """K @ Ki for a generator kernel Ki: column y of the product needs only
+    the rows z of column y of Ki that are nonzero, at most two of them."""
+    out = np.empty_like(K)
+    for y in range(Ki.shape[1]):
+        out[:, y] = sum(K[:, z] * Ki[z, y] for z in np.flatnonzero(Ki[:, y]))
+    return out
+
+
 def dense_scan_kernel(family, theta, scan):
     """The scan kernel (a recipe or "random") as a product of the K_i."""
     kernels = [metropolis_kernel(family, theta, i) for i in coxeter.generators(family)]
@@ -85,7 +95,7 @@ def dense_scan_kernel(family, theta, scan):
         return sum(kernels[1:], kernels[0]) / family.rank
     K = np.identity(family.order, dtype=object) * Fraction(1)
     for i in scan:
-        K = K @ kernels[i - 1]
+        K = _times_generator(K, kernels[i - 1])
     return K
 
 

@@ -2,6 +2,7 @@
 the algebra correspondence, scan recipes, and the distance inequalities."""
 
 import doctest
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -369,9 +370,10 @@ ROW_FAMILIES = (
     + [hypercube(n) for n in range(1, 6)]
     + [dihedral(n) for n in range(3, 13)]
 )
-# the dense Fraction oracle costs |W|^3 per letter: on the whole grid these
-# take 12 s, and S_5, hypercube(5) and dihedral(9..12) would add 40 s more,
-# so those meet it through the streamed oracle, itself checked against it
+# the dense Fraction oracle multiplies whole powers, |W|^3 cells a pass: on
+# S_5 that is about 15 s for each theta and scan of the grid, so S_5,
+# hypercube(5) and dihedral(9..12) meet it through the streamed oracle,
+# itself checked against it
 DENSE_ROW_FAMILIES = (
     [symmetric(n) for n in range(2, 5)]
     + [hypercube(n) for n in range(1, 5)]
@@ -426,9 +428,9 @@ def test_power_sums_of_random_recipes_equal_the_dense_oracle(family, theta, data
     assert power_sums(family, theta, recipe, passes) == [entry[:2] for entry in sums]
 
 
-def test_a_level_widens_in_the_middle_of_the_sweep():
+def test_a_row_widens_in_the_middle_of_the_walk():
     # hypercube(3) long at theta = 1/2: six letters a pass, so the identity
-    # row of K^10 is over 2^60 and its level-3 rows over 2^63
+    # row of K^10 is over 2^60 and its rows of length 3 over 2^63
     family, theta = hypercube(3), Fraction(1, 2)
     scan = long_recipe(family)
     dense = oracle.dense_power_sums(family, theta, scan, 10)
@@ -451,30 +453,51 @@ def test_power_sums_need_a_pass():
     ids=str,
 )
 def test_right_action_columns_and_length_levels(family):
-    """The right-action tables read off the left tables equal those of
-    w -> w s_i built element by element; each level-k row is derived from a
-    parent x s_i of length k - 1, with i its first right descent."""
+    """The descent tree's right tables, relabelled from positions to
+    enumeration indices, equal those of w -> w s_i built element by element;
+    each child c is its parent times s_i, for s_i the first right descent of
+    c, and one longer; the walk yields every element once, and its rows are
+    those of the kernel, each over den * b^length."""
     perms, ups = oracle.right_action_tables(family)
-    lengths = coxeter.action_tables(family).lengths
-    for (right, up), perm, want in zip(chains._right_letters(family), perms, ups):
-        assert right == perm.tolist() and up == want.tolist()
-    levels = chains._length_levels(family)
-    assert len(levels) == max(lengths) + 1
-    assert sorted(x for rows, _ in levels for x in rows) == list(range(family.order))
-    previous = None
-    for k, (rows, steps) in enumerate(levels):
-        assert all(lengths[x] == k for x in rows)
-        if k == 0:
-            assert steps == []
-        else:
-            assert sum(len(at) for _, at in steps) == len(rows)
-            children = iter(rows)
-            for i, at in steps:
-                for position in at:
-                    parent, x = previous[position], next(children)
-                    assert perms[i][x] == parent and lengths[parent] == k - 1
-                    assert [bool(u[x]) for u in ups[:i]] == [True] * i  # no earlier descent
-        previous = rows
+    tree = chains._descent_tree(family)
+    order, lengths = tree.order, coxeter.action_tables(family).lengths
+    assert sorted(order) == list(range(family.order))
+    assert tree.lengths == [lengths[x] for x in order] == sorted(lengths)
+    for (right, up), perm, want in zip(tree.right, perms, ups):
+        assert [order[t] for t in right] == perm[order].tolist()
+        assert up == want[order].tolist()
+    edges = 0
+    for p, children in enumerate(tree.children):
+        for i, c in children:
+            assert perms[i][order[c]] == order[p]
+            assert tree.lengths[c] == tree.lengths[p] + 1
+            assert [bool(u[order[c]]) for u in ups[: i + 1]] == [True] * i + [False]
+            edges += 1
+    assert edges == family.order - 1
+    theta = Fraction(2, 3)
+    K = short_scan_kernel(family, theta)
+    walked = list(
+        chains._walk(tree, theta.numerator, theta.denominator, [K.num[order[0]][x] for x in order])
+    )
+    assert sorted(p for p, _ in walked) == list(range(family.order))
+    for p, row in walked:
+        lift = theta.denominator ** tree.lengths[p]
+        assert row == [K.num[order[p]][x] * lift for x in order]
+
+
+def test_power_sums_hold_only_the_walks_path():
+    # the rows on the walk's path take about 0.1 MiB here; holding two whole
+    # length levels of each of two powers at once took 1.8 MiB
+    family, theta = hypercube(8), Fraction(1, 4)
+    scan = long_recipe(family)
+    expected = power_sums(family, theta, scan, 2)  # the tables are cached outside the trace
+    tracemalloc.start()
+    try:
+        assert power_sums(family, theta, scan, 2) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19, peak
 
 
 @pytest.mark.parametrize("family", EVOLVE_FAMILIES, ids=str)

@@ -236,6 +236,24 @@ def test_analyze_rejects_theta_outside_the_window(runner, theta, mode, group):
     assert "Traceback" not in res.output
 
 
+def test_float_dihedral_random_scan_past_an_overflowing_prefactor(runner):
+    # theta^(1 - n) = 2^1024 overflows; at l = 900 the value is finite and the
+    # exact oracle on dihedral(1025) agrees, at l = 1 both are past the range
+    rows = {}
+    for ell in ("1", "900"):
+        res = invoke(
+            runner,
+            "analyze", "--family", "dihedral", "--n", "1025", "--theta", "1/2",
+            "--scan", "random", "--lmin", ell, "--lmax", ell, "--mode", "float",
+            "--format", "csv",
+        )
+        assert res.exit_code == 0
+        rows[ell] = dict(zip(ANALYZE_COLUMNS, res.output.splitlines()[1].split(",")))
+    assert 1e270 < float(rows["900"]["chisq_formula"]) < math.inf
+    assert rows["900"]["match"] == rows["1"]["match"] == "true"
+    assert float(rows["1"]["chisq_formula"]) == float(rows["1"]["chisq_oracle"]) == math.inf
+
+
 def test_analyze_rejects_inverted_pass_range(runner):
     res = invoke(
         runner,
@@ -957,6 +975,28 @@ def cli_argv(draw):
 @example(
     argv=["analyze", "--family", "symmetric", "--n", "12", "--scan", "short",
           "--mode", "float", "--theta", "1e-5", "--lmax", "3"],
+    cap="50000",
+)
+# float forms with a binomial past the float range, or theta^(1 - n) past it
+@example(
+    argv=["analyze", "--family", "hypercube", "--n", "1030", "--theta", "0.5",
+          "--scan", "short", "--lmax", "1", "--mode", "float"],
+    cap="50000",
+)
+@example(
+    argv=["analyze", "--family", "hypercube", "--n", "1030", "--theta", "0.5",
+          "--scan", "long", "--averaged", "--lmax", "1", "--mode", "float"],
+    cap="50000",
+)
+@example(
+    argv=["analyze", "--family", "dihedral", "--n", "1025", "--theta", "1/2",
+          "--scan", "random", "--lmin", "900", "--lmax", "900", "--mode", "float"],
+    cap="200",
+)
+# ... and an exact oracle past the float range as a float
+@example(
+    argv=["analyze", "--family", "dihedral", "--n", "1025", "--theta", "1/2",
+          "--scan", "random", "--lmax", "1", "--mode", "float"],
     cap="50000",
 )
 @settings(max_examples=150, derandomize=True, deadline=None)

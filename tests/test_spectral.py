@@ -608,6 +608,23 @@ def test_float_hypercube_random_scan_chisq_beyond_the_float_range():
     assert not math.isnan(random_scan_chisq_hypercube(1000, 0.5, 200))
 
 
+@pytest.mark.parametrize("n", [1030, 1100])
+@pytest.mark.parametrize("theta", [0.5, 0.9])
+def test_float_hypercube_long_forms_past_a_binomial_in_the_float_range(n, theta):
+    # C(n, j) passes the float range from n = 1030 on, while each sum,
+    # sum_j C(n, j) theta^(k j) = (1 + theta^k)^n, stays finite
+    family = hypercube(n)
+    assert math.comb(n, n // 2) > 2**1024
+    for ell in (1, 2):
+        want = math.expm1(n * math.log1p(theta ** (4 * ell - 1)))
+        assert math.isclose(long_scan_chisq(family, theta, ell), want, rel_tol=1e-9)
+        want = math.expm1(n * math.log1p(theta ** (4 * ell)))
+        assert math.isclose(long_scan_avg_chisq(family, theta, ell), want, rel_tol=1e-9)
+    for m in (1, 2):
+        want = math.expm1(n * math.log1p(theta ** (2 * m))) + 1
+        assert math.isclose(long_scan_trace(family, theta, m), want, rel_tol=1e-9)
+
+
 def test_symmetric_bounds_dominate_the_closed_forms():
     # the long bounds after one pass; the short bounds at the first whole
     # pass count at or past the paper's threshold (short_start is Theorem

@@ -3,8 +3,8 @@ through Iwahori-Hecke algebra multiplication.
 
 Modules
 -------
-coxeter   group families, lengths, cosets, Poincare polynomials
-hecke     T / T-tilde basis arithmetic on sparse dicts, products, traces
+coxeter   group families, lengths, action tables, Poincare polynomials
+hecke     T-tilde basis arithmetic on sparse dicts, products
 chains    Metropolis kernels, scans, exact evolution, num/den distributions, TV / chi-square
 spectral  irrep data and closed-form chi-square / mixing bounds
 sampler   exact stationary sampling and lower-bound witnesses

@@ -687,9 +687,10 @@ def sample(ctx, family_kind, n, theta_raw, num_samples, seed, out):
     # sampling itself never enumerates; only the TV summary needs the cap
     mode = "exact" if family.order <= coxeter.enumeration_cap() else "float"
     cfg = _config(family=family, theta_raw=theta_raw, mode=mode, out=out)
-    theta = Fraction(cfg.theta)  # exact moments, for a float theta too
+    # exact moments from the rational typed, not from its float's expansion
+    theta = _parse_theta(theta_raw, "exact")
     rng = sampler.random_source(seed)
-    draws = [sampler.mallows_sample(family, theta, rng) for _ in range(num_samples)]
+    draws = [sampler.mallows_sample(family, cfg.theta, rng) for _ in range(num_samples)]
     lengths = np.array([coxeter.length(w) for w in draws], dtype=float)
     moments = sampler.length_moments(family, theta)
     predicted_mean = float(moments.mean)

@@ -16,11 +16,12 @@ one-line notation for permutations, 0/1 vectors for the hypercube, and
 (rotation exponent, reflection flag) pairs for the dihedral group, where
 ``(k, f)`` stands for r^k s_1^f with r = s_1 s_2.
 
-Everything here is exact: lengths and orders are ints, probabilities are
-`fractions.Fraction`.  Enumeration order is lexicographic on the payload
-and therefore stable across runs; :func:`action_tables` gives the action
-of every generator in that order, and :func:`check_theta` and
-:func:`check_q` are the parameter checks all layers share.
+Everything here is exact: lengths and orders are ints, and Poincare
+polynomials at a rational q are `fractions.Fraction`.  Enumeration order
+is lexicographic on the payload and therefore stable across runs;
+:func:`action_tables` gives the action of every generator in that order,
+and :func:`check_theta` and :func:`check_q` are the parameter checks all
+layers share.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "ActionTables",
@@ -43,7 +44,6 @@ __all__ = [
     "apply_generator",
     "check_q",
     "check_theta",
-    "coset_probability",
     "degrees",
     "dihedral",
     "enumerate",
@@ -54,9 +54,7 @@ __all__ = [
     "inverse",
     "length",
     "longest_element",
-    "min_coset_representatives",
     "multiply",
-    "parabolic_elements",
     "poincare_polynomial",
     "reduced_word",
     "right_apply_generator",
@@ -439,64 +437,6 @@ def poincare_polynomial(family: GroupFamily, q):
     for d in degrees(family):
         result *= (q**d - 1) / (q - 1)
     return result
-
-
-def _validate_parabolic(family: GroupFamily, J: Iterable[int]) -> tuple[int, ...]:
-    J = tuple(sorted(set(J)))
-    for j in J:
-        if j not in generators(family):
-            raise ValueError(f"parabolic index {j} out of range for {family}")
-    return J
-
-
-def parabolic_elements(family: GroupFamily, J: Iterable[int]) -> tuple[GroupElement, ...]:
-    """Elements of the standard parabolic subgroup W_J (closure under s_j, j in J)."""
-    J = _validate_parabolic(family, J)
-    seen = {identity(family)}
-    frontier = [identity(family)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for j in J:
-                u = right_apply_generator(w, j)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda e: e.payload))
-
-
-def min_coset_representatives(
-    family: GroupFamily, J: Iterable[int]
-) -> tuple[GroupElement, ...]:
-    """Minimal-length representatives of the left cosets x W_J.
-
-    x is minimal in its coset iff every j in J takes it up:
-    length(x s_j) > length(x).  Returned in enumeration order; there are
-    exactly |W| / |W_J| of them.
-    """
-    J = _validate_parabolic(family, J)
-    reps = []
-    for w in enumerate(family):
-        lw = length(w)
-        if all(length(right_apply_generator(w, j)) > lw for j in J):
-            reps.append(w)
-    return tuple(reps)
-
-
-def coset_probability(family: GroupFamily, J: Iterable[int], x: GroupElement, q) -> Fraction:
-    """Mass q^{length(x)} P_{W_J}(q) / P_W(q) of the coset x W_J.
-
-    x must be the minimal-length representative of its coset.
-    """
-    J = _validate_parabolic(family, J)
-    if isinstance(q, int):
-        q = Fraction(q)
-    lx = length(x)
-    if any(length(right_apply_generator(x, j)) <= lx for j in J):
-        raise ValueError(f"{x.payload} is not a minimal coset representative for J={J}")
-    sub_poincare = sum((q ** length(u) for u in parabolic_elements(family, J)), q * 0)
-    return q**lx * sub_poincare / poincare_polynomial(family, q)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,8 @@ and hooks, and every call builds the q-integers ``[k]_q`` (k <= n) once,
 so a generic degree costs one product over the hooks (the q-hook formula).
 Nothing enumerates tableaux, so no enumeration cap applies to these forms;
 :func:`standard_tableaux` remains as the reference the tests compare with.
+On the hypercube every block is one-dimensional, so the long-scan sums
+factor over the coordinates into products of ``n`` binomials.
 
 Everything downstream of a rational ``theta`` is exact `Fraction` arithmetic
 except where irrational eigenvalues force floats (dihedral random scan and
@@ -629,13 +631,23 @@ def _start_bits(family: GroupFamily, start: GroupElement | None) -> tuple[int, .
     return start.payload
 
 
-def _times_power(mult: int, theta: Scalar, k: int) -> Scalar:
-    """``mult * theta^k``; for a float theta, in logs where the direct
-    product overflows (say a binomial past the float range)."""
-    try:
-        return mult * theta**k
-    except OverflowError:
-        return _log_domain(math.log(mult) + k * math.log(theta))
+def _hypercube_product(theta: Scalar, factors, minus_one: bool) -> Scalar:
+    """``prod (1 + theta^k)^e`` over the ``(k, e)`` in ``factors``, less one
+    if ``minus_one``: a hypercube block sum, which factors over the
+    coordinates because every block is one-dimensional.  Exact for a
+    Fraction theta; a float theta goes through ``log1p`` and ``expm1``, so
+    that a tiny ``theta^k`` is not lost next to 1 and a value past the
+    float range is ``inf``."""
+    if isinstance(theta, Fraction):
+        value = math.prod((1 + theta**k) ** e for k, e in factors)
+        return value - 1 if minus_one else value
+    logs = 0.0
+    for k, e in factors:
+        try:
+            logs += e * math.log1p(theta**k)
+        except OverflowError:  # theta^k past the float range, k < 0
+            logs += e * k * math.log(theta)
+    return _expm1(logs) if minus_one else _log_domain(logs)
 
 
 def long_scan_chisq(family, theta, ell: int, start: GroupElement | None = None):
@@ -659,14 +671,11 @@ def long_scan_chisq(family, theta, ell: int, start: GroupElement | None = None):
         raise ValueError("ell must be nonnegative")
     n = family.n
     if family.kind == "hypercube":
-        bits = _start_bits(family, start)
-        counts = _hypercube_weight_counts(bits, n)
-        total = theta - theta
-        for j in range(1, n + 1):
-            for k, mult in enumerate(counts[j]):
-                if mult:
-                    total += _times_power(mult, theta, (4 * ell - 1) * j + 2 * k)
-        return total
+        # a one at the start weighs a nontrivial coordinate theta^(4 ell + 1)
+        # where a zero weighs it theta^(4 ell - 1)
+        w = sum(_start_bits(family, start))
+        factors = ((4 * ell - 1, n - w), (4 * ell + 1, w))
+        return _hypercube_product(theta, factors, minus_one=True)
     if start is not None and start != identity(family):
         raise ValueError(
             "closed form requires the identity start for this family"
@@ -693,10 +702,7 @@ def long_scan_avg_chisq(family, theta, ell: int):
         raise ValueError("ell must be nonnegative")
     n = family.n
     if family.kind == "hypercube":
-        total = theta - theta
-        for j in range(1, n + 1):
-            total += _times_power(math.comb(n, j), theta, 4 * ell * j)
-        return total
+        return _hypercube_product(theta, ((4 * ell, n),), minus_one=True)
     if family.kind == "dihedral":
         return theta ** (4 * ell * n) + (2 * n - 2) * theta ** (2 * ell * n)
     big_l = _longest_length(family)
@@ -713,8 +719,7 @@ def long_scan_trace(family: GroupFamily, theta, m: int):
     theta = check_theta(theta)
     big_l = _longest_length(family)
     if family.kind == "hypercube":
-        n = family.n
-        return sum(_times_power(math.comb(n, j), theta, 2 * m * j) for j in range(n + 1))
+        return _hypercube_product(theta, ((2 * m, family.n),), minus_one=False)
     if family.kind == "dihedral":
         n = family.n
         return (
@@ -836,7 +841,10 @@ def dihedral_random_scan_chisq(n: int, theta, ell: int, averaged: bool = False) 
     except OverflowError:  # theta^(1 - n); the terms are then taken in logs
         prefactor = math.inf
     log_prefactor = (1 - n) * math.log(theta) - math.log(n) + math.log1p(theta) + math.log(series)
-    total = _times_power(1, theta, 2 * ell - n)
+    try:
+        total = theta ** (2 * ell - n)
+    except OverflowError:
+        total = math.inf
     for lam in range(1, n):
         two_cos = 2 * math.cos(2 * math.pi * lam / n)
         eig = (theta + 2 * math.cos(math.pi * lam / n) * root - 1) / 2

@@ -21,10 +21,14 @@ oracle the fast versions must equal by ``==``:
   and ``length`` (the library's builder before it read them off the
   payloads);
 * the dense |W| x |W| matrix of left multiplication in the Hecke algebra,
-  built from the right action of the generators, and its trace;
+  built from the right action of the generators, and its trace; the
+  anti-automorphism ``star`` sending T~_w to T~_{w^{-1}};
 * the symmetric-family closed forms term by term: each generic degree by
   the q-hook formula with every q-integer summed afresh, and the short
-  scan summed over every standard tableau.
+  scan summed over every standard tableau;
+* the hypercube long-scan forms as block sums, the labels grouped by
+  weight and by overlap with the start (the library's forms before it
+  multiplied them out).
 """
 
 import functools
@@ -280,8 +284,6 @@ def left_mult_matrix(h):
     length: row(id) is h itself, and row(x) = row(x s_i) * T~_i for any
     right descent i of x (lengths add, so T~_x = T~_{x s_i} T~_i).
     """
-    if h.basis != hecke.TILDE_BASIS:
-        raise ValueError("left_mult_matrix expects a T~-basis vector")
     tables = coxeter.action_tables(h.family)
     perms, ups = right_action_tables(h.family)
     n = len(tables.elements)
@@ -301,9 +303,13 @@ def left_mult_matrix(h):
 
 def regular_trace(h):
     """Trace of left multiplication by h on H (basis independent)."""
-    M = left_mult_matrix(hecke.to_tilde_basis(h))
-    return sum(M.diagonal(), Fraction(0))
+    return sum(left_mult_matrix(h).diagonal(), Fraction(0))
 
+
+def star(h):
+    """The anti-automorphism sending T~_w to T~_{w^{-1}}."""
+    out = {coxeter.inverse(w): a for w, a in h.coeffs.items()}
+    return hecke.HeckeVector(h.family, h.q, out)
 
 
 def _q_int(q, k):
@@ -388,3 +394,24 @@ def short_scan_chisq(n, theta, ell, averaged=False):
 
 def short_scan_trace(n, theta, m):
     return sum(d * _tableau_sum(n, theta, m, lam) for lam, d, _ in _blocks(n))
+
+
+def hypercube_long_scan_chisq(n, theta, ell, bits):
+    """sum over labels lam != 0 of theta^((4 ell - 1)|lam| + 2 lam.bits),
+    the labels of weight j meeting the start's w ones in k places counted
+    by C(w, k) C(n - w, j - k)."""
+    w = sum(bits)
+    total = theta - theta
+    for j in range(1, n + 1):
+        for k in range(min(j, w) + 1):
+            mult = math.comb(w, k) * math.comb(n - w, j - k)
+            total += mult * theta ** ((4 * ell - 1) * j + 2 * k)
+    return total
+
+
+def hypercube_long_scan_avg_chisq(n, theta, ell):
+    return sum(math.comb(n, j) * theta ** (4 * ell * j) for j in range(1, n + 1))
+
+
+def hypercube_long_scan_trace(n, theta, m):
+    return sum(math.comb(n, j) * theta ** (2 * m * j) for j in range(n + 1))

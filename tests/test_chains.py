@@ -132,7 +132,7 @@ def test_short_scan_is_u_times_star_u(family):
     theta = Fraction(1, 2)
     q = 1 / theta
     u = hecke.tilde_word(family, q, tuple(range(1, family.rank + 1)))
-    block = oracle.left_mult_matrix(hecke.product(u, hecke.star(u)))
+    block = oracle.left_mult_matrix(hecke.product(u, oracle.star(u)))
     assert (short_scan_kernel(family, theta).matrix == block).all()
     assert short_recipe(family) == tuple(range(1, family.rank + 1)) + tuple(
         range(family.rank, 0, -1)

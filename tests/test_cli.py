@@ -631,6 +631,26 @@ def test_sample_beyond_the_cap_drops_the_tv_column(runner):
     assert abs(summary["mean_z_score"]) < 3
 
 
+def test_sample_beyond_the_cap_takes_moments_from_the_typed_rational(runner, monkeypatch):
+    # past the cap the draws use the float 0.3; the exact moments must use
+    # 3/10, not the float's binary expansion with its 2^54 denominator
+    seen = []
+    moments = sampler.length_moments
+
+    def spy(family, theta):
+        seen.append(theta)
+        return moments(family, theta)
+
+    monkeypatch.setattr(sampler, "length_moments", spy)
+    res = invoke(
+        runner,
+        "sample", "--family", "symmetric", "--n", "9", "--theta", "0.3", "-N", "5",
+    )
+    assert res.exit_code == 0
+    assert len(seen) == 1
+    assert type(seen[0]) is Fraction and seen[0] == Fraction(3, 10)
+
+
 def test_sample_dihedral_beyond_the_cap(runner):
     # 2n = 60000 elements: the sampler reads pi off the length formula
     res = invoke(

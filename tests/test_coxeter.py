@@ -1,5 +1,6 @@
 """Group-level tests: lengths against a BFS oracle, Poincare polynomials,
-longest elements, cosets, and the algebraic axioms as hypothesis properties."""
+longest elements, action tables, and the algebraic axioms as hypothesis
+properties."""
 
 import doctest
 import itertools
@@ -17,7 +18,6 @@ from hecke_metro.coxeter import (
     CapExceededError,
     GroupFamily,
     apply_generator,
-    coset_probability,
     degrees,
     dihedral,
     generators,
@@ -26,9 +26,7 @@ from hecke_metro.coxeter import (
     inverse,
     length,
     longest_element,
-    min_coset_representatives,
     multiply,
-    parabolic_elements,
     poincare_polynomial,
     reduced_word,
     right_apply_generator,
@@ -163,48 +161,6 @@ def test_generator_application_changes_length_by_exactly_one(family):
         for i in generators(family):
             assert abs(length(apply_generator(i, w)) - length(w)) == 1
             assert abs(length(right_apply_generator(w, i)) - length(w)) == 1
-
-
-@pytest.mark.parametrize(
-    "family,J",
-    [
-        (symmetric(4), (1, 2)),
-        (symmetric(5), (1, 2, 3)),
-        (symmetric(5), (2, 4)),
-        (hypercube(4), (1, 3)),
-        (dihedral(6), (2,)),
-    ],
-    ids=lambda v: str(v),
-)
-def test_coset_representatives_tile_the_group(family, J):
-    reps = min_coset_representatives(family, J)
-    sub = parabolic_elements(family, J)
-    assert len(reps) * len(sub) == family.order
-    tiles = {multiply(x, u) for x in reps for u in sub}
-    assert len(tiles) == family.order
-    # minimal representative lengths add: length(xu) = length(x) + length(u)
-    for x in reps[:6]:
-        for u in sub:
-            assert length(multiply(x, u)) == length(x) + length(u)
-
-
-@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2), Fraction(1)])
-def test_coset_probabilities_sum_to_one(q):
-    family = symmetric(4)
-    J = (1, 2)
-    total = sum(
-        (coset_probability(family, J, x, q) for x in min_coset_representatives(family, J)),
-        Fraction(0),
-    )
-    assert total * poincare_polynomial(family, q) == poincare_polynomial(family, q)
-    assert total == 1
-
-
-def test_coset_probability_rejects_non_minimal_representatives():
-    family = symmetric(4)
-    w0 = longest_element(family)
-    with pytest.raises(ValueError):
-        coset_probability(family, (1, 2), w0, Fraction(1, 2))
 
 
 def test_enumeration_cap_is_enforced_and_overridable(monkeypatch):

@@ -625,6 +625,71 @@ def test_float_hypercube_long_forms_past_a_binomial_in_the_float_range(n, theta)
         assert math.isclose(long_scan_trace(family, theta, m), want, rel_tol=1e-9)
 
 
+def _hypercube_long_cases():
+    """(n, theta, ell, start bits): one start per weight w of the start."""
+    return [
+        (n, theta, ell, (1,) * w + (0,) * (n - w))
+        for n in range(1, 8)
+        for theta in (Fraction(1, 2), Fraction(2, 3), Fraction(9, 10), Fraction(1))
+        for ell in range(4)
+        for w in range(n + 1)
+    ]
+
+
+def test_hypercube_long_forms_equal_the_block_sums():
+    for n, theta, ell, bits in _hypercube_long_cases():
+        family = hypercube(n)
+        start = coxeter.GroupElement(family, bits)
+        got = long_scan_chisq(family, theta, ell, start)
+        assert type(got) is Fraction
+        assert got == oracle.hypercube_long_scan_chisq(n, theta, ell, bits)
+        if not any(bits):
+            got = long_scan_avg_chisq(family, theta, ell)
+            assert got == oracle.hypercube_long_scan_avg_chisq(n, theta, ell)
+            got = long_scan_trace(family, theta, ell)
+            assert got == oracle.hypercube_long_scan_trace(n, theta, ell)
+
+
+def test_float_hypercube_long_forms_are_the_rounded_exact_values():
+    # theta = 10^-6 and l = 1: theta^3 = 1e-18 vanishes next to 1, so the
+    # products (1 + theta^k)^e would round to 1 without log1p
+    tiny = [
+        (n, Fraction(1, 10**6), 1, (1,) * w + (0,) * (n - w))
+        for n in (1, 5)
+        for w in range(n + 1)
+    ]
+    for n, theta, ell, bits in _hypercube_long_cases() + tiny:
+        family = hypercube(n)
+        start = coxeter.GroupElement(family, bits)
+        forms = [
+            lambda t: long_scan_chisq(family, t, ell, start),
+            lambda t: long_scan_avg_chisq(family, t, ell),
+            lambda t: long_scan_trace(family, t, ell),
+        ]
+        for form in forms:
+            got = form(float(theta))
+            assert type(got) is float
+            assert math.isclose(got, float(form(theta)), rel_tol=1e-12)
+    assert 0 < long_scan_chisq(hypercube(5), 1e-6, 1) < 1e-17
+
+
+def test_float_hypercube_long_forms_past_the_float_range_are_infinite():
+    # (1 + 0.9^2)^n leaves the float range from n = 1197 on, here exactly too
+    family = hypercube(1200)
+    with pytest.raises(OverflowError):
+        float(long_scan_trace(family, Fraction(9, 10), 1))
+    assert long_scan_trace(family, 0.9, 1) == math.inf
+    assert long_scan_avg_chisq(family, 0.9, 0) == math.inf
+    assert long_scan_chisq(family, 0.9, 0) == math.inf
+    # theta^-1 alone overflows at l = 0 from a subnormal theta; it weighs
+    # only the zeros of the start, so from all ones the value is finite
+    assert long_scan_chisq(hypercube(3), 1e-310, 0) == math.inf
+    ones = coxeter.GroupElement(hypercube(3), (1, 1, 1))
+    exact = long_scan_chisq(hypercube(3), Fraction(1e-310), 0, ones)
+    got = long_scan_chisq(hypercube(3), 1e-310, 0, ones)
+    assert math.isclose(got, float(exact), rel_tol=1e-12)
+
+
 def test_symmetric_bounds_dominate_the_closed_forms():
     # the long bounds after one pass; the short bounds at the first whole
     # pass count at or past the paper's threshold (short_start is Theorem

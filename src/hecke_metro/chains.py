@@ -359,7 +359,11 @@ def scan_kernel(family: GroupFamily, theta, recipe) -> Kernel:
 
 
 def short_recipe(family: GroupFamily) -> tuple[int, ...]:
-    """The short scan: one palindromic sweep (1, ..., m, m, ..., 1)."""
+    """The short scan: one palindromic sweep (1, ..., m, m, ..., 1).
+
+    >>> short_recipe(coxeter.symmetric(4))
+    (1, 2, 3, 3, 2, 1)
+    """
     m = family.rank
     return tuple(range(1, m + 1)) + tuple(range(m, 0, -1))
 
@@ -379,6 +383,9 @@ def long_recipe(family: GroupFamily) -> tuple[int, ...]:
       already the product of all T~_i^2.
     * dihedral: (1,2,1,2,...) with 2n letters -- two alternating reduced
       words of w_0 back to back.
+
+    >>> long_recipe(coxeter.dihedral(3))
+    (1, 2, 1, 2, 1, 2)
     """
     m = family.rank
     if family.kind == "symmetric":

@@ -51,14 +51,17 @@ element of that cap, and past it exact runs are refused with exit 2.
 Exit codes: 0 when every check passes, 1 when a verification-style check
 fails (a ``verify`` invariant, an ``analyze`` row with ``match=false``,
 or a ``sample`` mean more than three standard errors off), 2 for usage
-errors (bad flags, theta out of range, cap exceeded in exact mode).
+errors (bad flags, theta out of range, cap exceeded in exact mode),
+reported on stderr as ``Error: <message>``.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import decimal
 import functools
+import inspect
 import io
 import itertools
 import json
@@ -69,8 +72,6 @@ import tempfile
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import click
 
 from . import __version__, chains, coxeter, hecke, sampler, spectral
 from .coxeter import CapExceededError, GroupFamily
@@ -85,6 +86,9 @@ __all__ = ["RunConfig", "main"]
 @dataclass(frozen=True)
 class RunConfig:
     """Validated bundle of the settings shared by the subcommands.
+
+    The parser checks each choice (``mode``, ``scan``); this checks what
+    it cannot see: ``1 <= lmin <= lmax``, theta and the caps.
 
     ``theta_raw`` is kept as the string the user typed ("1/2", "0.5", ...)
     so that output files echo the request verbatim; :attr:`theta` is the
@@ -101,17 +105,9 @@ class RunConfig:
     lmin: int = 1
     lmax: int = 1
     averaged: bool = False
-    fmt: str = "json"
-    out: str | None = None
     theta: Fraction | float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.mode not in ("exact", "float"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.scan not in ("long", "short", "random"):
-            raise ValueError(f"unknown scan {self.scan!r}")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
         if not 1 <= self.lmin <= self.lmax:
             raise ValueError("need 1 <= lmin <= lmax")
         object.__setattr__(self, "theta", _parse_theta(self.theta_raw, self.mode))
@@ -157,18 +153,24 @@ def _parse_theta(raw: str, mode: str) -> Fraction | float:
         raise ValueError(f"{exc} (theta {raw} as a float)") from None
 
 
+class UsageError(Exception):
+    """A command line that asks for something the program cannot do;
+    :func:`main` prints ``Error: <message>`` and exits 2, as it does on a
+    :class:`CapExceededError`."""
+
+
 def _family(kind: str, n: int) -> GroupFamily:
     try:
         return GroupFamily(kind, n)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
 
 
 def _config(**kwargs) -> RunConfig:
     try:
         return RunConfig(**kwargs)
-    except (ValueError, CapExceededError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 _PROVENANCE = {
@@ -209,15 +211,17 @@ def _csv_cell(x) -> str:
     return str(x)
 
 
-def _check_out(ctx, param, out: str | None) -> str | None:
-    """Refuse, before any work, an ``--out`` that names no file or lies in a
-    missing or unwritable directory."""
-    if out is not None:
-        directory = os.path.dirname(os.path.abspath(out))
-        if not os.path.basename(out):
-            raise click.BadParameter(f"cannot write --out {out!r}: it names no file")
-        if not os.access(directory, os.W_OK | os.X_OK):
-            raise click.BadParameter(f"cannot write --out {out}: {directory} is not writable")
+def _check_out(out: str) -> str:
+    """The type of ``--out``: refuse, while the options are parsed, a path
+    that names no file or names a directory, an existing file that cannot
+    be written, or a path in a missing or unwritable directory."""
+    directory = os.path.dirname(os.path.abspath(out))
+    if not os.path.basename(out) or os.path.isdir(out):
+        raise argparse.ArgumentTypeError(f"cannot write --out {out!r}: it names no file")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise argparse.ArgumentTypeError(f"cannot write --out {out}: {directory} is not writable")
+    if os.path.exists(out) and not os.access(out, os.W_OK):
+        raise argparse.ArgumentTypeError(f"cannot write --out {out}: it is not writable")
     return out
 
 
@@ -229,14 +233,13 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
     usage error.
     """
     if out is None:
-        for piece in pieces:
-            click.echo(piece, nl=False)
+        sys.stdout.writelines(pieces)
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hecke-metro-", text=True)
     except OSError as exc:
-        raise click.UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
+        raise UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(pieces)
@@ -333,7 +336,7 @@ def _analyze_rows(cfg: RunConfig) -> list[dict]:
             for ell in range(cfg.lmin, cfg.lmax + 1)
         ]
     except ValueError as exc:  # no form for this scan
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     within_cap = cfg.family.order <= coxeter.enumeration_cap()
     if cfg.averaged and cfg.family.order**2 > chains.dense_cell_budget():
         within_cap = False
@@ -375,75 +378,7 @@ def _analyze_rows(cfg: RunConfig) -> list[dict]:
 _ANALYZE_COLUMNS = ["l", "chisq_formula", "chisq_oracle", "tv", "tv_bound", "match"]
 
 
-# --------------------------------------------------------------------------
-# the click group
-
-
-@click.group()
-@click.version_option(__version__, prog_name="hecke-metro")
-def main() -> None:
-    """Metropolis chains on reflection groups, driven through the deformed
-    group algebra: closed-form chi-square decay, invariant verification,
-    exact stationary sampling, and bound tables."""
-
-
-_FAMILY_OPTION = click.option(
-    "--family",
-    "family_kind",
-    type=click.Choice(["symmetric", "hypercube", "dihedral"]),
-    required=True,
-    help="Reflection-group family.",
-)
-_N_OPTION = click.option("--n", type=int, required=True, help="Family size parameter.")
-_THETA_OPTION = click.option(
-    "--theta",
-    "theta_raw",
-    required=True,
-    help='Bias parameter in (0, 1]; a rational string like "1/2" or a decimal.',
-)
-_OUT_OPTION = click.option(
-    "--out",
-    type=click.Path(dir_okay=False, writable=True),
-    default=None,
-    callback=_check_out,
-    help="Output path (atomic write); stdout when omitted.",
-)
-
-
-@main.command()
-@_FAMILY_OPTION
-@_N_OPTION
-@_THETA_OPTION
-@click.option(
-    "--scan",
-    type=click.Choice(["long", "short", "random"]),
-    default="long",
-    show_default=True,
-    help="Which kernel to analyze.",
-)
-@click.option("--lmin", type=int, default=1, show_default=True)
-@click.option("--lmax", type=int, required=True, help="Last pass count to report.")
-@click.option(
-    "--averaged",
-    is_flag=True,
-    help="pi-weighted average over starting states instead of the identity start.",
-)
-@click.option(
-    "--mode",
-    type=click.Choice(["exact", "float"]),
-    default="exact",
-    show_default=True,
-)
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "csv"]),
-    default="json",
-    show_default=True,
-)
-@_OUT_OPTION
-@click.pass_context
-def analyze(ctx, family_kind, n, theta_raw, scan, lmin, lmax, averaged, mode, fmt, out):
+def analyze(args: argparse.Namespace) -> int:
     """Chi-square decay of a scan: closed form vs. brute force per pass.
 
     Emits one row per pass count l with the closed-form chi-square, the
@@ -458,21 +393,16 @@ def analyze(ctx, family_kind, n, theta_raw, scan, lmin, lmax, averaged, mode, fm
     then leaves the oracle columns empty.
     """
     cfg = _config(
-        family=_family(family_kind, n),
-        theta_raw=theta_raw,
-        mode=mode,
-        scan=scan,
-        lmin=lmin,
-        lmax=lmax,
-        averaged=averaged,
-        fmt=fmt,
-        out=out,
+        family=_family(args.family, args.n),
+        theta_raw=args.theta,
+        mode=args.mode,
+        scan=args.scan,
+        lmin=args.lmin,
+        lmax=args.lmax,
+        averaged=args.averaged,
     )
-    try:
-        rows = _analyze_rows(cfg)
-    except CapExceededError as exc:
-        raise click.UsageError(str(exc)) from exc
-    if cfg.fmt == "csv":
+    rows = _analyze_rows(cfg)
+    if args.fmt == "csv":
         pieces = [_csv_text(_ANALYZE_COLUMNS, rows)]
     else:
         pieces = [
@@ -486,9 +416,8 @@ def analyze(ctx, family_kind, n, theta_raw, scan, lmin, lmax, averaged, mode, fm
                 }
             )
         ]
-    _emit(pieces, cfg.out)
-    if any(row["match"] is False for row in rows):
-        ctx.exit(1)
+    _emit(pieces, args.out)
+    return int(any(row["match"] is False for row in rows))
 
 
 # --------------------------------------------------------------------------
@@ -588,18 +517,7 @@ def _verify_checks(family: GroupFamily, theta: Fraction, perturb: bool):
     ]
 
 
-@main.command()
-@_FAMILY_OPTION
-@_N_OPTION
-@_THETA_OPTION
-@click.option(
-    "--perturb-kernel",
-    is_flag=True,
-    hidden=True,
-    help="Negative control: corrupt one generator kernel before checking.",
-)
-@click.pass_context
-def verify(ctx, family_kind, n, theta_raw, perturb_kernel):
+def verify(args: argparse.Namespace) -> int:
     """Run the invariant suite for one instance; exit 1 on any failure.
 
     Theta is always parsed exactly here (any decimal or p/q string is a
@@ -624,7 +542,6 @@ def verify(ctx, family_kind, n, theta_raw, perturb_kernel):
     multiplication by h in the T~ basis: L(h)[x, y] is the coefficient of
     T~_y in h T~_x.
 
-    \b
     - Check 1 compares row x of K_i with T~_i T~_x for every i and x,
       so K_i = L(T~_i).
     - L(h) L(g) = L(g h), so a scan kernel, built by the letters that
@@ -633,43 +550,29 @@ def verify(ctx, family_kind, n, theta_raw, perturb_kernel):
     - So check 2, the identity row of the long scan against
       T~_{w0} T~_{w0}, proves that the long scan is L(T~_{w0}^2).
     """
-    family = _family(family_kind, n)
-    cfg = _config(family=family, theta_raw=theta_raw, mode="exact")
-    try:
-        chains.check_dense_cells(family)
-    except CapExceededError as exc:
-        raise click.UsageError(str(exc)) from exc
-    checks = _verify_checks(family, cfg.theta, perturb_kernel)
+    family = _family(args.family, args.n)
+    cfg = _config(family=family, theta_raw=args.theta, mode="exact")
+    chains.check_dense_cells(family)
+    checks = _verify_checks(family, cfg.theta, args.perturb_kernel)
     failures = 0
     for name, thunk in checks:
         try:
             ok = thunk()
         except Exception as exc:  # a crash is a failure, not a crash of the suite
             ok = False
-            click.echo(f"FAIL {name} (error: {exc})")
+            print(f"FAIL {name} (error: {exc})")
         else:
-            click.echo(("PASS " if ok else "FAIL ") + name)
+            print(("PASS " if ok else "FAIL ") + name)
         failures += not ok
-    click.echo(f"{len(checks) - failures}/{len(checks)} checks passed")
-    if failures:
-        ctx.exit(1)
+    print(f"{len(checks) - failures}/{len(checks)} checks passed")
+    return int(failures > 0)
 
 
 # --------------------------------------------------------------------------
 # sample
 
 
-@main.command()
-@_FAMILY_OPTION
-@_N_OPTION
-@_THETA_OPTION
-@click.option(
-    "--num-samples", "-N", type=int, default=1000, show_default=True
-)
-@click.option("--seed", type=click.IntRange(min=0), default=4, show_default=True)
-@_OUT_OPTION
-@click.pass_context
-def sample(ctx, family_kind, n, theta_raw, num_samples, seed, out):
+def sample(args: argparse.Namespace) -> int:
     """Draw exact stationary samples and summarize the fit.
 
     The summary compares the empirical length mean/variance with the
@@ -681,14 +584,17 @@ def sample(ctx, family_kind, n, theta_raw, num_samples, seed, out):
     """
     import numpy as np  # the one subcommand that needs it: the draws use its PCG64 stream
 
+    num_samples, seed = args.num_samples, args.seed
     if num_samples <= 0:
-        raise click.UsageError("--num-samples must be positive")
-    family = _family(family_kind, n)
+        raise UsageError("--num-samples must be positive")
+    if seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {seed}")
+    family = _family(args.family, args.n)
     # sampling itself never enumerates; only the TV summary needs the cap
     mode = "exact" if family.order <= coxeter.enumeration_cap() else "float"
-    cfg = _config(family=family, theta_raw=theta_raw, mode=mode, out=out)
+    cfg = _config(family=family, theta_raw=args.theta, mode=mode)
     # exact moments from the rational typed, not from its float's expansion
-    theta = _parse_theta(theta_raw, "exact")
+    theta = _parse_theta(args.theta, "exact")
     rng = sampler.random_source(seed)
     draws = [sampler.mallows_sample(family, cfg.theta, rng) for _ in range(num_samples)]
     lengths = np.array([coxeter.length(w) for w in draws], dtype=float)
@@ -715,7 +621,7 @@ def sample(ctx, family_kind, n, theta_raw, num_samples, seed, out):
             "command": "sample",
             "family": family.kind,
             "n": family.n,
-            "theta": theta_raw,
+            "theta": args.theta,
             "num_samples": num_samples,
             "seed": seed,
         },
@@ -730,9 +636,8 @@ def sample(ctx, family_kind, n, theta_raw, num_samples, seed, out):
         "rows": [list(w.payload) for w in draws],
         "provenance": _PROVENANCE,
     }
-    _emit(_sample_json_pieces(payload), cfg.out)
-    if abs(z) > 3:
-        ctx.exit(1)
+    _emit(_sample_json_pieces(payload), args.out)
+    return int(abs(z) > 3)
 
 
 # --------------------------------------------------------------------------
@@ -742,7 +647,7 @@ def sample(ctx, family_kind, n, theta_raw, num_samples, seed, out):
 _BOUND_COLUMNS = ["family", "kind", "n", "theta", "c", "value"]
 
 
-def _bound_rows(ns: tuple[int, ...], thetas: tuple[float, ...], cs: tuple[float, ...]):
+def _bound_rows(ns: list[int], thetas: list[float], cs: list[float]):
     rows = []
     for n in ns:
         for theta in thetas:
@@ -838,62 +743,153 @@ def _bound_rows(ns: tuple[int, ...], thetas: tuple[float, ...], cs: tuple[float,
     return rows
 
 
-@main.command()
-@click.option(
-    "--n",
-    "ns",
-    type=int,
-    multiple=True,
-    default=(100,),
-    show_default=True,
-    help="Size parameters (repeatable).",
-)
-@click.option(
-    "--theta",
-    "theta_raws",
-    multiple=True,
-    required=True,
-    help="Bias parameters in (0, 1), repeatable; rational strings or decimals.",
-)
-@click.option(
-    "--c",
-    "cs",
-    type=float,
-    multiple=True,
-    default=tuple(float(c) for c in range(1, 11)),
-    show_default=False,
-    help="Slack constants (repeatable, default 1..10).  For dihedral "
-    "random-scan rows the value doubles as the pass count.",
-)
-@_OUT_OPTION
-def bounds(ns, theta_raws, cs, out):
+def bounds(args: argparse.Namespace) -> int:
     """Closed-form mixing bounds and lead constants over an (n, theta, c) grid.
 
     Rows with kind long_scan_* and single_pass are one-pass bounds, so
     their c column is fixed at 1; the lead-constant rows have no c at all.
     All values are floats (CSV), largest grids in seconds.
     """
+    ns = args.n or [100]
+    cs = args.c or [float(c) for c in range(1, 11)]
     thetas = []
-    for raw in theta_raws:
+    for raw in args.theta:
         try:
             value = _parse_theta(raw, "float")
         except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
+            raise UsageError(str(exc)) from exc
         if value == 1:
-            raise click.UsageError(
+            raise UsageError(
                 f"bounds need theta strictly inside (0, 1) (log theta appears); got {raw}"
             )
         thetas.append(value)
     for n in ns:
         if n < 3:
-            raise click.UsageError(
+            raise UsageError(
                 f"bounds need n >= 3 (every grid cell has dihedral rows); got {n}"
             )
     for c in cs:
         if not (math.isfinite(c) and c > 0):
-            raise click.UsageError(f"slack constants must be positive and finite, got {c}")
-    _emit([_csv_text(_BOUND_COLUMNS, _bound_rows(ns, tuple(thetas), cs))], out)
+            raise UsageError(f"slack constants must be positive and finite, got {c}")
+    _emit([_csv_text(_BOUND_COLUMNS, _bound_rows(ns, thetas, cs))], args.out)
+    return 0
+
+
+# --------------------------------------------------------------------------
+# the parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """``--help`` but no ``-h``, no abbreviated options, docstrings shown as
+    written, and errors raised as :class:`UsageError` after the usage line."""
+
+    def __init__(self, **kwargs) -> None:
+        formatter = argparse.RawDescriptionHelpFormatter
+        super().__init__(add_help=False, allow_abbrev=False, formatter_class=formatter, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
+_DEFAULT = "[default: %(default)s]"
+
+
+def _parser(prog: str) -> _Parser:
+    parser = _Parser(
+        prog=prog,
+        description="Metropolis chains on reflection groups, driven through the deformed\n"
+        "group algebra: closed-form chi-square decay, invariant verification,\n"
+        "exact stationary sampling, and bound tables.",
+    )
+    parser.add_argument(
+        "--version", action="version", help="Show the version and exit.",
+        version=f"%(prog)s, version {__version__}",
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument(
+        "--family", choices=["symmetric", "hypercube", "dihedral"], required=True,
+        help="Reflection-group family.",
+    )
+    instance.add_argument("--n", type=int, required=True, help="Family size parameter.")
+    instance.add_argument(
+        "--theta", required=True,
+        help='Bias parameter in (0, 1]; a rational string like "1/2" or a decimal.',
+    )
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
+        "--out", type=_check_out, help="Output path (atomic write); stdout when omitted."
+    )
+
+    def command(run, *parents: argparse.ArgumentParser) -> _Parser:
+        doc = inspect.cleandoc(run.__doc__)
+        sub = commands.add_parser(
+            run.__name__, parents=parents, help=doc.splitlines()[0], description=doc
+        )
+        sub.set_defaults(run=run)
+        return sub
+
+    sub = command(analyze, instance, output)
+    sub.add_argument(
+        "--scan", choices=["long", "short", "random"], default="long",
+        help="Which kernel to analyze.  " + _DEFAULT,
+    )
+    sub.add_argument("--lmin", type=int, default=1, help=_DEFAULT)
+    sub.add_argument("--lmax", type=int, required=True, help="Last pass count to report.")
+    sub.add_argument(
+        "--averaged", action="store_true",
+        help="pi-weighted average over starting states instead of the identity start.",
+    )
+    sub.add_argument("--mode", choices=["exact", "float"], default="exact", help=_DEFAULT)
+    sub.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json", help=_DEFAULT)
+
+    sub = command(verify, instance)
+    # negative control: corrupt one generator kernel before checking
+    sub.add_argument("--perturb-kernel", action="store_true", help=argparse.SUPPRESS)
+
+    sub = command(sample, instance, output)
+    sub.add_argument("--num-samples", "-N", type=int, default=1000, help=_DEFAULT)
+    sub.add_argument("--seed", type=int, default=4, help=_DEFAULT)
+
+    sub = command(bounds, output)
+    sub.add_argument(
+        "--n", type=int, action="append",
+        help="Size parameters (repeatable).  [default: 100]",
+    )
+    sub.add_argument(
+        "--theta", action="append", required=True,
+        help="Bias parameters in (0, 1), repeatable; rational strings or decimals.",
+    )
+    sub.add_argument(
+        "--c", type=float, action="append",
+        help="Slack constants (repeatable, default 1..10).  For dihedral "
+        "random-scan rows the value doubles as the pass count.",
+    )
+    return parser
+
+
+def main(args=None, prog_name="hecke-metro", standalone_mode=True) -> int:
+    """Run the subcommand that ``args`` (default ``sys.argv[1:]``) names.
+
+    The exit code is 0 when every check passes, 1 when one fails and 2 on
+    a usage error, printed as ``Error: <message>`` on stderr.  With
+    ``standalone_mode`` the process exits with it; otherwise it is returned.
+    """
+    try:
+        parsed = _parser(prog_name).parse_args(args)
+        code = parsed.run(parsed)
+    except (UsageError, CapExceededError) as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        code = 2
+    except SystemExit as exc:  # --help and --version print and stop
+        code = exc.code
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":
-    main(prog_name="hecke-metro")
+    main()

@@ -56,7 +56,15 @@ def tilde_unit(family: GroupFamily, q, w: GroupElement | None = None) -> HeckeVe
 
 def tilde_generator_times(i: int, h: HeckeVector) -> HeckeVector:
     """T~_i * h: a rise moves each term to s_i w; a descent keeps 1 - theta
-    times it on w and moves theta times it."""
+    times it on w and moves theta times it.
+
+    In S_2 at q = 2, T~_1 T~_{s_1} = (1/2) T~_{s_1} + (1/2) T~_id:
+
+    >>> s_1 = coxeter.longest_element(coxeter.symmetric(2))
+    >>> h = tilde_generator_times(1, tilde_unit(s_1.family, 2, s_1))
+    >>> sorted((coxeter.length(w), str(a)) for w, a in h.coeffs.items())
+    [(0, '1/2'), (1, '1/2')]
+    """
     hold, move = 1 - h.theta, h.theta
     out: dict[GroupElement, Fraction] = {}
     for w, a in h.coeffs.items():

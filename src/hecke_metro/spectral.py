@@ -67,9 +67,6 @@ __all__ = [
     "IrrepData",
     "StandardTableau",
     "partitions",
-    "conjugate_partition",
-    "hook_lengths",
-    "content_sum",
     "standard_tableaux",
     "content_of_n_box",
     "irreps",
@@ -87,8 +84,6 @@ __all__ = [
     "bound_symmetric_scans",
     "bound_dihedral_random_scan",
     "bound_dihedral_long_scan",
-    "DegreeBoundReport",
-    "lemma_7_2_bounds",
     "LeadConstantRow",
     "lead_constant_table",
 ]
@@ -129,16 +124,6 @@ def _check_partition(lam: Sequence[int]) -> Partition:
     return lam
 
 
-def conjugate_partition(lam: Sequence[int]) -> Partition:
-    """Transpose of the diagram: column lengths read off as a partition.
-
-    >>> conjugate_partition((3, 1))
-    (2, 1, 1)
-    """
-    lam = _check_partition(lam)
-    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
-
-
 def _hooks(lam: Partition) -> tuple[int, ...]:
     # hook lengths row-major, from one conjugate
     cols = [0] * (lam[0] if lam else 0)
@@ -148,17 +133,6 @@ def _hooks(lam: Partition) -> tuple[int, ...]:
     return tuple(
         part - j + cols[j] - i - 1 for i, part in enumerate(lam) for j in range(part)
     )
-
-
-def hook_lengths(lam: Sequence[int]) -> list[int]:
-    """Hook lengths of all boxes, row-major (arm + leg + 1)."""
-    return list(_hooks(_check_partition(lam)))
-
-
-def content_sum(lam: Sequence[int]) -> int:
-    """Sum of ``column - row`` over all boxes of the diagram."""
-    lam = _check_partition(lam)
-    return sum(j - i for i in range(len(lam)) for j in range(lam[i]))
 
 
 @dataclass(frozen=True)
@@ -1044,60 +1018,7 @@ def bound_dihedral_long_scan(n: int, theta) -> Fraction:
 
 
 # --------------------------------------------------------------------------
-# inequality checks and lead constants
-
-@dataclass(frozen=True)
-class DegreeBoundReport:
-    """Outcome of the three standard inequalities for one partition:
-
-    * ``degree_ok``:        ``t_lam <= theta^(C(lam_1,2) - C(n,2)) d_lam``,
-    * ``dimension_sum_ok``: ``sum_{mu_1 = lam_1} d_mu^2 <= n^(2j)/j!`` with
-      ``j = n - lam_1``,
-    * ``content_ok``:       ``c_lam`` is at most ``C(lam_1,2) +
-      (n-lam_1)(n-lam_1-3)/2`` when ``lam_1 >= n/2`` and ``n^2/4 - n``
-      when ``lam_1 <= n/2``.
-    """
-
-    degree_ok: bool
-    dimension_sum_ok: bool
-    content_ok: bool
-
-
-def lemma_7_2_bounds(lam: Sequence[int], theta) -> DegreeBoundReport:
-    """Exactly evaluate the three inequalities for ``lam`` at rational
-    ``theta`` (see `DegreeBoundReport`)."""
-    lam = _check_partition(lam)
-    theta = check_theta(theta)
-    if not isinstance(theta, Fraction):
-        raise ValueError("exact checks require rational theta")
-    n = sum(lam)
-    j = n - lam[0]
-    q = 1 / theta
-
-    blocks = _symmetric_blocks(n)
-    block = next(b for b in blocks if b.lam == lam)
-    t_val = _symmetric_degree(block)(q)
-    degree_ok = t_val <= theta ** (math.comb(lam[0], 2) - math.comb(n, 2)) * block.d
-
-    square_sum = sum(b.d**2 for b in blocks if b.lam[0] == lam[0])
-    if j == 0:
-        dimension_sum_ok = square_sum == 1
-    else:
-        dimension_sum_ok = square_sum <= Fraction(n ** (2 * j), math.factorial(j))
-
-    c_val = block.c
-    if 2 * lam[0] >= n:
-        content_ok = c_val <= Fraction(
-            2 * math.comb(lam[0], 2) + (n - lam[0]) * (n - lam[0] - 3), 2
-        )
-    else:
-        content_ok = c_val <= Fraction(n * n, 4) - n
-
-    return DegreeBoundReport(
-        degree_ok=bool(degree_ok),
-        dimension_sum_ok=bool(dimension_sum_ok),
-        content_ok=bool(content_ok),
-    )
+# lead constants
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,9 @@ oracle the fast versions must equal by ``==``:
 * the symmetric-family closed forms term by term: each generic degree by
   the q-hook formula with every q-integer summed afresh, and the short
   scan summed over every standard tableau;
+* the partition data those forms read (conjugate, hook lengths, content
+  sum), and the three inequalities on generic degrees, dimensions and
+  contents (Lemma 7.2) evaluated exactly for one partition;
 * the hypercube long-scan forms as block sums, the labels grouped by
   weight and by overlap with the start (the library's forms before it
   multiplied them out).
@@ -33,6 +36,7 @@ oracle the fast versions must equal by ``==``:
 
 import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -330,12 +334,17 @@ def symmetric_degree(lam, q):
     for k in range(1, sum(lam) + 1):
         factorial *= _q_int(q, k)
     val = q ** sum(i * part for i, part in enumerate(lam)) * factorial
-    for h in _hooks(lam):
+    for h in hook_lengths(lam):
         val /= _q_int(q, h)
     return val
 
 
-def _hooks(lam):
+def conjugate_partition(lam):
+    """Transpose of the diagram: column lengths read off as a partition."""
+    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
+
+
+def hook_lengths(lam):
     """Arm + leg + 1 of every box, row-major."""
     return [
         part - j + sum(1 for below in lam[i + 1 :] if below > j)
@@ -344,14 +353,65 @@ def _hooks(lam):
     ]
 
 
+def content_sum(lam):
+    """Sum of ``column - row`` over all boxes of the diagram."""
+    return sum(j - i for i, part in enumerate(lam) for j in range(part))
+
+
 def _blocks(n):
     """(lam, d by the hook length formula, content sum) per partition of n."""
     out = []
     for lam in spectral.partitions(n):
-        d = math.factorial(n) // math.prod(_hooks(lam))
-        content = sum(j - i for i, part in enumerate(lam) for j in range(part))
-        out.append((lam, d, content))
+        d = math.factorial(n) // math.prod(hook_lengths(lam))
+        out.append((lam, d, content_sum(lam)))
     return out
+
+
+@dataclass(frozen=True)
+class DegreeBoundReport:
+    """Outcome of the three standard inequalities for one partition:
+
+    * ``degree_ok``:        ``t_lam <= theta^(C(lam_1,2) - C(n,2)) d_lam``,
+    * ``dimension_sum_ok``: ``sum_{mu_1 = lam_1} d_mu^2 <= n^(2j)/j!`` with
+      ``j = n - lam_1``,
+    * ``content_ok``:       ``c_lam`` is at most ``C(lam_1,2) +
+      (n-lam_1)(n-lam_1-3)/2`` when ``lam_1 >= n/2`` and ``n^2/4 - n``
+      when ``lam_1 <= n/2``.
+    """
+
+    degree_ok: bool
+    dimension_sum_ok: bool
+    content_ok: bool
+
+
+def lemma_7_2_bounds(lam, theta):
+    """Exactly evaluate the three inequalities for ``lam`` at rational
+    ``theta`` (see `DegreeBoundReport`)."""
+    theta = coxeter.check_theta(theta)
+    if not isinstance(theta, Fraction):
+        raise ValueError("exact checks require rational theta")
+    n = sum(lam)
+    j = n - lam[0]
+    blocks = _blocks(n)
+    d = next(d for mu, d, _ in blocks if mu == lam)
+    degree_ok = symmetric_degree(lam, 1 / theta) <= (
+        theta ** (math.comb(lam[0], 2) - math.comb(n, 2)) * d
+    )
+
+    square_sum = sum(d_mu**2 for mu, d_mu, _ in blocks if mu[0] == lam[0])
+    if j == 0:
+        dimension_sum_ok = square_sum == 1
+    else:
+        dimension_sum_ok = square_sum <= Fraction(n ** (2 * j), math.factorial(j))
+
+    if 2 * lam[0] >= n:
+        content_ok = content_sum(lam) <= Fraction(
+            2 * math.comb(lam[0], 2) + (n - lam[0]) * (n - lam[0] - 3), 2
+        )
+    else:
+        content_ok = content_sum(lam) <= Fraction(n * n, 4) - n
+
+    return DegreeBoundReport(degree_ok, dimension_sum_ok, content_ok)
 
 
 def long_scan_chisq(n, theta, ell):

@@ -37,7 +37,9 @@ FAMILIES = [symmetric(3), symmetric(4), hypercube(3), dihedral(5), dihedral(6)]
 
 
 def test_module_doctests():
-    assert doctest.testmod(chains).failed == 0
+    failed, attempted = doctest.testmod(chains)
+    assert attempted > 0
+    assert failed == 0
 
 
 def test_stationary_values_for_s3_at_one_half():

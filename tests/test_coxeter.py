@@ -66,7 +66,9 @@ def bfs_lengths(family):
 
 
 def test_module_doctests():
-    assert doctest.testmod(coxeter).failed == 0
+    failed, attempted = doctest.testmod(coxeter)
+    assert attempted > 0
+    assert failed == 0
 
 
 @pytest.mark.parametrize("family", SMALL_FAMILIES, ids=str)

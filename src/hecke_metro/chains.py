@@ -106,8 +106,12 @@ def dense_cell_budget() -> int:
 
 
 def check_dense_cells(family: GroupFamily) -> None:
-    """Refuse, before it begins, work on every start over the cell budget."""
-    cells, budget = family.order**2, dense_cell_budget()
+    """Refuse, before it begins, work on every start over the cell budget.
+
+    The work enumerates the group, so a group past the enumeration cap is
+    refused first (:func:`coxeter.check_order`), before |W| is squared.
+    """
+    cells, budget = coxeter.check_order(family) ** 2, dense_cell_budget()
     if cells > budget:
         raise CapExceededError(
             f"work on every start of {family} covers |W|^2 = {cells} cells, over the "

@@ -43,10 +43,16 @@ brute-force columns once enumeration is impossible.
 Output files are written atomically: the text goes to a temporary file
 in the target directory which is then renamed over the destination, so a
 crash never leaves a half-written table; an unwritable directory is
-refused while the options are parsed.  The env var ``HECKE_METRO_CAP``
-overrides the enumeration cap for all commands; the work on every start
-of ``verify`` and ``analyze --averaged`` may cover at most 20 cells per
-element of that cap, and past it exact runs are refused with exit 2.
+refused while the options are parsed.
+
+The cap decisions are the library's: :func:`coxeter.check_order` refuses
+a group past the enumeration cap (env var ``HECKE_METRO_CAP``) without
+forming its order, and :func:`chains.check_dense_cells` the work on every
+start of ``verify`` and ``analyze --averaged`` past 20 cells per element
+of that cap.  The command line reads their :class:`CapExceededError`
+before any closed form or oracle runs: exact ``analyze`` and ``verify``
+exit 2, float ``analyze`` leaves the oracle columns empty, and ``sample``
+leaves out the empirical total variation.
 
 Exit codes: 0 when every check passes, 1 when a verification-style check
 fails (a ``verify`` invariant, an ``analyze`` row with ``match=false``,
@@ -70,68 +76,23 @@ import os
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__, chains, coxeter, hecke, sampler, spectral
 from .coxeter import CapExceededError, GroupFamily
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 
 # --------------------------------------------------------------------------
-# configuration
+# arguments
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of the settings shared by the subcommands.
-
-    The parser checks each choice (``mode``, ``scan``); this checks what
-    it cannot see: ``1 <= lmin <= lmax``, theta and the caps.
-
-    ``theta_raw`` is kept as the string the user typed ("1/2", "0.5", ...)
-    so that output files echo the request verbatim; :attr:`theta` is the
-    value that ``mode`` hands the library, and the one range-checked (see
-    :func:`_parse_theta`).  Exact mode insists on a group small enough to
-    enumerate, because its whole point is that the brute-force columns
-    exist and every number is a rational.
-    """
-
-    family: GroupFamily
-    theta_raw: str
-    mode: str = "exact"
-    scan: str = "long"
-    lmin: int = 1
-    lmax: int = 1
-    averaged: bool = False
-    theta: Fraction | float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.lmin <= self.lmax:
-            raise ValueError("need 1 <= lmin <= lmax")
-        object.__setattr__(self, "theta", _parse_theta(self.theta_raw, self.mode))
-        if self.mode == "exact" and self.family.order > coxeter.enumeration_cap():
-            raise CapExceededError(
-                f"|{self.family}| = {self.family.order} exceeds the enumeration "
-                f"cap {coxeter.enumeration_cap()}; exact mode needs the full "
-                "group (rerun with --mode float or raise HECKE_METRO_CAP)"
-            )
-        if self.mode == "exact" and self.averaged:
-            chains.check_dense_cells(self.family)
-
-    def as_dict(self, command: str) -> dict:
-        return {
-            "command": command,
-            "family": self.family.kind,
-            "n": self.family.n,
-            "theta": self.theta_raw,
-            "mode": self.mode,
-            "scan": self.scan,
-            "lmin": self.lmin,
-            "lmax": self.lmax,
-            "averaged": self.averaged,
-        }
+class UsageError(ValueError):
+    """A command line that asks for something the program cannot do;
+    :func:`main` prints ``Error: <message>`` and exits 2, as it does on a
+    :class:`CapExceededError`.  A ValueError, as the scripts that share
+    :func:`_parse_theta` expect."""
 
 
 def _parse_theta(raw: str, mode: str) -> Fraction | float:
@@ -144,31 +105,20 @@ def _parse_theta(raw: str, mode: str) -> Fraction | float:
     try:
         value = coxeter.check_theta(Fraction(raw))
     except ZeroDivisionError as exc:
-        raise ValueError(f"cannot parse theta {raw!r}: zero denominator") from exc
+        raise UsageError(f"cannot parse theta {raw!r}: zero denominator") from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if mode == "exact":
         return value
     try:
         return coxeter.check_theta(float(value))
     except ValueError as exc:
-        raise ValueError(f"{exc} (theta {raw} as a float)") from None
-
-
-class UsageError(Exception):
-    """A command line that asks for something the program cannot do;
-    :func:`main` prints ``Error: <message>`` and exits 2, as it does on a
-    :class:`CapExceededError`."""
+        raise UsageError(f"{exc} (theta {raw} as a float)") from None
 
 
 def _family(kind: str, n: int) -> GroupFamily:
     try:
         return GroupFamily(kind, n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _config(**kwargs) -> RunConfig:
-    try:
-        return RunConfig(**kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -312,54 +262,66 @@ def _float(value: Fraction) -> float:
         return math.inf
 
 
-def _scan_letters(cfg: RunConfig) -> tuple[int, ...] | str:
-    """The configured scan as chains.evolve_scan and chains.power_sums take it."""
-    if cfg.scan == "long":
-        return chains.long_recipe(cfg.family)
-    if cfg.scan == "short":
-        return chains.short_recipe(cfg.family)
+def _scan_letters(family: GroupFamily, scan: str) -> tuple[int, ...] | str:
+    """The scan as chains.evolve_scan and chains.power_sums take it."""
+    if scan == "long":
+        return chains.long_recipe(family)
+    if scan == "short":
+        return chains.short_recipe(family)
     return "random"
 
 
-def _analyze_rows(cfg: RunConfig) -> list[dict]:
+def _analyze_rows(family: GroupFamily, theta, args: argparse.Namespace) -> list[dict]:
     """Closed form per pass, next to the brute-force oracle within the cap.
 
     The identity-start oracle evolves the point mass at the identity one
     scan letter at a time (matrix-free); ``--averaged`` needs every start,
     so it derives each row of K^l from the identity row, one right
     multiplication per edge of a tree of right descents
-    (:func:`chains.power_sums`), within the budget.
+    (:func:`chains.power_sums`), within the budget.  The library's gate
+    for that oracle runs first: past it exact mode is refused and float
+    mode leaves the oracle columns empty.
     """
+    mode, averaged, passes = args.mode, args.averaged, range(args.lmin, args.lmax + 1)
+    try:
+        if averaged:
+            chains.check_dense_cells(family)
+        else:
+            coxeter.check_order(family)
+        within_cap = True
+    except CapExceededError as exc:
+        if mode == "exact":
+            raise CapExceededError(
+                f"{exc}; exact mode needs the brute-force oracle (rerun with "
+                "--mode float to skip it)"
+            ) from exc
+        within_cap = False
     try:
         formulas = [
-            spectral.closed_form(cfg.family, cfg.scan, cfg.theta, ell, cfg.averaged)
-            for ell in range(cfg.lmin, cfg.lmax + 1)
+            spectral.closed_form(family, args.scan, theta, ell, averaged) for ell in passes
         ]
     except ValueError as exc:  # no form for this scan
         raise UsageError(str(exc)) from exc
-    within_cap = cfg.family.order <= coxeter.enumeration_cap()
-    if cfg.averaged and cfg.family.order**2 > chains.dense_cell_budget():
-        within_cap = False
     rows: list[dict] = []
     sums = dist = pi = None
     if within_cap:
-        scan = _scan_letters(cfg)
-        if cfg.averaged:
-            sums = chains.power_sums(cfg.family, cfg.theta, scan, cfg.lmax)
+        scan = _scan_letters(family, args.scan)
+        if averaged:
+            sums = chains.power_sums(family, theta, scan, args.lmax)
         else:
-            pi = chains.stationary(cfg.family, cfg.theta)
-            dist = chains.point_mass(cfg.family, coxeter.identity(cfg.family))
-            dist = chains.evolve_scan(cfg.family, cfg.theta, scan, dist, cfg.lmin - 1)
-    for ell, formula in zip(range(cfg.lmin, cfg.lmax + 1), formulas):
+            pi = chains.stationary(family, theta)
+            dist = chains.point_mass(family, coxeter.identity(family))
+            dist = chains.evolve_scan(family, theta, scan, dist, args.lmin - 1)
+    for ell, formula in zip(passes, formulas):
         oracle = tv = None
         if within_cap:
-            if cfg.averaged:
+            if averaged:
                 _, oracle = sums[ell - 1]
             else:
-                dist = chains.evolve_scan(cfg.family, cfg.theta, scan, dist, 1)
+                dist = chains.evolve_scan(family, theta, scan, dist, 1)
                 oracle = chains.chi_square(dist, pi)
                 tv = chains.tv_distance(dist, pi)
-        if cfg.mode == "float":
+        if mode == "float":
             oracle = None if oracle is None else _float(oracle)
             tv = None if tv is None else float(tv)
         rows.append(
@@ -369,7 +331,7 @@ def _analyze_rows(cfg: RunConfig) -> list[dict]:
                 "chisq_oracle": oracle,
                 "tv": tv,
                 "tv_bound": formula / 4,
-                "match": None if oracle is None else _match(formula, oracle, cfg.mode),
+                "match": None if oracle is None else _match(formula, oracle, mode),
             }
         )
     return rows
@@ -392,23 +354,22 @@ def analyze(args: argparse.Namespace) -> int:
     when its |W|^2 cells exceed 20 x HECKE_METRO_CAP; float --averaged
     then leaves the oracle columns empty.
     """
-    cfg = _config(
-        family=_family(args.family, args.n),
-        theta_raw=args.theta,
-        mode=args.mode,
-        scan=args.scan,
-        lmin=args.lmin,
-        lmax=args.lmax,
-        averaged=args.averaged,
-    )
-    rows = _analyze_rows(cfg)
+    family = _family(args.family, args.n)
+    if not 1 <= args.lmin <= args.lmax:
+        raise UsageError("need 1 <= lmin <= lmax")
+    rows = _analyze_rows(family, _parse_theta(args.theta, args.mode), args)
     if args.fmt == "csv":
         pieces = [_csv_text(_ANALYZE_COLUMNS, rows)]
     else:
+        config = {
+            "command": "analyze", "family": family.kind, "n": family.n, "theta": args.theta,
+            "mode": args.mode, "scan": args.scan, "lmin": args.lmin, "lmax": args.lmax,
+            "averaged": args.averaged,
+        }
         pieces = [
             _json_text(
                 {
-                    "config": cfg.as_dict("analyze"),
+                    "config": config,
                     "rows": [
                         {k: _json_value(row[k]) for k in _ANALYZE_COLUMNS} for row in rows
                     ],
@@ -424,13 +385,7 @@ def analyze(args: argparse.Namespace) -> int:
 # verify
 
 
-def _perturb(K: chains.Kernel, x: int) -> chains.Kernel:
-    """K with the move out of x, the one entry of row x, swapped onto the diagonal."""
-    ((_, value),) = K.num[x].items()
-    return chains.Kernel(K.family, K.theta, K.num[:x] + [{x: value}] + K.num[x + 1 :], K.den)
-
-
-def _verify_checks(family: GroupFamily, theta: Fraction, perturb: bool):
+def _verify_checks(family: GroupFamily, theta: Fraction):
     """(name, thunk) pairs; each thunk returns True on success.
 
     Checks 1, 3 and 4 read the rows of each K_i off the action tables
@@ -440,7 +395,6 @@ def _verify_checks(family: GroupFamily, theta: Fraction, perturb: bool):
     kernels equal left multiplications.  Checks 5 and 6 share one
     three-pass :func:`chains.power_sums_with_crosses`, run when first
     needed; :func:`verify` says where tr(K^4) and tr(K^5) come from.
-    ``perturb`` corrupts the identity row of K_1 for check 1 to catch.
     """
     q = 1 / theta
     gens = coxeter.generators(family)
@@ -449,8 +403,6 @@ def _verify_checks(family: GroupFamily, theta: Fraction, perturb: bool):
         i: chains.Kernel(family, theta, chains.generator_rows(family, theta, i), theta.denominator)
         for i in gens
     }
-    if perturb:
-        kernels[1] = _perturb(kernels[1], tables.index[coxeter.identity(family)])
     pi = chains.stationary(family, theta)
     long_scan = chains.long_recipe(family)
 
@@ -500,7 +452,7 @@ def _verify_checks(family: GroupFamily, theta: Fraction, perturb: bool):
         )
 
     def squared_dimensions_sum_to_order() -> bool:
-        return sum(rep.d**2 for rep in spectral.irreps(family)) == family.order
+        return sum(rep.d**2 for rep in spectral.irreps(family)) == len(tables.elements)
 
     def generic_degrees_sum_to_length_polynomial() -> bool:
         return spectral.sum_d_t(family, q) == coxeter.poincare_polynomial(family, q)
@@ -551,9 +503,9 @@ def verify(args: argparse.Namespace) -> int:
       T~_{w0} T~_{w0}, proves that the long scan is L(T~_{w0}^2).
     """
     family = _family(args.family, args.n)
-    cfg = _config(family=family, theta_raw=args.theta, mode="exact")
+    theta = _parse_theta(args.theta, "exact")
     chains.check_dense_cells(family)
-    checks = _verify_checks(family, cfg.theta, args.perturb_kernel)
+    checks = _verify_checks(family, theta)
     failures = 0
     for name, thunk in checks:
         try:
@@ -590,13 +542,13 @@ def sample(args: argparse.Namespace) -> int:
     if seed < 0:
         raise UsageError(f"--seed must be nonnegative, got {seed}")
     family = _family(args.family, args.n)
-    # sampling itself never enumerates; only the TV summary needs the cap
-    mode = "exact" if family.order <= coxeter.enumeration_cap() else "float"
-    cfg = _config(family=family, theta_raw=args.theta, mode=mode)
-    # exact moments from the rational typed, not from its float's expansion
+    # the draws run on theta's float, so that is checked on every group; the
+    # moments and the total variation take the rational typed, not the
+    # float's binary expansion
+    draw_theta = _parse_theta(args.theta, "float")
     theta = _parse_theta(args.theta, "exact")
     rng = sampler.random_source(seed)
-    draws = [sampler.mallows_sample(family, cfg.theta, rng) for _ in range(num_samples)]
+    draws = [sampler.mallows_sample(family, draw_theta, rng) for _ in range(num_samples)]
     lengths = np.array([coxeter.length(w) for w in draws], dtype=float)
     moments = sampler.length_moments(family, theta)
     predicted_mean = float(moments.mean)
@@ -605,10 +557,13 @@ def sample(args: argparse.Namespace) -> int:
     mean = float(lengths.mean())
     z = 0.0 if se == 0 else (mean - predicted_mean) / se
 
-    empirical_tv = None
-    if family.order <= coxeter.enumeration_cap():
+    try:
+        order = coxeter.check_order(family)
+    except CapExceededError:  # too many elements to tally the draws over
+        empirical_tv = None
+    else:
         pi = chains.stationary(family, theta)
-        counts = np.zeros(family.order)
+        counts = np.zeros(order)
         for w in draws:
             counts[chains.element_index(family, w)] += 1
         freqs = counts / num_samples
@@ -754,10 +709,7 @@ def bounds(args: argparse.Namespace) -> int:
     cs = args.c or [float(c) for c in range(1, 11)]
     thetas = []
     for raw in args.theta:
-        try:
-            value = _parse_theta(raw, "float")
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        value = _parse_theta(raw, "float")
         if value == 1:
             raise UsageError(
                 f"bounds need theta strictly inside (0, 1) (log theta appears); got {raw}"
@@ -781,12 +733,22 @@ def bounds(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """``--help`` but no ``-h``, no abbreviated options, docstrings shown as
-    written, and errors raised as :class:`UsageError` after the usage line."""
+    written, and errors raised as :class:`UsageError` after the usage line.
+
+    Each parser, a subcommand's too, refuses the arguments it does not
+    know, so the usage line shown is that of the parser they were given to.
+    """
 
     def __init__(self, **kwargs) -> None:
         formatter = argparse.RawDescriptionHelpFormatter
         super().__init__(add_help=False, allow_abbrev=False, formatter_class=formatter, **kwargs)
         self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -846,9 +808,7 @@ def _parser(prog: str) -> _Parser:
     sub.add_argument("--mode", choices=["exact", "float"], default="exact", help=_DEFAULT)
     sub.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json", help=_DEFAULT)
 
-    sub = command(verify, instance)
-    # negative control: corrupt one generator kernel before checking
-    sub.add_argument("--perturb-kernel", action="store_true", help=argparse.SUPPRESS)
+    command(verify, instance)
 
     sub = command(sample, instance, output)
     sub.add_argument("--num-samples", "-N", type=int, default=1000, help=_DEFAULT)

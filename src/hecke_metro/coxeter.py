@@ -42,6 +42,7 @@ __all__ = [
     "GroupFamily",
     "action_tables",
     "apply_generator",
+    "check_order",
     "check_q",
     "check_theta",
     "degrees",
@@ -73,6 +74,39 @@ class CapExceededError(ValueError):
 def enumeration_cap() -> int:
     """Current enumeration cap (env var HECKE_METRO_CAP overrides)."""
     return int(os.environ.get("HECKE_METRO_CAP", DEFAULT_ENUMERATION_CAP))
+
+
+def check_order(family: GroupFamily) -> int:
+    """The order |W|, refused with :class:`CapExceededError` past the
+    enumeration cap.  Every enumeration, and every work sized by |W|, is
+    gated here.
+
+    |W| is multiplied up, m! for the symmetric family and 2^m for the
+    hypercube, only until the product passes the cap, so a refusal costs
+    the same for every larger group and |W| is never formed past it: at
+    the default cap, S_1000000 is refused as "|symmetric(1000000)| >= 9! =
+    362880 exceeds the enumeration cap 50000".
+
+    >>> check_order(dihedral(5))
+    10
+    """
+    n, cap = family.n, enumeration_cap()
+    if family.kind == "dihedral":
+        m, order, name = n, 2 * n, f"2*{n}"
+    else:
+        factorial = family.kind == "symmetric"
+        m, order = int(factorial), 1  # 1! or 2^0
+        while m < n and order <= cap:
+            m += 1
+            order *= m if factorial else 2
+        name = f"{m}!" if factorial else f"2^{m}"
+    if order > cap:
+        relation = "=" if m == n else ">="
+        raise CapExceededError(
+            f"|{family}| {relation} {name} = {order} exceeds the enumeration cap "
+            f"{cap} (raise HECKE_METRO_CAP to allow it)"
+        )
+    return order
 
 
 def check_theta(theta) -> Fraction | float:
@@ -333,12 +367,10 @@ def enumerate(family: GroupFamily) -> tuple[GroupElement, ...]:
     """All elements in lexicographic payload order.
 
     Raises CapExceededError when the group order exceeds the cap
-    (default 50000; override with the HECKE_METRO_CAP env var).
+    (default 50000; override with the HECKE_METRO_CAP env var), see
+    :func:`check_order`.
     """
-    if family.order > enumeration_cap():
-        raise CapExceededError(
-            f"|{family}| = {family.order} exceeds enumeration cap {enumeration_cap()}"
-        )
+    check_order(family)
     return _enumerate_cached(family)
 
 

@@ -56,6 +56,7 @@ from .coxeter import (
     CapExceededError,
     GroupElement,
     GroupFamily,
+    check_order,
     check_q,
     check_theta,
     enumeration_cap,
@@ -481,13 +482,8 @@ def irreps(family: GroupFamily) -> list[IrrepData]:
             for b in _symmetric_blocks(n)
         ]
     if family.kind == "hypercube":
-        if family.order > enumeration_cap():
-            raise CapExceededError(
-                f"{family} has {family.order} irreducible blocks "
-                f"(cap {enumeration_cap()})"
-            )
         out = []
-        for mask in range(2**n):
+        for mask in range(check_order(family)):  # one block per element
             bits = tuple((mask >> i) & 1 for i in range(n))
             weight = sum(bits)
             out.append(
@@ -582,10 +578,9 @@ def _dihedral_root_sum(n: int, q: Fraction) -> Fraction:
 # --------------------------------------------------------------------------
 # closed-form chi-square distances
 
-def _hypercube_weight_counts(start_bits: Sequence[int], n: int) -> list[list[int]]:
+def _hypercube_weight_counts(w: int, n: int) -> list[list[int]]:
     """``counts[j][k]`` = number of 0/1 labels with weight ``j`` whose dot
-    product with ``start_bits`` is ``k``."""
-    w = sum(start_bits)
+    product with a start of weight ``w`` is ``k``."""
     counts = []
     for j in range(n + 1):
         counts.append(
@@ -597,12 +592,14 @@ def _hypercube_weight_counts(start_bits: Sequence[int], n: int) -> list[list[int
     return counts
 
 
-def _start_bits(family: GroupFamily, start: GroupElement | None) -> tuple[int, ...]:
+def _start_weight(family: GroupFamily, start: GroupElement | None) -> int:
+    """The Hamming weight of a hypercube start, 0 for the default (the
+    identity), which is not built: it has one bit per coordinate."""
     if start is None:
-        return (0,) * family.n
+        return 0
     if start.family != family:
         raise ValueError(f"start {start} does not belong to {family}")
-    return start.payload
+    return sum(start.payload)
 
 
 def _hypercube_product(theta: Scalar, factors, minus_one: bool) -> Scalar:
@@ -647,7 +644,7 @@ def long_scan_chisq(family, theta, ell: int, start: GroupElement | None = None):
     if family.kind == "hypercube":
         # a one at the start weighs a nontrivial coordinate theta^(4 ell + 1)
         # where a zero weighs it theta^(4 ell - 1)
-        w = sum(_start_bits(family, start))
+        w = _start_weight(family, start)
         factors = ((4 * ell - 1, n - w), (4 * ell + 1, w))
         return _hypercube_product(theta, factors, minus_one=True)
     if start is not None and start != identity(family):
@@ -760,9 +757,8 @@ def random_scan_chisq_hypercube(n: int, theta, ell: int, start: GroupElement | N
     so the sum costs O(n^2) instead of 2^n.
     """
     theta = check_theta(theta)
-    bits = _start_bits(hypercube(n), start)
     exact = isinstance(theta, Fraction)
-    counts = _hypercube_weight_counts(bits, n)
+    counts = _hypercube_weight_counts(_start_weight(hypercube(n), start), n)
     total = theta - theta
     for j in range(1, n + 1):
         ratio = Fraction(j, n) if exact else j / n

@@ -189,6 +189,74 @@ def test_analyze_exact_mode_beyond_the_cap_is_refused(runner):
     assert "cap" in res.output.lower()
 
 
+# the largest n of each family within the default cap of 50000
+LARGEST_WITHIN_CAP = {"symmetric": 8, "hypercube": 15, "dihedral": 25000}
+
+
+@pytest.fixture()
+def order_spy(monkeypatch):
+    """``GroupFamily.order`` raises on a group past the default cap, so a
+    run that forms |W| there fails."""
+    order = coxeter.GroupFamily.order
+
+    def spy(family):
+        if family.n > LARGEST_WITHIN_CAP[family.kind]:
+            raise AssertionError(f"|{family}| formed past the cap")
+        return order.fget(family)
+
+    monkeypatch.setattr(coxeter.GroupFamily, "order", property(spy))
+
+
+@pytest.mark.parametrize(
+    "args, family",
+    [
+        (("analyze", "--family", "symmetric", "--n", "1000000", "--lmax", "1"),
+         "|symmetric(1000000)| >= 9! = 362880"),
+        (("analyze", "--family", "hypercube", "--n", "1000000000", "--lmax", "1"),
+         "|hypercube(1000000000)| >= 2^16 = 65536"),
+        (("verify", "--family", "symmetric", "--n", "100000"),
+         "|symmetric(100000)| >= 9! = 362880"),
+    ],
+    ids=["analyze-symmetric", "analyze-hypercube", "verify"],
+)
+def test_exact_runs_past_the_cap_are_refused_without_forming_the_order(
+    runner, order_spy, args, family
+):
+    res = invoke(runner, *args, "--theta", "1/2")
+    assert res.exit_code == 2
+    assert family in res.output
+    assert "exceeds the enumeration cap 50000" in res.output
+    if args[0] == "analyze":
+        assert "--mode float" in res.output
+
+
+def test_float_analyze_past_the_cap_leaves_the_oracle_without_forming_the_order(
+    runner, order_spy
+):
+    res = invoke(
+        runner,
+        "analyze", "--family", "hypercube", "--n", "1000000000", "--theta", "1/2",
+        "--lmax", "1", "--mode", "float",
+    )
+    assert res.exit_code == 0
+    (row,) = json.loads(res.output)["rows"]
+    assert row["chisq_oracle"] is None and row["tv"] is None and row["match"] is None
+
+
+def test_exact_refusal_comes_before_the_closed_form(runner, order_spy, monkeypatch):
+    # the exact long form of S_41 takes seconds; the oracle's gate refuses first
+    def no_form(*args, **kwargs):
+        raise AssertionError("closed form computed before the cap was checked")
+
+    monkeypatch.setattr(spectral, "closed_form", no_form)
+    res = invoke(
+        runner,
+        "analyze", "--family", "symmetric", "--n", "41", "--theta", "1/2", "--lmax", "1",
+    )
+    assert res.exit_code == 2
+    assert "|symmetric(41)| >= 9! = 362880" in res.output
+
+
 @pytest.mark.parametrize(
     "n, bound", [("42", "p(42) = 53174"), ("80", "p(80) >= p(42) = 53174"),
                  ("1000000", "p(1000000) >= p(42) = 53174")],
@@ -513,11 +581,32 @@ def test_verify_other_families(runner, family, n):
     assert "8/8 checks passed" in res.output
 
 
-def test_verify_negative_control_catches_a_corrupted_kernel(runner):
+def _corrupt_first_generator(monkeypatch):
+    """Patch ``chains.generator_rows`` so that in the rows of K_1 the move
+    out of the identity, the one entry of its row, sits on the diagonal."""
+    rows_of = chains.generator_rows
+
+    def corrupted(family, theta, i):
+        rows = rows_of(family, theta, i)
+        if i == 1:
+            x = coxeter.action_tables(family).index[coxeter.identity(family)]
+            ((_, value),) = rows[x].items()
+            rows[x] = {x: value}
+        return rows
+
+    monkeypatch.setattr(chains, "generator_rows", corrupted)
+
+
+@pytest.fixture()
+def corrupted_first_generator(monkeypatch):
+    _corrupt_first_generator(monkeypatch)
+
+
+def test_verify_negative_control_catches_a_corrupted_kernel(
+    runner, corrupted_first_generator
+):
     res = invoke(
-        runner,
-        "verify", "--family", "symmetric", "--n", "4", "--theta", "2/3",
-        "--perturb-kernel",
+        runner, "verify", "--family", "symmetric", "--n", "4", "--theta", "2/3"
     )
     assert res.exit_code == 1
     assert "FAIL generator kernels == algebra left multiplication" in res.output
@@ -565,10 +654,6 @@ def test_local_operator_checks_equal_the_dense_comparisons(
     short = chains.short_scan_kernel(family, theta)
     long = chains.long_scan_kernel(family, theta)
     wrong_recipe_is_long = short.matrix == long.matrix
-    if variant == "wrong-recipe":
-        monkeypatch.setattr(chains, "long_recipe", chains.short_recipe)
-    checks = dict(cli._verify_checks(family, theta, variant == "perturbed"))
-    identity = coxeter.action_tables(family).index[coxeter.identity(family)]
     kernels = []
     for i in coxeter.generators(family):
         rows = chains.generator_rows(family, theta, i)
@@ -577,7 +662,12 @@ def test_local_operator_checks_equal_the_dense_comparisons(
         assert K.matrix == chains.scan_kernel(family, theta, (i,)).matrix
         kernels.append(K)
     if variant == "perturbed":
-        kernels[0] = cli._perturb(kernels[0], identity)
+        _corrupt_first_generator(monkeypatch)
+        rows = chains.generator_rows(family, theta, 1)
+        kernels[0] = chains.Kernel(family, theta, rows, theta.denominator)
+    if variant == "wrong-recipe":
+        monkeypatch.setattr(chains, "long_recipe", chains.short_recipe)
+    checks = dict(cli._verify_checks(family, theta))
     generators, square = _dense_left_multiplications(family, theta)
     dense_1 = all((K.matrix == L).all() for K, L in zip(kernels, generators))
     dense_2 = bool((chains.long_scan_kernel(family, theta).matrix == square).all())
@@ -589,11 +679,10 @@ def test_local_operator_checks_equal_the_dense_comparisons(
 
 
 @pytest.mark.parametrize("family", [hypercube(3), dihedral(6)], ids=str)
-def test_verify_perturbed_kernel_fails_check_one(runner, family):
+def test_verify_perturbed_kernel_fails_check_one(runner, corrupted_first_generator, family):
     # symmetric(4) is test_verify_negative_control_catches_a_corrupted_kernel
     res = invoke(
-        runner, "verify", "--family", family.kind, "--n", str(family.n), "--theta", "1/2",
-        "--perturb-kernel",
+        runner, "verify", "--family", family.kind, "--n", str(family.n), "--theta", "1/2"
     )
     assert res.exit_code == 1
     lines = res.output.splitlines()
@@ -724,10 +813,12 @@ def test_sample_within_the_cap_reports_tv(runner):
 
 
 @pytest.mark.parametrize(
-    ("n", "theta"), [("4", "2"), ("4", "1/0"), ("9", "0"), ("30", "1e-400")]
+    ("n", "theta"),
+    [("4", "2"), ("4", "1/0"), ("9", "0"), ("4", "1e-400"), ("30", "1e-400")],
 )
 def test_sample_rejects_theta_outside_the_window(runner, n, theta):
-    # n = 9 and 30 are beyond the cap, where the float theta is checked
+    # the draws run on theta's float, which 1e-400 underflows to 0.0: it is
+    # refused within the cap (n = 4) as beyond it (n = 30)
     res = invoke(
         runner,
         "sample", "--family", "symmetric", "--n", n, "--theta", theta, "-N", "10",
@@ -877,6 +968,7 @@ def test_out_into_a_missing_directory_is_a_usage_error(
     res = invoke(runner, *args, "--out", str(out))
     assert res.exit_code == 2
     if args[0] == "verify":  # prints its checks; it has no --out
+        assert res.stderr.startswith("usage: hecke-metro verify ")
         assert "unrecognized arguments: --out" in res.output
     else:
         assert f"cannot write --out {out}" in res.output
@@ -1019,7 +1111,7 @@ FUZZ_OPTIONS = {
     "sample": ["--family", "--n", "--theta", "-N", "--seed"],
     "bounds": ["--n", "--theta", "--c", "--n", "--theta", "--c"],
 }
-FUZZ_FLAGS = {"analyze": ["--averaged"], "verify": ["--perturb-kernel"]}
+FUZZ_FLAGS = {"analyze": ["--averaged"]}
 
 
 @st.composite

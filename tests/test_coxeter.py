@@ -6,6 +6,7 @@ import doctest
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,44 @@ def test_enumeration_cap_is_enforced_and_overridable(monkeypatch):
         coxeter.enumerate(symmetric(4))
     monkeypatch.setenv("HECKE_METRO_CAP", "30")
     assert len(coxeter.enumerate(symmetric(4))) == 24
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 5, 6, 23, 24, 120, 7, 8, 40])
+def test_check_order_refuses_exactly_the_orders_past_the_cap(monkeypatch, cap):
+    monkeypatch.setenv("HECKE_METRO_CAP", str(cap))
+    families = (
+        [symmetric(n) for n in range(2, 7)]
+        + [hypercube(n) for n in range(1, 7)]
+        + [dihedral(n) for n in range(3, 22)]
+    )
+    for family in families:
+        if family.order > cap:
+            with pytest.raises(CapExceededError, match=rf"^\|{re.escape(str(family))}\| >?= "):
+                coxeter.check_order(family)
+        else:
+            assert coxeter.check_order(family) == family.order
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        (symmetric(10**6), "|symmetric(1000000)| >= 9! = 362880 exceeds the enumeration cap 50000"),
+        (hypercube(10**9), "|hypercube(1000000000)| >= 2^16 = 65536 exceeds the enumeration cap 50000"),
+        (symmetric(9), "|symmetric(9)| = 9! = 362880 exceeds the enumeration cap 50000"),
+        (dihedral(25001), "|dihedral(25001)| = 2*25001 = 50002 exceeds the enumeration cap 50000"),
+    ],
+    ids=str,
+)
+def test_check_order_stops_at_the_first_product_past_the_cap(monkeypatch, family, message):
+    def no_order(family):
+        raise AssertionError("|W| formed")
+
+    monkeypatch.delenv("HECKE_METRO_CAP", raising=False)
+    monkeypatch.setattr(GroupFamily, "order", property(no_order))
+    for gate in (coxeter.check_order, coxeter.enumerate):
+        with pytest.raises(CapExceededError) as refused:
+            gate(family)
+        assert str(refused.value).startswith(message)
 
 
 def test_family_validation():

@@ -9,6 +9,7 @@ to confirm that data independently.
 
 import doctest
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -687,6 +688,17 @@ def test_float_hypercube_long_forms_past_the_float_range_are_infinite():
     exact = long_scan_chisq(hypercube(3), Fraction(1e-310), 0, ones)
     got = long_scan_chisq(hypercube(3), 1e-310, 0, ones)
     assert math.isclose(got, float(exact), rel_tol=1e-12)
+
+
+def test_hypercube_default_start_is_not_built():
+    # the default start is the identity, of weight 0: no n-tuple of zeros
+    tracemalloc.start()
+    try:
+        assert long_scan_chisq(hypercube(10**7), 0.5, 1) == math.inf
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_symmetric_bounds_dominate_the_closed_forms():

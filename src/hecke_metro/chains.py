@@ -188,10 +188,6 @@ class Kernel:
         return out
 
 
-def element_index(family: GroupFamily, w: GroupElement) -> int:
-    return coxeter.action_tables(family).index[w]
-
-
 def stationary(family: GroupFamily, theta) -> Distribution:
     """pi(w) = theta^{-length(w)} / P_W(1/theta), exactly.
 
@@ -210,8 +206,10 @@ def stationary(family: GroupFamily, theta) -> Distribution:
 
 
 def point_mass(family: GroupFamily, w: GroupElement) -> Distribution:
+    if w.family != family:
+        raise ValueError("family mismatch")
     num = [0] * family.order
-    num[element_index(family, w)] = 1
+    num[coxeter.index(w)] = 1
     return Distribution(family, num, 1)
 
 
@@ -278,7 +276,7 @@ def _descent_tree(family: GroupFamily) -> _DescentTree:
     position = [0] * family.order
     for p, x in enumerate(order):
         position[x] = p
-    inv = [tables.index[coxeter.inverse(w)] for w in tables.elements]
+    inv = [coxeter.index(coxeter.inverse(w)) for w in coxeter.enumerate(family)]
     right = []
     for perm in tables.perms:
         moves = [position[inv[perm[inv[x]]]] for x in order]

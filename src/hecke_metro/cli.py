@@ -398,7 +398,7 @@ def _verify_checks(family: GroupFamily, theta: Fraction):
     """
     q = 1 / theta
     gens = coxeter.generators(family)
-    tables = coxeter.action_tables(family)
+    elements = coxeter.enumerate(family)
     kernels = {
         i: chains.Kernel(family, theta, chains.generator_rows(family, theta, i), theta.denominator)
         for i in gens
@@ -418,11 +418,11 @@ def _verify_checks(family: GroupFamily, theta: Fraction):
     def row_is(row: dict[int, int], h: hecke.HeckeVector, scale=1) -> bool:
         """Whether ``row``, the nonzero entries of a kernel row, is scale * h
         over the T~ basis."""
-        return row == {tables.index[w]: scale * c for w, c in h.coeffs.items()}
+        return row == {coxeter.index(w): scale * c for w, c in h.coeffs.items()}
 
     def generator_kernels_match_algebra() -> bool:
         for i in gens:
-            for x, w in enumerate(tables.elements):
+            for x, w in enumerate(elements):
                 image = hecke.tilde_generator_times(i, hecke.tilde_unit(family, q, w))
                 if not row_is(kernels[i].num[x], image, kernels[i].den):
                     return False
@@ -452,7 +452,7 @@ def _verify_checks(family: GroupFamily, theta: Fraction):
         )
 
     def squared_dimensions_sum_to_order() -> bool:
-        return sum(rep.d**2 for rep in spectral.irreps(family)) == len(tables.elements)
+        return sum(rep.d**2 for rep in spectral.irreps(family)) == len(elements)
 
     def generic_degrees_sum_to_length_polynomial() -> bool:
         return spectral.sum_d_t(family, q) == coxeter.poincare_polynomial(family, q)
@@ -565,7 +565,7 @@ def sample(args: argparse.Namespace) -> int:
         pi = chains.stationary(family, theta)
         counts = np.zeros(order)
         for w in draws:
-            counts[chains.element_index(family, w)] += 1
+            counts[coxeter.index(w)] += 1
         freqs = counts / num_samples
         empirical_tv = float(
             sum(abs(f - v / pi.den) for f, v in zip(freqs, pi.num)) / 2
@@ -601,101 +601,45 @@ def sample(args: argparse.Namespace) -> int:
 
 _BOUND_COLUMNS = ["family", "kind", "n", "theta", "c", "value"]
 
+# (family, kind, c column, value of (n, theta, c)): a row per c of the grid
+# when the c column is "each c"; one-pass bounds fix it at 1, and the lead
+# constants have none
+_BOUND_KINDS = (
+    ("symmetric", "short_scan_start", "each c",
+     lambda n, theta, c: spectral.bound_symmetric_scans(n, theta, "short_start", c)),
+    ("symmetric", "short_scan_averaged", "each c",
+     lambda n, theta, c: spectral.bound_symmetric_scans(n, theta, "short_avg", c)),
+    ("hypercube", "random_scan", "each c",
+     lambda n, theta, c: spectral.bound_hypercube(n, theta, c, "random")),
+    ("hypercube", "systematic_scan", "each c",
+     lambda n, theta, c: spectral.bound_hypercube(n, theta, c, "systematic")),
+    ("dihedral", "random_scan", "each c",
+     lambda n, theta, c: spectral.bound_dihedral_random_scan(n, theta, max(1, round(c)))),
+    ("symmetric", "long_scan_start", 1,
+     lambda n, theta, c: spectral.bound_symmetric_scans(n, theta, "long_start")),
+    ("symmetric", "long_scan_averaged", 1,
+     lambda n, theta, c: spectral.bound_symmetric_scans(n, theta, "long_avg")),
+    ("dihedral", "single_pass", 1,
+     lambda n, theta, c: float(spectral.bound_dihedral_long_scan(n, theta))),
+    ("hypercube", "lead_constant_random", None,
+     lambda n, theta, c: spectral.lead_constant_table([theta], n)[0].random_scan),
+    ("hypercube", "lead_constant_systematic", None,
+     lambda n, theta, c: spectral.lead_constant_table([theta], n)[0].systematic_scan),
+)
+
 
 def _bound_rows(ns: list[int], thetas: list[float], cs: list[float]):
-    rows = []
-    for n in ns:
-        for theta in thetas:
-            for c in cs:
-                rows.append(
-                    {
-                        "family": "symmetric",
-                        "kind": "short_scan_start",
-                        "n": n,
-                        "theta": theta,
-                        "c": c,
-                        "value": spectral.bound_symmetric_scans(n, theta, "short_start", c),
-                    }
-                )
-                rows.append(
-                    {
-                        "family": "symmetric",
-                        "kind": "short_scan_averaged",
-                        "n": n,
-                        "theta": theta,
-                        "c": c,
-                        "value": spectral.bound_symmetric_scans(n, theta, "short_avg", c),
-                    }
-                )
-                for scan in ("random", "systematic"):
-                    rows.append(
-                        {
-                            "family": "hypercube",
-                            "kind": f"{scan}_scan",
-                            "n": n,
-                            "theta": theta,
-                            "c": c,
-                            "value": spectral.bound_hypercube(n, theta, c, scan),
-                        }
-                    )
-                rows.append(
-                    {
-                        "family": "dihedral",
-                        "kind": "random_scan",
-                        "n": n,
-                        "theta": theta,
-                        "c": c,
-                        "value": spectral.bound_dihedral_random_scan(
-                            n, theta, max(1, round(c))
-                        ),
-                    }
-                )
-            for which, kind in (
-                ("long_start", "long_scan_start"),
-                ("long_avg", "long_scan_averaged"),
-            ):
-                rows.append(
-                    {
-                        "family": "symmetric",
-                        "kind": kind,
-                        "n": n,
-                        "theta": theta,
-                        "c": 1,
-                        "value": spectral.bound_symmetric_scans(n, theta, which),
-                    }
-                )
-            rows.append(
-                {
-                    "family": "dihedral",
-                    "kind": "single_pass",
-                    "n": n,
-                    "theta": theta,
-                    "c": 1,
-                    "value": float(spectral.bound_dihedral_long_scan(n, theta)),
-                }
-            )
-            (lead,) = spectral.lead_constant_table([theta], n)
-            rows.append(
-                {
-                    "family": "hypercube",
-                    "kind": "lead_constant_random",
-                    "n": n,
-                    "theta": theta,
-                    "c": None,
-                    "value": lead.random_scan,
-                }
-            )
-            rows.append(
-                {
-                    "family": "hypercube",
-                    "kind": "lead_constant_systematic",
-                    "n": n,
-                    "theta": theta,
-                    "c": None,
-                    "value": lead.systematic_scan,
-                }
-            )
-    return rows
+    """Per (n, theta): the rows of every "each c" kind for each c in turn,
+    then one row of each other kind, in the order of ``_BOUND_KINDS``."""
+    each = [kind for kind in _BOUND_KINDS if kind[2] == "each c"]
+    cells = [(kind, c) for c in cs for kind in each]
+    cells += [(kind, kind[2]) for kind in _BOUND_KINDS if kind[2] != "each c"]
+    return [
+        {"family": family, "kind": kind, "n": n, "theta": theta, "c": c,
+         "value": value(n, theta, c)}
+        for n, theta in itertools.product(ns, thetas)
+        for (family, kind, _, value), c in cells
+    ]
 
 
 def bounds(args: argparse.Namespace) -> int:

@@ -18,10 +18,14 @@ one-line notation for permutations, 0/1 vectors for the hypercube, and
 
 Everything here is exact: lengths and orders are ints, and Poincare
 polynomials at a rational q are `fractions.Fraction`.  Enumeration order
-is lexicographic on the payload and therefore stable across runs;
-:func:`action_tables` gives the action of every generator in that order,
-and :func:`check_theta` and :func:`check_q` are the parameter checks all
-layers share.
+is lexicographic on the payload and therefore stable across runs, and
+:func:`index` gives an element's position in it.  :func:`action_tables`
+is the one representation of the group action the exact engine uses: per
+generator, a permutation of those positions and an up-mask, with the
+lengths, read off the payloads without building a :class:`GroupElement`.
+:func:`enumerate` builds the elements themselves, for the APIs that take
+them.  :func:`check_theta` and :func:`check_q` are the parameter checks
+all layers share.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ __all__ = [
     "generators",
     "hypercube",
     "identity",
+    "index",
     "inverse",
     "length",
     "longest_element",
@@ -350,40 +355,34 @@ def reduced_word(w: GroupElement) -> tuple[int, ...]:
     return tuple(word)
 
 
-@lru_cache(maxsize=None)
-def _enumerate_cached(family: GroupFamily) -> tuple[GroupElement, ...]:
+def _payloads(family: GroupFamily) -> Iterable[tuple[int, ...]]:
+    """The payloads of the elements in enumeration order, lexicographic."""
     if family.kind == "symmetric":
-        payloads: Iterable[tuple[int, ...]] = itertools.permutations(
-            range(1, family.n + 1)
-        )
-    elif family.kind == "hypercube":
-        payloads = itertools.product((0, 1), repeat=family.n)
-    else:
-        payloads = ((k, f) for k in range(family.n) for f in (0, 1))
-    return tuple(GroupElement(family, p) for p in payloads)
+        return itertools.permutations(range(1, family.n + 1))
+    if family.kind == "hypercube":
+        return itertools.product((0, 1), repeat=family.n)
+    return ((k, f) for k in range(family.n) for f in (0, 1))
 
 
 def enumerate(family: GroupFamily) -> tuple[GroupElement, ...]:
-    """All elements in lexicographic payload order.
+    """All elements in lexicographic payload order, built afresh on each call.
 
     Raises CapExceededError when the group order exceeds the cap
     (default 50000; override with the HECKE_METRO_CAP env var), see
     :func:`check_order`.
     """
     check_order(family)
-    return _enumerate_cached(family)
+    return tuple(GroupElement(family, p) for p in _payloads(family))
 
 
 class ActionTables(NamedTuple):
-    """The left action of the simple reflections, by enumeration index.
+    """The left action of the simple reflections on enumeration positions.
 
-    ``perms[i - 1][k]`` is the index of ``s_i w`` for the element
-    ``w = elements[k]``, and ``ups[i - 1][k]`` says whether that move
-    lengthens ``w``; ``lengths[k]`` is the length of ``w``.
+    For the element w at position k of :func:`enumerate` (k = ``index(w)``),
+    ``perms[i - 1][k]`` is the position of ``s_i w``, ``ups[i - 1][k]`` says
+    whether that move lengthens w, and ``lengths[k]`` is the length of w.
     """
 
-    elements: tuple[GroupElement, ...]
-    index: dict[GroupElement, int]
     lengths: list[int]
     perms: list[list[int]]
     ups: list[list[bool]]
@@ -391,27 +390,53 @@ class ActionTables(NamedTuple):
 
 @lru_cache(maxsize=None)
 def action_tables(family: GroupFamily) -> ActionTables:
-    """Index permutations and up-masks of every generator acting on the left."""
-    elements = enumerate(family)
-    index = {w: k for k, w in zip(range(len(elements)), elements)}
-    lengths, perms = _left_tables(family, [w.payload for w in elements])
+    """Index permutations and up-masks of every generator acting on the left,
+    read off the payloads with no :class:`GroupElement` built."""
+    check_order(family)
+    lengths, perms = _left_tables(family)
     ups = [[lengths[t] > l for t, l in zip(perm, lengths)] for perm in perms]
-    return ActionTables(elements, index, lengths, perms, ups)
+    return ActionTables(lengths, perms, ups)
 
 
-def _left_tables(
-    family: GroupFamily, payloads: list[tuple[int, ...]]
-) -> tuple[list[int], list[list[int]]]:
-    """Lengths and, per generator, the index of ``s_i w``, from the payloads
-    in enumeration order by each family's arithmetic."""
+def index(w: GroupElement) -> int:
+    """The position of w in :func:`enumerate`, read off its payload: the
+    Lehmer code in the factorial base, the bits as a binary number, or 2k + f.
+
+    >>> index(GroupElement(symmetric(3), (2, 3, 1)))
+    3
+    >>> index(GroupElement(hypercube(3), (1, 1, 0)))
+    6
+    >>> [index(w) for w in enumerate(dihedral(3))]
+    [0, 1, 2, 3, 4, 5]
+    """
+    p, n = w.payload, w.family.n
+    if w.family.kind == "symmetric":
+        # digit j counts the later positions holding smaller values and has
+        # place value (n - 1 - j)!
+        position = 0
+        for j, value in zip(range(n), p):
+            position = position * (n - j) + sum(v < value for v in p[j + 1 :])
+        return position
+    if w.family.kind == "hypercube":
+        position = 0
+        for bit in p:  # coordinate 1 highest
+            position = 2 * position + bit
+        return position
+    k, f = p
+    return 2 * k + f
+
+
+def _left_tables(family: GroupFamily) -> tuple[list[int], list[list[int]]]:
+    """Lengths and, per generator, the position of ``s_i w``, by each family's
+    arithmetic on the positions :func:`index` gives."""
     n = family.n
     if family.kind == "symmetric":
-        # The lexicographic index of w is its Lehmer code read in the
-        # factorial base: digit j counts the later positions holding smaller
-        # values, and the length of w is the sum of the digits.
+        # The position of w is its Lehmer code read in the factorial base,
+        # and the length of w is the sum of the digits.
         lengths = [0]
         for m in range(2, n + 1):  # the first digit runs slowest
             lengths = [c + l for c in range(m) for l in lengths]
+        payloads = list(_payloads(family))
         where = [[p.index(v) for p in payloads] for v in range(1, n + 1)]
         weight = [math.factorial(n - 1 - j) for j in range(n)]
         perms = []
@@ -427,12 +452,12 @@ def _left_tables(
             )
         return lengths, perms
     if family.kind == "hypercube":
-        # the index reads the bits as a binary number, coordinate 1 highest
         order = 1 << n
         lengths = [k.bit_count() for k in range(order)]
         return lengths, [[k ^ (1 << (n - i)) for k in range(order)] for i in range(1, n + 1)]
-    # dihedral: (k, f) sits at index 2k + f; s_1 = (0, 1) and s_2 = (n - 1, 1)
-    # send it to (-k, 1 - f) and (n - 1 - k, 1 - f)
+    # dihedral: s_1 = (0, 1) and s_2 = (n - 1, 1) send (k, f) to (-k, 1 - f)
+    # and (n - 1 - k, 1 - f)
+    payloads = list(_payloads(family))
     lengths = [_dihedral_length(n, k, f) for k, f in payloads]
     perms = [[2 * ((shift - k) % n) + 1 - f for k, f in payloads] for shift in (0, n - 1)]
     return lengths, perms

@@ -166,36 +166,46 @@ class StandardTableau:
         return sum(len(r) for r in self.rows)
 
 
-@lru_cache(maxsize=None)
-def _tableau_fillings(lam: Partition) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    n = sum(lam)
-    if n == 0:
-        return ((),)
-    out = []
-    for i, part in enumerate(lam):
-        # n sits in a removable corner: last box of row i
-        if i + 1 < len(lam) and lam[i + 1] == part:
-            continue
-        smaller = tuple(p for p in lam[:i] + (part - 1,) + lam[i + 1 :] if p > 0)
-        for rows in _tableau_fillings(smaller):
-            grown = list(rows)
-            if i < len(grown):
-                grown[i] = grown[i] + (n,)
-            else:
-                grown.append((n,))
-            out.append(tuple(grown))
-    return tuple(out)
+def _tableau_fillings(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
+    """The row fillings of every standard tableau of shape ``lam``, grown one
+    entry at a time: the fillings with 1..m of each shape of m boxes inside
+    ``lam``, each extended by m + 1 in every box that can take it."""
+    level: dict[Partition, list] = {(): [()]}
+    for m in range(1, sum(lam) + 1):
+        grown: dict[Partition, list] = {}
+        for shape, fillings in level.items():
+            for i in range(min(len(shape) + 1, len(lam))):
+                part = shape[i] if i < len(shape) else 0
+                if part == lam[i] or (i > 0 and shape[i - 1] == part):
+                    continue  # row i is full, or adding would overtake row i - 1
+                bigger = shape[:i] + (part + 1,) + shape[i + 1 :]
+                grown.setdefault(bigger, []).extend(
+                    rows[:i] + (rows[i] + (m,) if i < len(rows) else (m,),) + rows[i + 1 :]
+                    for rows in fillings
+                )
+        level = grown
+    return level[lam]
 
 
 def standard_tableaux(lam: Sequence[int]) -> list[StandardTableau]:
-    """Enumerate every standard tableau of the given shape."""
+    """Enumerate every standard tableau of the given shape.
+
+    A shape with more tableaux than the enumeration cap is refused with
+    :class:`CapExceededError` before n! or a count past the cap is formed.
+    With the hooks sorted, the k-th is at most k, by induction on n: the
+    hooks of ``lam`` are a 1, at a corner, and those of ``lam`` without that
+    corner, each raised by at most 1.  So the count n! / prod(hooks) is the
+    product of the factors k / h_(k) >= 1, and each partial product bounds
+    it from below.
+    """
     lam = _check_partition(lam)
-    count = math.factorial(sum(lam)) // math.prod(_hooks(lam))
-    if count > enumeration_cap():
-        raise CapExceededError(
-            f"shape {lam} has {count} standard tableaux "
-            f"(cap {enumeration_cap()})"
-        )
+    cap, count = enumeration_cap(), Fraction(1)
+    for k, hook in zip(range(1, sum(lam) + 1), sorted(_hooks(lam))):
+        count *= Fraction(k, hook)
+        if count > cap:
+            raise CapExceededError(
+                f"shape {lam} has at least {math.ceil(count)} standard tableaux (cap {cap})"
+            )
     return [StandardTableau(rows) for rows in _tableau_fillings(lam)]
 
 

@@ -11,8 +11,9 @@ oracle the fast versions must equal by ``==``:
 * dense evolution ``start * K^ell`` by vector-matrix products;
 * the scan kernel as a product of Fraction matrices K_i built from their
   definition, without ``chains``, each product reading only the nonzero
-  cells of K_i, with its traces, averaged chi-squares and pi-weighted
-  cross sums of consecutive powers;
+  cells of K_i, with the traces, averaged chi-squares and pi-weighted
+  cross sums of its consecutive powers, each power carried from the one
+  before through the same products;
 * the same sums with every row of the identity streamed through every
   scan letter on integer numerators, in blocks of rows, by a numpy letter
   loop of its own (the library's path before it read each row of K^m off
@@ -74,13 +75,22 @@ def evolve(K, start, ell):
     return chains.Distribution.of(K.family, probs)
 
 
+@functools.lru_cache(maxsize=None)
+def positions(family):
+    """The elements of ``coxeter.enumerate`` and {element: position}, built
+    once per family by enumeration, not read off ``coxeter.index``."""
+    elements = coxeter.enumerate(family)
+    return elements, {w: k for k, w in enumerate(elements)}
+
+
 def metropolis_kernel(family, theta, i):
     """K_i from its definition, one Fraction per cell, built without chains."""
-    tables = coxeter.action_tables(family)
+    elements, index = positions(family)
+    lengths = coxeter.action_tables(family).lengths
     K = np.full((family.order, family.order), Fraction(0), dtype=object)
-    for x, w in enumerate(tables.elements):
-        y = tables.index[coxeter.apply_generator(i, w)]
-        if tables.lengths[y] > tables.lengths[x]:
+    for x, w in enumerate(elements):
+        y = index[coxeter.apply_generator(i, w)]
+        if lengths[y] > lengths[x]:
             K[x, y] = Fraction(1)
         else:
             K[x, y], K[x, x] = Fraction(theta), 1 - Fraction(theta)
@@ -96,15 +106,21 @@ def _times_generator(K, Ki):
     return out
 
 
+def _scan_pass(M, kernels, scan):
+    """M times one pass of the scan kernel, carried through the sparse K_i one
+    letter at a time; for the random scan, the mean of the one-letter products."""
+    if scan == "random":
+        products = [_times_generator(M, Ki) for Ki in kernels]
+        return sum(products[1:], products[0]) / len(kernels)
+    for i in scan:
+        M = _times_generator(M, kernels[i - 1])
+    return M
+
+
 def dense_scan_kernel(family, theta, scan):
     """The scan kernel (a recipe or "random") as a product of the K_i."""
     kernels = [metropolis_kernel(family, theta, i) for i in coxeter.generators(family)]
-    if scan == "random":
-        return sum(kernels[1:], kernels[0]) / family.rank
-    K = np.identity(family.order, dtype=object) * Fraction(1)
-    for i in scan:
-        K = _times_generator(K, kernels[i - 1])
-    return K
+    return _scan_pass(np.identity(family.order, dtype=object) * Fraction(1), kernels, scan)
 
 
 def _stationary_probs(family, theta):
@@ -124,14 +140,15 @@ def dense_evolve(family, theta, scan, start, ell):
 
 def dense_power_sums(family, theta, scan, passes):
     """(tr K^m, <K^m, K^m>_pi - 1, <K^(m-1), K^m>_pi) for m = 1..passes, with
-    <A, B>_pi = sum_{x,y} pi(x) A[x,y] B[x,y] / pi(y), on dense Fraction powers."""
-    K = dense_scan_kernel(family, theta, scan)
+    <A, B>_pi = sum_{x,y} pi(x) A[x,y] B[x,y] / pi(y), on dense Fraction powers,
+    each carried from the one before through the sparse K_i, |W|^2 cells a letter."""
+    kernels = [metropolis_kernel(family, theta, i) for i in coxeter.generators(family)]
     pi = _stationary_probs(family, theta)
     ratio = pi[:, None] / pi[None, :]
     previous = np.identity(family.order, dtype=object) * Fraction(1)
     out = []
     for _ in range(passes):
-        current = previous @ K
+        current = _scan_pass(previous, kernels, scan)
         out.append(
             (
                 sum(current.diagonal(), Fraction(0)),
@@ -247,20 +264,19 @@ def average_start_chi_square(family, theta, scan, ell):
 @functools.lru_cache(maxsize=None)
 def right_action_tables(family):
     """Index permutations and up-masks of w -> w s_i, per generator i."""
-    tables = coxeter.action_tables(family)
-    lengths = np.array(tables.lengths)
+    elements, index = positions(family)
+    lengths = np.array(coxeter.action_tables(family).lengths)
     perms = []
     for i in coxeter.generators(family):
-        moved = [coxeter.right_apply_generator(w, i) for w in tables.elements]
-        perms.append(np.array([tables.index[v] for v in moved]))
+        moved = [coxeter.right_apply_generator(w, i) for w in elements]
+        perms.append(np.array([index[v] for v in moved]))
     return perms, [lengths[perm] > lengths for perm in perms]
 
 
 def action_tables(family):
     """(lengths, perms, ups) of the left action, element by element: the index
     of apply_generator(i, w) for every generator i and element w."""
-    elements = coxeter.enumerate(family)
-    index = {w: k for k, w in enumerate(elements)}
+    elements, index = positions(family)
     lengths = [coxeter.length(w) for w in elements]
     perms = [
         [index[coxeter.apply_generator(i, w)] for w in elements]
@@ -288,14 +304,15 @@ def left_mult_matrix(h):
     length: row(id) is h itself, and row(x) = row(x s_i) * T~_i for any
     right descent i of x (lengths add, so T~_x = T~_{x s_i} T~_i).
     """
-    tables = coxeter.action_tables(h.family)
+    elements, index = positions(h.family)
+    lengths = coxeter.action_tables(h.family).lengths
     perms, ups = right_action_tables(h.family)
-    n = len(tables.elements)
+    n = len(elements)
     M = np.zeros((n, n), dtype=object)
     for w, a in h.coeffs.items():
-        M[tables.index[coxeter.identity(h.family)], tables.index[w]] = a
-    for x in sorted(range(n), key=lambda k: tables.lengths[k]):
-        if tables.lengths[x] == 0:
+        M[index[coxeter.identity(h.family)], index[w]] = a
+    for x in sorted(range(n), key=lambda k: lengths[k]):
+        if lengths[x] == 0:
             continue
         for perm, up in zip(perms, ups):
             if not up[x]:

@@ -53,13 +53,13 @@ def test_stationary_values_for_s3_at_one_half():
 @pytest.mark.parametrize("family", FAMILIES, ids=str)
 @pytest.mark.parametrize("theta", THETAS)
 def test_generator_kernel_entries(family, theta):
-    elements = coxeter.enumerate(family)
+    elements, index = oracle.positions(family)
     for i in coxeter.generators(family):
         K = scan_kernel(family, theta, (i,))
         M = K.matrix
         for x, w in zip(range(len(elements)), elements):
             v = coxeter.apply_generator(i, w)
-            y = chains.element_index(family, v)
+            y = index[v]
             if coxeter.length(v) > coxeter.length(w):
                 assert M[x][y] == 1  # proposed move up is always accepted
                 assert M[x][x] == 0
@@ -170,7 +170,7 @@ def test_evolution_from_a_point_mass_reads_off_kernel_rows():
     K = short_scan_kernel(family, theta)
     x = coxeter.longest_element(family)
     dist = oracle.evolve(K, point_mass(family, x), 1)
-    assert dist.probs == K.matrix[chains.element_index(family, x)]
+    assert dist.probs == K.matrix[oracle.positions(family)[1][x]]
 
 
 EVOLVE_FAMILIES = (
@@ -372,10 +372,10 @@ ROW_FAMILIES = (
     + [hypercube(n) for n in range(1, 6)]
     + [dihedral(n) for n in range(3, 13)]
 )
-# the dense Fraction oracle multiplies whole powers, |W|^3 cells a pass: on
-# S_5 that is about 15 s for each theta and scan of the grid, so S_5,
-# hypercube(5) and dihedral(9..12) meet it through the streamed oracle,
-# itself checked against it
+# the dense Fraction oracle takes |W|^2 Fraction products a letter: on S_5
+# that is 1-4 s for each theta and scan of the grid, so S_5, hypercube(5)
+# and dihedral(9..12) meet it through the streamed oracle, itself checked
+# against it
 DENSE_ROW_FAMILIES = (
     [symmetric(n) for n in range(2, 5)]
     + [hypercube(n) for n in range(1, 5)]

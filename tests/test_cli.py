@@ -426,6 +426,31 @@ def test_identity_start_analyze_builds_no_dense_kernel(runner, monkeypatch, args
     assert all(row["match"] is True and row["tv"] is not None for row in rows)
 
 
+@pytest.mark.parametrize("family", [symmetric(6), hypercube(9)], ids=str)
+def test_exact_identity_start_analyze_builds_only_the_identity(runner, monkeypatch, family):
+    """Positions and action tables are read off payloads: from tables not
+    yet cached, an exact run from the identity builds one group element."""
+    start = coxeter.identity(family).payload
+    fresh = functools.lru_cache(maxsize=None)(coxeter.action_tables.__wrapped__)
+    monkeypatch.setattr(coxeter, "action_tables", fresh)
+    built, post_init = [], coxeter.GroupElement.__post_init__
+
+    def spy(self):
+        built.append(self.payload)
+        post_init(self)
+
+    monkeypatch.setattr(coxeter.GroupElement, "__post_init__", spy)
+    res = invoke(
+        runner,
+        "analyze", "--family", family.kind, "--n", str(family.n), "--theta", "1/2",
+        "--lmax", "1",
+    )
+    assert res.exit_code == 0
+    assert json.loads(res.output)["rows"][0]["match"] is True
+    assert fresh.cache_info().currsize == 1
+    assert built == [start]
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -589,7 +614,7 @@ def _corrupt_first_generator(monkeypatch):
     def corrupted(family, theta, i):
         rows = rows_of(family, theta, i)
         if i == 1:
-            x = coxeter.action_tables(family).index[coxeter.identity(family)]
+            x = coxeter.index(coxeter.identity(family))
             ((_, value),) = rows[x].items()
             rows[x] = {x: value}
         return rows

@@ -17,6 +17,7 @@ import fraction_oracle as oracle
 from hecke_metro import coxeter
 from hecke_metro.coxeter import (
     CapExceededError,
+    GroupElement,
     GroupFamily,
     apply_generator,
     degrees,
@@ -225,14 +226,30 @@ def test_family_validation():
 def test_action_tables_follow_the_generator_actions(family):
     elements = coxeter.enumerate(family)
     tables = coxeter.action_tables(family)
-    assert tables.elements == elements
-    assert [tables.index[w] for w in elements] == list(range(len(elements)))
     assert list(tables.lengths) == [length(w) for w in elements]
     for i in generators(family):
         moved = [elements[k] for k in tables.perms[i - 1]]
         assert moved == [apply_generator(i, w) for w in elements]
         ups = [length(v) > length(w) for v, w in zip(moved, elements)]
         assert list(tables.ups[i - 1]) == ups
+
+
+@pytest.mark.parametrize("family", SMALL_FAMILIES, ids=str)
+def test_index_is_the_position_in_the_enumeration(family):
+    elements = coxeter.enumerate(family)
+    assert [coxeter.index(w) for w in elements] == list(range(len(elements)))
+
+
+@pytest.mark.parametrize("family", SMALL_FAMILIES, ids=str)
+def test_action_tables_build_no_element(family, monkeypatch):
+    built = []
+    monkeypatch.setattr(GroupElement, "__post_init__", lambda self: built.append(self.payload))
+    tables = coxeter.action_tables.__wrapped__(family)  # past the cache
+    assert len(tables.lengths) == family.order
+    assert built == []
+    # negative control: the spy sees the elements enumerate builds
+    coxeter.enumerate(family)
+    assert len(built) == family.order
 
 
 @pytest.mark.parametrize(

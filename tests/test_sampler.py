@@ -144,7 +144,7 @@ def test_uniform_goodness_of_fit_at_theta_one():
     counts = np.zeros(family.order)
     draws = 4800
     for _ in range(draws):
-        counts[chains.element_index(family, mallows_sample(family, Fraction(1), rng))] += 1
+        counts[coxeter.index(mallows_sample(family, Fraction(1), rng))] += 1
     statistic = _chi_square_statistic(counts, draws / family.order)
     assert statistic < CHI_SQUARE_AT_0_001[family.order - 1]
 

@@ -154,6 +154,29 @@ def test_tableau_enumeration_respects_the_cap(monkeypatch):
         standard_tableaux((4, 3, 2))  # dimension 168 > 100
 
 
+def test_tableau_refusal_forms_no_count_past_the_cap(monkeypatch):
+    """The count is multiplied up one factor k / h_(k) at a time, and only
+    until it passes the cap, for a shape of 300001 boxes."""
+    monkeypatch.setenv("HECKE_METRO_CAP", "100")
+    factors = []
+    real = spectral.Fraction
+
+    def spy(*args):
+        factors.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spectral, "Fraction", spy)
+    with pytest.raises(CapExceededError, match=r"\(300000, 1\) has at least 101 .*cap 100"):
+        standard_tableaux((300000, 1))
+    # the sorted hooks are 1, 1, 2, 3, ..., so the product passes 100 at k = 101
+    assert len(factors) == 1 + 101 and factors[-1] == (101, 100)
+
+
+def test_a_one_row_shape_of_2000_boxes_has_one_tableau():
+    (tab,) = standard_tableaux((2000,))
+    assert tab.rows == (tuple(range(1, 2001)),)
+
+
 # ---------------------------------------------------------------------------
 # block data
 

@@ -268,15 +268,17 @@ def _descent_tree(family: GroupFamily) -> _DescentTree:
     """The tree of first right descents over the elements in length order.
 
     The right action is read off the left tables as ``inv[perm_i[inv[w]]]``,
-    since w s_i = (s_i w^-1)^-1.  Lengths only grow along the order, so
-    w s_i is longer than w exactly when its position is larger.
+    since w s_i = (s_i w^-1)^-1, with ``inv`` from
+    :func:`coxeter.inverse_positions`: no element is built.  Lengths only
+    grow along the order, so w s_i is longer than w exactly when its
+    position is larger.
     """
     tables = coxeter.action_tables(family)
     order = sorted(range(family.order), key=tables.lengths.__getitem__)
     position = [0] * family.order
     for p, x in enumerate(order):
         position[x] = p
-    inv = [coxeter.index(coxeter.inverse(w)) for w in coxeter.enumerate(family)]
+    inv = coxeter.inverse_positions(family)
     right = []
     for perm in tables.perms:
         moves = [position[inv[perm[inv[x]]]] for x in order]

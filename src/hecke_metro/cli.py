@@ -54,6 +54,13 @@ before any closed form or oracle runs: exact ``analyze`` and ``verify``
 exit 2, float ``analyze`` leaves the oracle columns empty, and ``sample``
 leaves out the empirical total variation.
 
+Start-up pays only for what runs: each layer module, and ``json``,
+``fractions`` and ``decimal``, is put in ``sys.modules`` when this module
+is imported, but its code runs on first use (:func:`_lazy`).  So
+``--version``, ``--help`` and usage errors load no layer, ``analyze``
+loads neither ``sampler`` nor ``hecke``, ``bounds`` only ``coxeter`` and
+``spectral``, and ``sample`` neither ``spectral`` nor ``hecke``.
+
 Exit codes: 0 when every check passes, 1 when a verification-style check
 fails (a ``verify`` invariant, an ``analyze`` row with ``match=false``,
 or a ``sample`` mean more than three standard errors off), 2 for usage
@@ -64,24 +71,52 @@ reported on stderr as ``Error: <message>``.
 from __future__ import annotations
 
 import argparse
-import csv
-import decimal
 import functools
-import inspect
+import importlib.util
 import io
 import itertools
-import json
 import math
 import os
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 
-from . import __version__, chains, coxeter, hecke, sampler, spectral
-from .coxeter import CapExceededError, GroupFamily
+from . import __version__
 
 __all__ = ["main"]
+
+
+def _lazy(name: str):
+    """The module ``name``, whose code runs on first attribute access.
+
+    The stdlib's ``importlib.util.LazyLoader`` recipe, except that a module
+    already imported is returned as it is, and that a submodule is also set
+    as an attribute of its package, as an import would.  Every module is in
+    ``sys.modules`` from here on, so tools that look the layers up there
+    find them; ``--help``, ``--version`` and a bad command line run none.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    if parent:
+        setattr(sys.modules[parent], child, module)
+    return module
+
+
+chains = _lazy(f"{__package__}.chains")
+coxeter = _lazy(f"{__package__}.coxeter")
+hecke = _lazy(f"{__package__}.hecke")
+sampler = _lazy(f"{__package__}.sampler")
+spectral = _lazy(f"{__package__}.spectral")
+decimal = _lazy("decimal")
+fractions = _lazy("fractions")
+json = _lazy("json")
 
 
 # --------------------------------------------------------------------------
@@ -95,7 +130,7 @@ class UsageError(ValueError):
     :func:`_parse_theta` expect."""
 
 
-def _parse_theta(raw: str, mode: str) -> Fraction | float:
+def _parse_theta(raw: str, mode: str) -> fractions.Fraction | float:
     """The theta a run in ``mode`` hands the library, range-checked as such.
 
     Exact mode uses the rational ``raw``; float mode uses its float, which
@@ -103,7 +138,7 @@ def _parse_theta(raw: str, mode: str) -> Fraction | float:
     is checked first so that converting it cannot overflow.
     """
     try:
-        value = coxeter.check_theta(Fraction(raw))
+        value = coxeter.check_theta(fractions.Fraction(raw))
     except ZeroDivisionError as exc:
         raise UsageError(f"cannot parse theta {raw!r}: zero denominator") from exc
     except ValueError as exc:
@@ -116,9 +151,9 @@ def _parse_theta(raw: str, mode: str) -> Fraction | float:
         raise UsageError(f"{exc} (theta {raw} as a float)") from None
 
 
-def _family(kind: str, n: int) -> GroupFamily:
+def _family(kind: str, n: int) -> coxeter.GroupFamily:
     try:
-        return GroupFamily(kind, n)
+        return coxeter.GroupFamily(kind, n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -136,7 +171,7 @@ _PROVENANCE = {
 # serialization
 
 
-def _rational_str(x: Fraction) -> str:
+def _rational_str(x: fractions.Fraction) -> str:
     # Decimal prints ints past the interpreter's int-to-str digit limit,
     # which a tiny theta such as 1e-400 exceeds in exact mode
     return f"{decimal.Decimal(x.numerator)}/{decimal.Decimal(x.denominator)}"
@@ -144,7 +179,7 @@ def _rational_str(x: Fraction) -> str:
 
 def _json_value(x):
     """Fractions as "p/q" strings; floats stay floats; None/bool pass through."""
-    if isinstance(x, Fraction):
+    if isinstance(x, fractions.Fraction):
         return _rational_str(x)
     if x is None or isinstance(x, (bool, int, str)):
         return x
@@ -156,7 +191,7 @@ def _csv_cell(x) -> str:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, Fraction):
+    if isinstance(x, fractions.Fraction):
         return _rational_str(x)
     return str(x)
 
@@ -208,7 +243,6 @@ def _json_text(payload: dict) -> str:
 
 # draws of ``sample`` encoded into one piece of output
 _ROW_BATCH = 2**12
-_COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
 def _sample_json_pieces(payload: dict) -> Iterator[str]:
@@ -219,6 +253,7 @@ def _sample_json_pieces(payload: dict) -> Iterator[str]:
     text about a third of its fully indented size, and the C encoder writes
     it.
     """
+    compact = json.JSONEncoder(separators=(",", ":")).encode
     sep = "{\n"
     for key, value in payload.items():
         yield f"{sep}  {json.dumps(key)}: "
@@ -229,13 +264,15 @@ def _sample_json_pieces(payload: dict) -> Iterator[str]:
         yield "["
         rows, lead = iter(value), "\n    "
         while batch := list(itertools.islice(rows, _ROW_BATCH)):
-            yield lead + ",\n    ".join(map(_COMPACT.encode, batch))
+            yield lead + ",\n    ".join(map(compact, batch))
             lead = ",\n    "
         yield "\n  ]"
     yield "\n}\n"
 
 
 def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
@@ -254,7 +291,7 @@ def _match(formula, oracle, mode: str) -> bool:
     return math.isclose(float(formula), float(oracle), rel_tol=1e-9, abs_tol=1e-15)
 
 
-def _float(value: Fraction) -> float:
+def _float(value: fractions.Fraction) -> float:
     """A nonnegative exact value as a float, ``inf`` past the float range."""
     try:
         return float(value)
@@ -262,7 +299,7 @@ def _float(value: Fraction) -> float:
         return math.inf
 
 
-def _scan_letters(family: GroupFamily, scan: str) -> tuple[int, ...] | str:
+def _scan_letters(family: coxeter.GroupFamily, scan: str) -> tuple[int, ...] | str:
     """The scan as chains.evolve_scan and chains.power_sums take it."""
     if scan == "long":
         return chains.long_recipe(family)
@@ -271,7 +308,7 @@ def _scan_letters(family: GroupFamily, scan: str) -> tuple[int, ...] | str:
     return "random"
 
 
-def _analyze_rows(family: GroupFamily, theta, args: argparse.Namespace) -> list[dict]:
+def _analyze_rows(family: coxeter.GroupFamily, theta, args: argparse.Namespace) -> list[dict]:
     """Closed form per pass, next to the brute-force oracle within the cap.
 
     The identity-start oracle evolves the point mass at the identity one
@@ -289,9 +326,9 @@ def _analyze_rows(family: GroupFamily, theta, args: argparse.Namespace) -> list[
         else:
             coxeter.check_order(family)
         within_cap = True
-    except CapExceededError as exc:
+    except coxeter.CapExceededError as exc:
         if mode == "exact":
-            raise CapExceededError(
+            raise coxeter.CapExceededError(
                 f"{exc}; exact mode needs the brute-force oracle (rerun with "
                 "--mode float to skip it)"
             ) from exc
@@ -385,7 +422,7 @@ def analyze(args: argparse.Namespace) -> int:
 # verify
 
 
-def _verify_checks(family: GroupFamily, theta: Fraction):
+def _verify_checks(family: coxeter.GroupFamily, theta: fractions.Fraction):
     """(name, thunk) pairs; each thunk returns True on success.
 
     Checks 1, 3 and 4 read the rows of each K_i off the action tables
@@ -407,10 +444,10 @@ def _verify_checks(family: GroupFamily, theta: Fraction):
     long_scan = chains.long_recipe(family)
 
     @functools.cache
-    def long_sums() -> list[tuple[Fraction, Fraction, Fraction]]:
+    def long_sums() -> list[tuple[fractions.Fraction, fractions.Fraction, fractions.Fraction]]:
         return chains.power_sums_with_crosses(family, theta, long_scan, 3)
 
-    def long_traces() -> list[Fraction]:
+    def long_traces() -> list[fractions.Fraction]:
         """tr(K^1..K^5): three diagonals, then K^2 against itself and K^3."""
         sums = long_sums()
         return [trace for trace, _, _ in sums] + [sums[1][1] + 1, sums[2][2]]
@@ -559,7 +596,7 @@ def sample(args: argparse.Namespace) -> int:
 
     try:
         order = coxeter.check_order(family)
-    except CapExceededError:  # too many elements to tally the draws over
+    except coxeter.CapExceededError:  # too many elements to tally the draws over
         empirical_tv = None
     else:
         pi = chains.stationary(family, theta)
@@ -731,7 +768,10 @@ def _parser(prog: str) -> _Parser:
     )
 
     def command(run, *parents: argparse.ArgumentParser) -> _Parser:
-        doc = inspect.cleandoc(run.__doc__)
+        # inspect.cleandoc(run.__doc__), without loading inspect
+        first, *rest = run.__doc__.expandtabs().split("\n")
+        margin = min((len(line) - len(line.lstrip()) for line in rest if line.strip()), default=0)
+        doc = "\n".join([first.lstrip(), *(line[margin:] for line in rest)]).strip("\n")
         sub = commands.add_parser(
             run.__name__, parents=parents, help=doc.splitlines()[0], description=doc
         )
@@ -785,11 +825,14 @@ def main(args=None, prog_name="hecke-metro", standalone_mode=True) -> int:
     try:
         parsed = _parser(prog_name).parse_args(args)
         code = parsed.run(parsed)
-    except (UsageError, CapExceededError) as exc:
-        print(f"Error: {exc}", file=sys.stderr)
-        code = 2
     except SystemExit as exc:  # --help and --version print and stop
         code = exc.code
+    except UsageError as exc:  # apart from the next clause, which loads coxeter
+        print(f"Error: {exc}", file=sys.stderr)
+        code = 2
+    except coxeter.CapExceededError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        code = 2
     if standalone_mode:
         sys.exit(code)
     return code

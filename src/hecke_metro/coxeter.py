@@ -58,6 +58,7 @@ __all__ = [
     "identity",
     "index",
     "inverse",
+    "inverse_positions",
     "length",
     "longest_element",
     "multiply",
@@ -409,14 +410,9 @@ def index(w: GroupElement) -> int:
     >>> [index(w) for w in enumerate(dihedral(3))]
     [0, 1, 2, 3, 4, 5]
     """
-    p, n = w.payload, w.family.n
+    p = w.payload
     if w.family.kind == "symmetric":
-        # digit j counts the later positions holding smaller values and has
-        # place value (n - 1 - j)!
-        position = 0
-        for j, value in zip(range(n), p):
-            position = position * (n - j) + sum(v < value for v in p[j + 1 :])
-        return position
+        return _lehmer_position(p)
     if w.family.kind == "hypercube":
         position = 0
         for bit in p:  # coordinate 1 highest
@@ -424,6 +420,38 @@ def index(w: GroupElement) -> int:
         return position
     k, f = p
     return 2 * k + f
+
+
+def _lehmer_position(p: tuple[int, ...]) -> int:
+    """The rank of p among the orderings of its values, lexicographically:
+    its Lehmer code read in the factorial base."""
+    n, position = len(p), 0
+    for j, value in zip(range(n), p):
+        # digit j counts the later positions holding smaller values and has
+        # place value (n - 1 - j)!
+        position = position * (n - j) + sum(v < value for v in p[j + 1 :])
+    return position
+
+
+def inverse_positions(family: GroupFamily) -> list[int]:
+    """Per position k of :func:`enumerate`, the position of the inverse of
+    the element at k, read off the payloads with no :class:`GroupElement`
+    built: the positions of the values, in value order, for a permutation;
+    every element for the hypercube, and every reflection (f = 1) for the
+    dihedral group, is its own inverse, and the rotation k inverts to -k.
+
+    >>> inverse_positions(symmetric(3))
+    [0, 1, 2, 4, 3, 5]
+    >>> inverse_positions(dihedral(3))
+    [0, 1, 4, 3, 2, 5]
+    """
+    check_order(family)
+    n = family.n
+    if family.kind == "symmetric":
+        return [_lehmer_position(sorted(range(n), key=p.__getitem__)) for p in _payloads(family)]
+    if family.kind == "hypercube":
+        return list(range(family.order))
+    return [2 * k + 1 if f else 2 * (-k % n) for k, f in _payloads(family)]
 
 
 def _left_tables(family: GroupFamily) -> tuple[list[int], list[list[int]]]:

@@ -11,8 +11,9 @@ construction, which gives a direct sampler (no Markov chain, no burn-in):
   ``theta = 1``.  The product of the stage weights telescopes to ``pi``.
 * hypercube: coordinates are independent, each set with probability
   ``1/(1 + theta)``.
-* dihedral: direct inverse CDF over the ``2n`` payloads ``(k, f)``, with
-  ``pi`` read off the length formula (no enumeration, no cap).
+* dihedral: the inverse of the closed-form CDF of ``pi`` over the ``2n``
+  payloads ``(k, f)``, read off the length formula: one uniform a draw, no
+  table, no enumeration and no cap.
 
 `insertion_distribution` expands the insertion process symbolically in
 exact rationals -- the resulting distribution equals `chains.stationary`
@@ -42,10 +43,8 @@ lower bound.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING, TypeAlias
 
 from . import coxeter
@@ -101,17 +100,31 @@ def _insertion_slot(i: int, theta: float, u: float) -> int:
     return i
 
 
-@lru_cache(maxsize=None)
-def _dihedral_cdf(n: int, theta: float) -> np.ndarray:
-    """Cumulative ``pi`` of dihedral(n) over payload index ``2k + f``, from the
-    weights ``theta^(n - len)``: relative to the longest length n, no power
-    of ``q = 1/theta`` overflows."""
-    import numpy as np
+def _dihedral_index(n: int, theta: float, u: float) -> int:
+    """The first payload index ``j = 2k + f`` of dihedral(n) at which the
+    cumulative ``pi`` exceeds the uniform ``u``, in O(1) time and memory.
 
-    k = np.arange(n)
-    lengths = [np.minimum(2 * k, 2 * (n - k)), np.minimum(2 * k + 1, 2 * (n - k) - 1)]
-    cum = np.cumsum(theta ** (n - np.stack(lengths, axis=1).ravel()))
-    return cum / cum[-1]
+    The element at j has length ``min(j, 2n - j)``, so its weight
+    ``r^(n - len)``, ``r = theta``, is ``r^(n - j)`` up to the peak j = n and
+    ``r^(j - n)`` past it: the cumulative weight is two geometric sums,
+    each inverted by a logarithm.  With ``c_k = 1 - r^k``, the weight up to
+    j <= n is ``(r^(n - j) - r^(n + 1)) / (1 - r)``, the weight past j >= n
+    is ``(r^(j + 1 - n) - r^n) / (1 - r)`` and the total is
+    ``(1 + r) c_n / (1 - r)``.  Every difference is formed from the c_k,
+    by ``expm1`` and ``log1p``, so theta near 1 loses no digits.
+    """
+    if theta == 1.0:
+        return min(int(u * 2 * n), 2 * n - 1)
+    lam = -math.log(theta)
+    c_n, c_n1 = -math.expm1(-n * lam), -math.expm1(-(n + 1) * lam)
+    # up to the peak: the largest m = n - j with r^m > 1 - below
+    below = c_n1 - u * (1 + theta) * c_n
+    if below > 0:
+        m = math.ceil(-math.log1p(-below) / lam) - 1 if below < 1 else n
+        return n - min(m, n)
+    # past it: the smallest m = j + 1 - n with r^m < 1 - above
+    above = c_n * (u * (1 + theta) - theta)
+    return min(max(n + math.floor(-math.log1p(-above) / lam), n + 1), 2 * n - 1)
 
 
 def mallows_sample(family: GroupFamily, theta, rng: RandomSource) -> GroupElement:
@@ -130,7 +143,7 @@ def mallows_sample(family: GroupFamily, theta, rng: RandomSource) -> GroupElemen
         bits = rng.random(n) < 1.0 / (1.0 + th)
         return GroupElement(family, tuple(int(b) for b in bits))
     if family.kind == "dihedral":
-        j = bisect_right(_dihedral_cdf(n, th), rng.random())
+        j = _dihedral_index(n, th, rng.random())
         return GroupElement(family, (j // 2, j % 2))
     raise AssertionError(f"unhandled family kind {family.kind!r}")
 

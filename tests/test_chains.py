@@ -389,6 +389,24 @@ def _grid_scans(family):
     return _scans(family) + [tuple(coxeter.generators(family))]
 
 
+@pytest.mark.parametrize("family", [symmetric(6), hypercube(5), dihedral(7)], ids=str)
+def test_descent_tree_builds_no_element(family, monkeypatch):
+    """The right action comes from the left tables and the inverse positions,
+    all read off payloads: no group element is built."""
+    fresh = chains._descent_tree.__wrapped__  # past the caches
+    monkeypatch.setattr(coxeter, "action_tables", coxeter.action_tables.__wrapped__)
+    built = []
+    monkeypatch.setattr(
+        coxeter.GroupElement, "__post_init__", lambda self: built.append(self.payload)
+    )
+    tree = fresh(family)
+    assert sorted(tree.order) == list(range(family.order))
+    assert built == []
+    # negative control: the spy sees the elements enumerate builds
+    coxeter.enumerate(family)
+    assert len(built) == family.order
+
+
 @pytest.mark.parametrize("family", DENSE_ROW_FAMILIES, ids=str)
 def test_power_sums_from_the_identity_row_equal_the_dense_oracle(family):
     for theta in GRID_THETAS:

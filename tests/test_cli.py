@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import argparse
 import contextlib
 import dataclasses
 import functools
@@ -1091,6 +1092,85 @@ def test_only_sample_imports_numpy(args, imports_numpy):
         capture_output=True, text=True, check=True,
     )
     assert out.stderr.splitlines()[-1] == json.dumps(imports_numpy)
+
+
+# Runs the argv given as JSON in a fresh interpreter and prints on stderr the
+# files whose module code ran after the audit hook was added: the hook sees
+# each module's code as it runs, whether or not bytecode is cached.
+_EXEC_PROBE = """
+import json, sys
+ran = set()
+sys.addaudithook(lambda event, args: event == "exec" and ran.add(args[0].co_filename))
+from hecke_metro import cli
+code = cli.main(json.loads(sys.argv[1]), prog_name="hecke-metro", standalone_mode=False)
+print(json.dumps([code, sorted(ran)]), file=sys.stderr)
+"""
+
+_LAYERS = ["chains", "coxeter", "hecke", "sampler", "spectral"]
+
+
+def _layer_file(layer):
+    return os.path.join(os.path.dirname(cli.__file__), f"{layer}.py")
+
+
+@pytest.mark.parametrize(
+    "args, unused",
+    [
+        (["--version"], _LAYERS + ["inspect", "csv"]),
+        (["--help"], _LAYERS + ["inspect", "csv"]),
+        (["analyze", "--help"], _LAYERS + ["inspect", "csv"]),
+        (["analyze", "--family", "symmetric", "--lotto"], _LAYERS + ["inspect", "csv"]),
+        (["analyze", "--family", "symmetric", "--n", "3", "--theta", "1/2", "--lmax", "2"],
+         ["sampler", "hecke"]),
+        (["bounds", "--n", "10", "--theta", "1/2"], ["chains", "hecke", "sampler"]),
+        (["sample", "--family", "dihedral", "--n", "5", "--theta", "1/2", "-N", "3"],
+         ["spectral", "hecke"]),
+    ],
+    ids=["version", "help", "analyze-help", "usage-error", "analyze", "bounds", "sample"],
+)
+def test_each_command_runs_only_the_modules_it_uses(args, unused):
+    import csv
+    import inspect
+
+    stdlib = {"inspect": inspect.__file__, "csv": csv.__file__}
+    out = subprocess.run(
+        [sys.executable, "-c", _EXEC_PROBE, json.dumps(args)], capture_output=True, text=True
+    )
+    code, ran = json.loads(out.stderr.splitlines()[-1])
+    assert code == (2 if "--lotto" in args else 0)
+    ran = {os.path.realpath(f) for f in ran}
+    files = {name: stdlib.get(name) or _layer_file(name) for name in unused}
+    assert [name for name, f in files.items() if os.path.realpath(f) in ran] == []
+    # the probe sees what does run
+    assert os.path.realpath(cli.__file__) in ran
+
+
+_MODULES_PROBE = """
+import sys
+import hecke_metro.cli, hecke_metro.chains
+print(sorted(k for k in sys.modules if k.startswith("hecke_metro.")))
+print(callable(hecke_metro.chains.evolve_scan), hecke_metro.cli.chains is hecke_metro.chains)
+"""
+
+
+def test_importing_the_cli_lists_every_layer_and_loads_them_on_use():
+    # tools that wrap the layers look them up in sys.modules right after
+    # importing the cli, and reach them through the package attributes
+    out = subprocess.run(
+        [sys.executable, "-c", _MODULES_PROBE], capture_output=True, text=True, check=True
+    )
+    modules, resolved = out.stdout.splitlines()
+    assert modules == repr(sorted(f"hecke_metro.{layer}" for layer in _LAYERS + ["cli"]))
+    assert resolved == "True True"
+
+
+def test_subcommand_descriptions_are_their_cleaned_docstrings():
+    import inspect
+
+    parser = cli._parser("hecke-metro")
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for run in (cli.analyze, cli.verify, cli.sample, cli.bounds):
+        assert commands.choices[run.__name__].description == inspect.cleandoc(run.__doc__)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,15 @@ def test_index_is_the_position_in_the_enumeration(family):
 
 
 @pytest.mark.parametrize("family", SMALL_FAMILIES, ids=str)
+def test_inverse_positions_are_the_positions_of_the_inverses(family, monkeypatch):
+    expected = [coxeter.index(coxeter.inverse(w)) for w in coxeter.enumerate(family)]
+    built = []
+    monkeypatch.setattr(GroupElement, "__post_init__", lambda self: built.append(self.payload))
+    assert coxeter.inverse_positions(family) == expected
+    assert built == []
+
+
+@pytest.mark.parametrize("family", SMALL_FAMILIES, ids=str)
 def test_action_tables_build_no_element(family, monkeypatch):
     built = []
     monkeypatch.setattr(GroupElement, "__post_init__", lambda self: built.append(self.payload))

@@ -3,6 +3,7 @@ law, length moments, determinism, a goodness-of-fit run, and the two
 lower-bound witnesses."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -122,9 +123,50 @@ def test_dihedral_law_from_the_length_formula_is_the_stationary_law(n, theta):
     family = dihedral(n)
     elements = coxeter.enumerate(family)
     assert [w.payload for w in elements] == [(j // 2, j % 2) for j in range(2 * n)]
-    probs = np.diff(sampler._dihedral_cdf(n, float(theta)), prepend=0.0)
+    probs = np.diff(_dihedral_cdf(n, float(theta)), prepend=0.0)
     exact = [float(p) for p in chains.stationary(family, theta).probs]
     assert np.allclose(probs, exact, rtol=0, atol=4 * n * np.finfo(float).eps)
+
+
+def _dihedral_cdf(n, theta):
+    """Per payload index j, the least uniform that the dihedral sampler takes
+    past j, by bisection: the cumulative law the sampler inverts."""
+    cdf = []
+    for j in range(2 * n):
+        lo, hi = 0.0, 1.0
+        while lo < (mid := (lo + hi) / 2) < hi:
+            lo, hi = (lo, mid) if sampler._dihedral_index(n, theta, mid) > j else (mid, hi)
+        cdf.append(hi)
+    return cdf
+
+
+@pytest.mark.parametrize("n", [3, 7, 12, 200])
+@pytest.mark.parametrize("theta", [0.5, 1 / 3, 0.75, 0.999, 1.0, 1e-12])
+def test_dihedral_draws_equal_the_inverse_of_the_cumulative_table(n, theta):
+    # the sampler inverts the closed form of the cumulative law; a table of
+    # its 2n float sums, searched by bisection, takes the same index from
+    # the same PCG64 uniform
+    k = np.arange(n)
+    lengths = np.stack([np.minimum(2 * k, 2 * (n - k)), np.minimum(2 * k + 1, 2 * (n - k) - 1)])
+    table = np.cumsum(theta ** (n - lengths.T.ravel()))
+    uniforms = random_source(5).random(2000)
+    expected = np.searchsorted(table / table[-1], uniforms, side="right")
+    assert [sampler._dihedral_index(n, theta, u) for u in uniforms] == expected.tolist()
+
+
+def test_dihedral_draws_past_a_billion_hold_no_table():
+    # a table over the 2n payloads would hold 2 x 10^9 floats, 16 GB
+    n = 10**9
+    rng = random_source(1)
+    tracemalloc.start()
+    try:
+        draws = [mallows_sample(dihedral(n), 0.5, rng) for _ in range(2)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # at theta = 1/2 the law sits within a few lengths of the longest, n
+    assert all(n - 100 < coxeter.length(w) <= n for w in draws)
 
 
 # The upper 0.001 points of the chi-square law with 1 and 23 degrees of

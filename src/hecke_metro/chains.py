@@ -12,23 +12,30 @@ integers over a single shared denominator, so every identity check in
 this module is exact.  One letter routine right-multiplies a row by K_i
 at O(|W|): for theta = a/b a descent cell z of the row takes
 ``row[s] * b + row[z] * (b - a)`` and an ascent cell ``row[s] * a``, with
-s = s_i z read off :func:`coxeter.action_tables`.
+s = s_i z read off :func:`coxeter.action_tables`.  In the T~ basis of the
+Hecke algebra (see below) that is left multiplication by T~_i.
 
 * :func:`evolve_scan` applies it to the single row of a start
   distribution, so one pass of a scan costs O(|W| * letters) and no
   kernel is ever formed (the matrix-free path);
-* :func:`power_sums` applies it to the identity row alone, giving
-  e K^m at O(|W| * letters) a pass, and derives every other row of K^m
-  from that one.  K is left multiplication L(h) by an element h of the
-  algebra (see below), and left multiplication commutes with right
-  multiplication, so row x of K^m, the T~-coefficients of h^m T~_x, is
-  row x s_i times T~_i for a right descent i of x.  The same letter
-  routine applies right multiplication by T~_i, once per edge of a tree
-  of first right descents walked depth first, so a pass costs O(|W|^2)
-  whatever the number of letters.  It reads tr(K^m) and the pi-averaged
-  chi-square of K^m off each row; :func:`power_sums_with_crosses` also
-  reads the pi-weighted cross sum of K^(m-1) and K^m.  Each holds only
-  the rows on the walk's path, never a |W| x |W| power;
+* :func:`power_sums` applies it to one identity row alone, at
+  O(|W| * letters) a pass, and derives every other row of K^m from that
+  one.  K is left multiplication L(h) by an element h of the algebra, so
+  row x of K^m holds the T~-coefficients of h^m T~_x.  The
+  anti-automorphism T~_w -> T~_(w^-1) (Geck and Pfeiffer, *Characters
+  of Finite Coxeter Groups and Iwahori-Hecke Algebras*, 2000) sends
+  h^m T~_x to T~_(x^-1) g, where g is h^m with its words reversed, the
+  identity row of the reversed scan's K^m.  So row x of K^m is row x^-1
+  of x -> T~_x g, columns relabelled the same way, and T~_x g is
+  T~_i (T~_(s_i x) g) for a left descent i of x: the same letter
+  routine, on the same tables, once per edge of a tree of first left
+  descents walked depth first, so a pass costs O(|W|^2) whatever the
+  number of letters.  Inversion keeps lengths, so the relabelling moves
+  no weight of pi.  It reads tr(K^m)
+  and the pi-averaged chi-square of K^m off each row;
+  :func:`power_sums_with_crosses` also reads the pi-weighted cross sum of
+  K^(m-1) and K^m.  Each holds only the rows on the walk's path, never a
+  |W| x |W| power;
 * :func:`scan_kernel` and :func:`random_scan_kernel` apply it to every
   row of the identity, giving the dense |W| x |W| kernel (O(|W|^2)
   cells).  A single-generator kernel K_i is the scan of the one-letter
@@ -80,14 +87,12 @@ __all__ = [
     "evolve_scan",
     "generator_rows",
     "long_recipe",
-    "long_scan_kernel",
     "point_mass",
     "power_sums",
     "power_sums_with_crosses",
     "random_scan_kernel",
     "scan_kernel",
     "short_recipe",
-    "short_scan_kernel",
     "stationary",
     "tv_distance",
 ]
@@ -233,13 +238,12 @@ def generator_rows(family: GroupFamily, theta, i: int) -> list[dict[int, int]]:
 
 
 def _letter(row: list[int], perm: list[int], up: list[bool], a: int, b: int) -> list[int]:
-    """``row``, over some den, times the matrix of a letter, over den*b: K_i
-    for the tables of s_i w, or right multiplication by T~_i in the T~ basis
-    for those of w s_i (:func:`_descent_tree`).
+    """``row``, over some den, times K_i, over den*b, for theta = a/b: in the
+    T~ basis, the row's element multiplied by T~_i on the left.
 
-    Cell z receives from s = perm[z]: a descent cell (not ``up[z]``) gets
-    the move up from s plus its own holding term, an ascent cell the move
-    down from s.
+    Cell z receives from s = perm[z], the position of s_i z: a descent cell
+    (not ``up[z]``) gets the move up from s plus its own holding term, an
+    ascent cell the move down from s.
     """
     c = b - a
     return [
@@ -252,62 +256,55 @@ class _DescentTree(NamedTuple):
     """The elements by position p in length order, ties by enumeration index.
 
     ``order[p]`` is the element's enumeration index and ``lengths[p]`` its
-    length; ``right[i]`` is the (index, up-mask) of w -> w s_(i+1) by
-    position; ``children[p]`` lists (i, c) for each c with c s_(i+1) at p,
-    s_(i+1) the first right descent of c.
+    length; ``left[i]`` is the (index, up-mask) of w -> s_(i+1) w by
+    position; ``children[p]`` lists (i, c) for each c with s_(i+1) c at p,
+    s_(i+1) the first left descent of c.
     """
 
     order: list[int]
     lengths: list[int]
-    right: tuple[tuple[list[int], list[bool]], ...]
+    left: tuple[tuple[list[int], list[bool]], ...]
     children: list[list[tuple[int, int]]]
 
 
 @functools.lru_cache(maxsize=16)
 def _descent_tree(family: GroupFamily) -> _DescentTree:
-    """The tree of first right descents over the elements in length order.
-
-    The right action is read off the left tables as ``inv[perm_i[inv[w]]]``,
-    since w s_i = (s_i w^-1)^-1, with ``inv`` from
-    :func:`coxeter.inverse_positions`: no element is built.  Lengths only
-    grow along the order, so w s_i is longer than w exactly when its
-    position is larger.
-    """
+    """The tree of first left descents over the elements in length order,
+    read off :func:`coxeter.action_tables` alone: no element is built."""
     tables = coxeter.action_tables(family)
     order = sorted(range(family.order), key=tables.lengths.__getitem__)
     position = [0] * family.order
     for p, x in enumerate(order):
         position[x] = p
-    inv = coxeter.inverse_positions(family)
-    right = []
-    for perm in tables.perms:
-        moves = [position[inv[perm[inv[x]]]] for x in order]
-        right.append((moves, [t > p for p, t in enumerate(moves)]))
+    left = tuple(
+        ([position[perm[x]] for x in order], [up[x] for x in order])
+        for perm, up in zip(tables.perms, tables.ups)
+    )
     children = [[] for _ in order]
     for c in range(1, family.order):
-        i = next(i for i, (_, up) in enumerate(right) if not up[c])
-        children[right[i][0][c]].append((i, c))
-    return _DescentTree(order, [tables.lengths[x] for x in order], tuple(right), children)
+        i = next(i for i, (_, up) in enumerate(left) if not up[c])
+        children[left[i][0][c]].append((i, c))
+    return _DescentTree(order, [tables.lengths[x] for x in order], left, children)
 
 
 def _walk(tree: _DescentTree, a: int, b: int, row: list[int]):
-    """The rows of L(h), from its identity row ``row`` in length order, the
-    T~-coefficients of h over some den, for theta = a/b.
+    """The rows x -> T~_x g, from the coefficients ``row`` of g over some den
+    in length order, for theta = a/b.
 
-    Yields (p, row x) for the element x at each position p, row x over
-    ``den * b^length(x)``, depth first down ``tree``.  Left multiplication
-    commutes with right multiplication, so row x, the coefficients of
-    h T~_x, is its parent's row x s_i times T~_i: one letter per edge.  The
-    stack holds the edges still to take, and a row is dropped with the last
-    of its own, so only rows on the current path that have children left
-    are held.
+    Yields (p, the coefficients of T~_x g) for the element x at each
+    position p, over ``den * b^length(x)``, depth first down ``tree``.
+    For s_i the first left descent of x, T~_x g = T~_i (T~_(s_i x) g), so
+    row x is its parent's row times K_i: one letter per edge.  The stack
+    holds the edges still to take, and a row is dropped with the last of
+    its own, so only rows on the current path that have children left are
+    held.
     """
-    right, children = tree.right, tree.children
+    left, children = tree.left, tree.children
     yield 0, row
     stack = [(row, i, c) for i, c in children[0]]
     while stack:
         parent, i, c = stack.pop()
-        row = _letter(parent, *right[i], a, b)
+        row = _letter(parent, *left[i], a, b)
         yield c, row
         stack.extend((row, j, d) for j, d in children[c])
 
@@ -357,6 +354,8 @@ def _kernel(family: GroupFamily, theta, scan) -> Kernel:
     return Kernel(family, theta, rows, den)
 
 
+# perfbench/tracer.py reads scan_kernel's signature and Kernel.matrix when
+# it starts, so both stay while it does
 def scan_kernel(family: GroupFamily, theta, recipe) -> Kernel:
     """Systematic scan K_{i_1} K_{i_2} ... K_{i_k} for recipe (i_1, ..., i_k)."""
     return _kernel(family, theta, tuple(recipe))
@@ -401,14 +400,6 @@ def long_recipe(family: GroupFamily) -> tuple[int, ...]:
     if family.kind == "hypercube":
         return short_recipe(family)
     return tuple(1 if j % 2 == 0 else 2 for j in range(2 * family.n))
-
-
-def short_scan_kernel(family: GroupFamily, theta) -> Kernel:
-    return scan_kernel(family, theta, short_recipe(family))
-
-
-def long_scan_kernel(family: GroupFamily, theta) -> Kernel:
-    return scan_kernel(family, theta, long_recipe(family))
 
 
 def random_scan_kernel(family: GroupFamily, theta) -> Kernel:
@@ -501,15 +492,21 @@ def power_sums_with_crosses(
 
     ``scan`` is a recipe or ``"random"``, as :func:`evolve_scan` takes it,
     and K its kernel, which is L(h) for any scan (see the module
-    docstring).  Only the identity row runs through the scan letters, pass
-    by pass, giving e K^m over d_m, and is put into length order.  The
-    other rows follow down a tree walked depth first: row x of K^m is row
-    x s_i of K^m times T~_i, for i the first right descent of x, so a row
-    of length k is over d_m b^k.  Each row of K^m adds its diagonal to
-    tr(K^m), its square to the average and its product with the row of
-    K^(m-1), walked again beside it, to the cross sum, the sums of length
-    k lifted by b^(L - k) onto d_m b^L.  Only the rows on the path of each
-    walk are held.  Both weighted sums are
+    docstring).  Only the identity row of the reversed scan runs through
+    the scan letters, pass by pass, giving the coefficients of g_m, h^m with
+    its words reversed, over d_m, and is put into length order.  The other
+    rows follow down a tree walked depth first: the row at x holds
+    T~_x g_m, which is its parent's row times K_i, for s_i the first left
+    descent of x, so a row of length k is over d_m b^k.  It is row x^-1 of
+    K^m with its columns relabelled by inverses, and inversion keeps
+    lengths; so, as every sum below runs over all x and y with weights
+    that depend on length alone, each row adds its diagonal to tr(K^m),
+    its square to the average and its product with the row of K^(m-1),
+    walked again beside it, to the cross sum, the sums of length k lifted
+    by b^(L - k) onto d_m b^L.  Only the rows on the path of each walk are
+    held.  (The reversed scan's kernel is the pi-adjoint of K, and these
+    sums are the same for a kernel and its adjoint; the reversal makes
+    each walked row that of one start of K itself.)  Both weighted sums are
     <A, B>_pi = sum_{x,y} (pi(x) / pi(y)) A[x,y] B[x,y]; the averaged
     chi-square sum_x pi(x) chi_square(delta_x K^m, pi) is <K^m, K^m>_pi - 1.
     With pi(x) proportional to its numerator v_x = b^len(x) a^(L - len(x))
@@ -551,13 +548,15 @@ def _power_sums(family: GroupFamily, theta, scan, passes: int, crosses: bool) ->
         products = list(map(mul, A, B))
         return sum(u * sum(products[lo:hi]) for u, lo, hi in slices)
 
-    # e K^m over dens[m]: the scan takes it by enumeration index, the walk
-    # in length order, where the identity is at position 0
+    # the identity row of the reversed scan's K^m, the coefficients of
+    # (h^m)^flat, over dens[m]: the scan takes it by enumeration index, the
+    # walk in length order, where the identity is at position 0
+    reversed_scan = scan if scan == "random" else scan[::-1]
     row = [0] * family.order
     row[tree.order[0]] = 1
     identity_rows, dens = [[1] + [0] * (family.order - 1)], [1]
     for m in range(passes):
-        row, den = _apply_scan(family, theta, scan, row, dens[m])
+        row, den = _apply_scan(family, theta, reversed_scan, row, dens[m])
         identity_rows.append(list(map(row.__getitem__, tree.order)))
         dens.append(den)
     # b^(top - k) lifts the sums of length k onto dens[m] * b^top, and their

@@ -6,8 +6,8 @@ Four subcommands drive the library end to end:
     Per-pass chi-square distances for a chosen scan: the closed form from
     the irreducible-block data next to the exact brute-force evolution
     (when the group is small enough to enumerate: matrix-free from the
-    identity; with ``--averaged``, every row of K^l derived from the
-    identity row by right multiplications), the exact total variation
+    identity; with ``--averaged``, every row of K^l derived from one
+    identity row by the scan's own letters), the exact total variation
     distance, and the generic bound ``tv^2 <= chisq / 4``.
     The reductions work on integer numerators, not a Fraction per cell.
 
@@ -42,8 +42,9 @@ brute-force columns once enumeration is impossible.
 
 Output files are written atomically: the text goes to a temporary file
 in the target directory which is then renamed over the destination, so a
-crash never leaves a half-written table; an unwritable directory is
-refused while the options are parsed.
+crash never leaves a half-written table; an unwritable directory, and
+an existing path that is not a regular file, are refused while the
+options are parsed.
 
 The cap decisions are the library's: :func:`coxeter.check_order` refuses
 a group past the enumeration cap (env var ``HECKE_METRO_CAP``) without
@@ -198,13 +199,17 @@ def _csv_cell(x) -> str:
 
 def _check_out(out: str) -> str:
     """The type of ``--out``: refuse, while the options are parsed, a path
-    that names no file or names a directory, an existing file that cannot
-    be written, or a path in a missing or unwritable directory."""
+    that names no file or names a directory, an existing path that is not a
+    regular file (a FIFO or a device node, which the atomic rename would
+    replace) or cannot be written, or a path in a missing or unwritable
+    directory."""
     directory = os.path.dirname(os.path.abspath(out))
     if not os.path.basename(out) or os.path.isdir(out):
         raise argparse.ArgumentTypeError(f"cannot write --out {out!r}: it names no file")
     if not os.access(directory, os.W_OK | os.X_OK):
         raise argparse.ArgumentTypeError(f"cannot write --out {out}: {directory} is not writable")
+    if os.path.exists(out) and not os.path.isfile(out):
+        raise argparse.ArgumentTypeError(f"cannot write --out {out}: it is not a regular file")
     if os.path.exists(out) and not os.access(out, os.W_OK):
         raise argparse.ArgumentTypeError(f"cannot write --out {out}: it is not writable")
     return out
@@ -313,8 +318,8 @@ def _analyze_rows(family: coxeter.GroupFamily, theta, args: argparse.Namespace) 
 
     The identity-start oracle evolves the point mass at the identity one
     scan letter at a time (matrix-free); ``--averaged`` needs every start,
-    so it derives each row of K^l from the identity row, one right
-    multiplication per edge of a tree of right descents
+    so it derives each row of K^l from the identity row of the reversed
+    scan, one letter per edge of a tree of left descents
     (:func:`chains.power_sums`), within the budget.  The library's gate
     for that oracle runs first: past it exact mode is refused and float
     mode leaves the oracle columns empty.
@@ -385,9 +390,9 @@ def analyze(args: argparse.Namespace) -> int:
     cap), the total variation distance, the bound tv^2 <= chisq/4, and a
     match flag.  Exits 1 if any row mismatches.  From the identity the
     oracle applies the scan letters to the start vector (matrix-free);
-    with --averaged it runs the identity row through the scan and derives
-    every other start's row from it by right multiplications in the
-    algebra, on integer numerators.  Exact --averaged is refused (exit 2)
+    with --averaged it runs the identity row through the reversed scan
+    and derives every other start's row from it by left multiplications in
+    the algebra, on integer numerators.  Exact --averaged is refused (exit 2)
     when its |W|^2 cells exceed 20 x HECKE_METRO_CAP; float --averaged
     then leaves the oracle columns empty.
     """
@@ -512,8 +517,8 @@ def verify(args: argparse.Namespace) -> int:
     Theta is always parsed exactly here (any decimal or p/q string is a
     rational), so every check is an exact comparison; the operator checks
     reduce on integer numerators.  Checks 5 and 6 read every row of K,
-    K^2 and K^3 for the long scan K, each derived from the identity row
-    of its power by right multiplications in the algebra: check 5
+    K^2 and K^3 for the long scan K, each derived from an identity row by
+    left multiplications in the algebra: check 5
     compares the squared rows of K (the averaged chi-square) with the
     diagonal of K^2, check 6 tr(K^1..K^5) with the block sums.  tr(K^1..K^3) are
     diagonals; tr(K^4) is the averaged chi-square of K^2 plus one and

@@ -57,14 +57,11 @@ __all__ = [
     "hypercube",
     "identity",
     "index",
-    "inverse",
-    "inverse_positions",
     "length",
     "longest_element",
     "multiply",
     "poincare_polynomial",
     "reduced_word",
-    "right_apply_generator",
     "symmetric",
 ]
 
@@ -237,19 +234,6 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     return GroupElement(fam, ((j + (k if e == 0 else -k)) % n, e ^ f))
 
 
-def inverse(w: GroupElement) -> GroupElement:
-    fam = w.family
-    if fam.kind == "symmetric":
-        inv = [0] * fam.n
-        for pos, val in zip(range(1, fam.n + 1), w.payload):
-            inv[val - 1] = pos
-        return GroupElement(fam, tuple(inv))
-    if fam.kind == "hypercube":
-        return w
-    k, f = w.payload
-    return w if f == 1 else GroupElement(fam, ((-k) % fam.n, 0))
-
-
 def _generator_element(family: GroupFamily, i: int) -> GroupElement:
     if i not in generators(family):
         raise ValueError(f"generator index {i} out of range for {family}")
@@ -277,19 +261,6 @@ def apply_generator(i: int, w: GroupElement) -> GroupElement:
         p[i - 1] ^= 1
         return GroupElement(fam, tuple(p))
     return multiply(_generator_element(fam, i), w)
-
-
-def right_apply_generator(w: GroupElement, i: int) -> GroupElement:
-    """Right action w * s_i."""
-    fam = w.family
-    if fam.kind == "symmetric":
-        # swap *positions* i and i+1
-        p = list(w.payload)
-        p[i - 1], p[i] = p[i], p[i - 1]
-        return GroupElement(fam, tuple(p))
-    if fam.kind == "hypercube":
-        return apply_generator(i, w)
-    return multiply(w, _generator_element(fam, i))
 
 
 def length(w: GroupElement) -> int:
@@ -412,7 +383,12 @@ def index(w: GroupElement) -> int:
     """
     p = w.payload
     if w.family.kind == "symmetric":
-        return _lehmer_position(p)
+        n, position = len(p), 0
+        for j, value in zip(range(n), p):
+            # digit j counts the later positions holding smaller values and
+            # has place value (n - 1 - j)!
+            position = position * (n - j) + sum(v < value for v in p[j + 1 :])
+        return position
     if w.family.kind == "hypercube":
         position = 0
         for bit in p:  # coordinate 1 highest
@@ -420,38 +396,6 @@ def index(w: GroupElement) -> int:
         return position
     k, f = p
     return 2 * k + f
-
-
-def _lehmer_position(p: tuple[int, ...]) -> int:
-    """The rank of p among the orderings of its values, lexicographically:
-    its Lehmer code read in the factorial base."""
-    n, position = len(p), 0
-    for j, value in zip(range(n), p):
-        # digit j counts the later positions holding smaller values and has
-        # place value (n - 1 - j)!
-        position = position * (n - j) + sum(v < value for v in p[j + 1 :])
-    return position
-
-
-def inverse_positions(family: GroupFamily) -> list[int]:
-    """Per position k of :func:`enumerate`, the position of the inverse of
-    the element at k, read off the payloads with no :class:`GroupElement`
-    built: the positions of the values, in value order, for a permutation;
-    every element for the hypercube, and every reflection (f = 1) for the
-    dihedral group, is its own inverse, and the rotation k inverts to -k.
-
-    >>> inverse_positions(symmetric(3))
-    [0, 1, 2, 4, 3, 5]
-    >>> inverse_positions(dihedral(3))
-    [0, 1, 4, 3, 2, 5]
-    """
-    check_order(family)
-    n = family.n
-    if family.kind == "symmetric":
-        return [_lehmer_position(sorted(range(n), key=p.__getitem__)) for p in _payloads(family)]
-    if family.kind == "hypercube":
-        return list(range(family.order))
-    return [2 * k + 1 if f else 2 * (-k % n) for k, f in _payloads(family)]
 
 
 def _left_tables(family: GroupFamily) -> tuple[list[int], list[list[int]]]:

@@ -47,6 +47,7 @@ a (family, scan) pair to its chi-square form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -1000,15 +1001,18 @@ def bound_dihedral_random_scan(n: int, theta, ell: int) -> float:
     ``theta^-n sqrt((1+theta)/(1-theta)) (1 - (1/2)(1 - sqrt(theta))^2)^(2 ell)``.
     Quoted as an evaluable bound only, with no claim of tightness.
     Evaluated in logs; ``math.inf`` (still a true upper bound) when the
-    value is beyond the float range."""
+    value is beyond the float range, and 0.0 when it underflows, as it does
+    for a pass count past the float range."""
     theta = _require_theta_open(theta)
     if n < 3:
         raise ValueError("need n >= 3")
     gap = 1 - 0.5 * (1 - math.sqrt(theta)) ** 2
+    # a pass count past the float range is capped at the largest float: the
+    # bound falls as the count grows, so the capped value is still a bound
     return _log_domain(
         -n * math.log(theta)
         + 0.5 * math.log((1 + theta) / (1 - theta))
-        + 2 * ell * math.log(gap)
+        + 2 * math.log(gap) * min(ell, sys.float_info.max)
     )
 
 

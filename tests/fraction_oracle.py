@@ -21,9 +21,10 @@ oracle the fast versions must equal by ``==``:
 * the action tables built element by element with ``apply_generator``
   and ``length`` (the library's builder before it read them off the
   payloads);
+* the group inverse and the right action w -> w s_i, on the payloads;
 * the dense |W| x |W| matrix of left multiplication in the Hecke algebra,
-  built from the right action of the generators, and its trace; the
-  anti-automorphism ``star`` sending T~_w to T~_{w^{-1}};
+  built from that right action, and its trace; the anti-automorphism
+  ``star`` sending T~_w to T~_{w^{-1}};
 * the symmetric-family closed forms term by term: each generic degree by
   the q-hook formula with every q-integer summed afresh, and the short
   scan summed over every standard tableau;
@@ -261,6 +262,34 @@ def average_start_chi_square(family, theta, scan, ell):
     return total
 
 
+def inverse(w):
+    """w^-1: the inverse permutation, w itself on the hypercube, and on the
+    dihedral group each reflection itself and the rotation r^k as r^-k."""
+    fam = w.family
+    if fam.kind == "symmetric":
+        inv = [0] * fam.n
+        for pos, val in zip(range(1, fam.n + 1), w.payload):
+            inv[val - 1] = pos
+        return coxeter.GroupElement(fam, tuple(inv))
+    if fam.kind == "hypercube":
+        return w
+    k, f = w.payload
+    return w if f == 1 else coxeter.GroupElement(fam, ((-k) % fam.n, 0))
+
+
+def right_apply_generator(w, i):
+    """Right action w * s_i."""
+    fam = w.family
+    if fam.kind == "symmetric":
+        # swap *positions* i and i+1
+        p = list(w.payload)
+        p[i - 1], p[i] = p[i], p[i - 1]
+        return coxeter.GroupElement(fam, tuple(p))
+    if fam.kind == "hypercube":
+        return coxeter.apply_generator(i, w)
+    return coxeter.multiply(w, coxeter.apply_generator(i, coxeter.identity(fam)))
+
+
 @functools.lru_cache(maxsize=None)
 def right_action_tables(family):
     """Index permutations and up-masks of w -> w s_i, per generator i."""
@@ -268,7 +297,7 @@ def right_action_tables(family):
     lengths = np.array(coxeter.action_tables(family).lengths)
     perms = []
     for i in coxeter.generators(family):
-        moved = [coxeter.right_apply_generator(w, i) for w in elements]
+        moved = [right_apply_generator(w, i) for w in elements]
         perms.append(np.array([index[v] for v in moved]))
     return perms, [lengths[perm] > lengths for perm in perms]
 
@@ -329,7 +358,7 @@ def regular_trace(h):
 
 def star(h):
     """The anti-automorphism sending T~_w to T~_{w^{-1}}."""
-    out = {coxeter.inverse(w): a for w, a in h.coeffs.items()}
+    out = {inverse(w): a for w, a in h.coeffs.items()}
     return hecke.HeckeVector(h.family, h.q, out)
 
 

@@ -19,14 +19,12 @@ from hecke_metro.chains import (
     chi_square,
     evolve_scan,
     long_recipe,
-    long_scan_kernel,
     point_mass,
     power_sums,
     power_sums_with_crosses,
     random_scan_kernel,
     scan_kernel,
     short_recipe,
-    short_scan_kernel,
     stationary,
     tv_distance,
 )
@@ -86,7 +84,7 @@ def test_generator_kernels_match_the_algebra(family):
 def test_stationarity_and_reversibility(family, theta):
     pi = stationary(family, theta)
     kernels = [scan_kernel(family, theta, (i,)) for i in coxeter.generators(family)]
-    kernels += [short_scan_kernel(family, theta), long_scan_kernel(family, theta)]
+    kernels += [scan_kernel(family, theta, r(family)) for r in (short_recipe, long_recipe)]
     kernels += [random_scan_kernel(family, theta)]
     for K in kernels:
         assert oracle.evolve(K, pi, 1).probs == pi.probs
@@ -123,7 +121,7 @@ def test_long_scan_is_the_squared_longest_element(family, theta):
     w0 = coxeter.longest_element(family)
     tw0 = hecke.tilde_word(family, q, coxeter.reduced_word(w0))
     block = oracle.left_mult_matrix(hecke.product(tw0, tw0))
-    assert (long_scan_kernel(family, theta).matrix == block).all()
+    assert (scan_kernel(family, theta, long_recipe(family)).matrix == block).all()
     # the recipe reversed is two reduced words of w0 back to back
     recipe = long_recipe(family)
     assert len(recipe) == 2 * coxeter.length(w0)
@@ -135,7 +133,7 @@ def test_short_scan_is_u_times_star_u(family):
     q = 1 / theta
     u = hecke.tilde_word(family, q, tuple(range(1, family.rank + 1)))
     block = oracle.left_mult_matrix(hecke.product(u, oracle.star(u)))
-    assert (short_scan_kernel(family, theta).matrix == block).all()
+    assert (scan_kernel(family, theta, short_recipe(family)).matrix == block).all()
     assert short_recipe(family) == tuple(range(1, family.rank + 1)) + tuple(
         range(family.rank, 0, -1)
     )
@@ -143,14 +141,14 @@ def test_short_scan_is_u_times_star_u(family):
 
 @pytest.mark.parametrize("family", FAMILIES, ids=str)
 def test_long_scan_commutes_with_every_generator_kernel(family):
-    K = long_scan_kernel(family, Fraction(1, 2))
+    K = scan_kernel(family, Fraction(1, 2), long_recipe(family))
     for i in coxeter.generators(family):
         assert oracle.commutes_with_metropolis(K, i)
 
 
 def test_short_scan_need_not_commute():
     # the short scan is self-adjoint but not central; S_3 already shows it
-    K = short_scan_kernel(symmetric(3), Fraction(1, 2))
+    K = scan_kernel(symmetric(3), Fraction(1, 2), short_recipe(symmetric(3)))
     assert not all(oracle.commutes_with_metropolis(K, i) for i in (1, 2))
 
 
@@ -167,7 +165,7 @@ def test_random_scan_is_the_uniform_generator_mixture():
 def test_evolution_from_a_point_mass_reads_off_kernel_rows():
     family = dihedral(4)
     theta = Fraction(1, 2)
-    K = short_scan_kernel(family, theta)
+    K = scan_kernel(family, theta, short_recipe(family))
     x = coxeter.longest_element(family)
     dist = oracle.evolve(K, point_mass(family, x), 1)
     assert dist.probs == K.matrix[oracle.positions(family)[1][x]]
@@ -391,8 +389,8 @@ def _grid_scans(family):
 
 @pytest.mark.parametrize("family", [symmetric(6), hypercube(5), dihedral(7)], ids=str)
 def test_descent_tree_builds_no_element(family, monkeypatch):
-    """The right action comes from the left tables and the inverse positions,
-    all read off payloads: no group element is built."""
+    """The tree comes from the left tables alone, read off payloads: no group
+    element is built."""
     fresh = chains._descent_tree.__wrapped__  # past the caches
     monkeypatch.setattr(coxeter, "action_tables", coxeter.action_tables.__wrapped__)
     built = []
@@ -473,36 +471,44 @@ def test_power_sums_need_a_pass():
     ids=str,
 )
 def test_right_action_columns_and_length_levels(family):
-    """The descent tree's right tables, relabelled from positions to
-    enumeration indices, equal those of w -> w s_i built element by element;
-    each child c is its parent times s_i, for s_i the first right descent of
+    """The descent tree's left tables, relabelled from positions to
+    enumeration indices, equal those of w -> s_i w built element by element;
+    each child c is s_i times its parent, for s_i the first left descent of
     c, and one longer; the walk yields every element once, and its rows are
-    those of the kernel, each over den * b^length."""
-    perms, ups = oracle.right_action_tables(family)
+    those of the kernel with rows and columns relabelled by inverses, each
+    over den * b^length."""
+    lengths, perms, ups = oracle.action_tables(family)
     tree = chains._descent_tree(family)
-    order, lengths = tree.order, coxeter.action_tables(family).lengths
+    order = tree.order
     assert sorted(order) == list(range(family.order))
     assert tree.lengths == [lengths[x] for x in order] == sorted(lengths)
-    for (right, up), perm, want in zip(tree.right, perms, ups):
-        assert [order[t] for t in right] == perm[order].tolist()
-        assert up == want[order].tolist()
+    for (left, up), perm, want in zip(tree.left, perms, ups):
+        assert [order[t] for t in left] == [perm[x] for x in order]
+        assert up == [want[x] for x in order]
     edges = 0
     for p, children in enumerate(tree.children):
         for i, c in children:
             assert perms[i][order[c]] == order[p]
             assert tree.lengths[c] == tree.lengths[p] + 1
-            assert [bool(u[order[c]]) for u in ups[: i + 1]] == [True] * i + [False]
+            assert [u[order[c]] for u in ups[: i + 1]] == [True] * i + [False]
             edges += 1
     assert edges == family.order - 1
+    # row x of the walk from the identity row of the reversed recipe's kernel
+    # is row x^-1 of the kernel, columns relabelled the same way; the short
+    # recipe is its own reversal, the ascending sweep is not
     theta = Fraction(2, 3)
-    K = short_scan_kernel(family, theta)
-    walked = list(
-        chains._walk(tree, theta.numerator, theta.denominator, [K.num[order[0]][x] for x in order])
-    )
-    assert sorted(p for p, _ in walked) == list(range(family.order))
-    for p, row in walked:
-        lift = theta.denominator ** tree.lengths[p]
-        assert row == [K.num[order[p]][x] * lift for x in order]
+    elements, index = oracle.positions(family)
+    inverse = [index[oracle.inverse(w)] for w in elements]
+    for recipe in (short_recipe(family), tuple(coxeter.generators(family))):
+        K = scan_kernel(family, theta, recipe)
+        start = scan_kernel(family, theta, recipe[::-1]).num[order[0]]
+        walked = list(
+            chains._walk(tree, theta.numerator, theta.denominator, [start[x] for x in order])
+        )
+        assert sorted(p for p, _ in walked) == list(range(family.order))
+        for p, row in walked:
+            lift = theta.denominator ** tree.lengths[p]
+            assert row == [K.num[inverse[order[p]]][inverse[x]] * lift for x in order]
 
 
 def test_power_sums_hold_only_the_walks_path():
@@ -531,7 +537,7 @@ def test_integer_balance_checks_equal_the_fraction_oracle(family):
         mixed = Distribution.of(family, [(p + w) / 2 for p, w in zip(pi.probs, longest.probs)])
         first, last = (scan_kernel(family, theta, (i,)) for i in (1, family.rank))
         mixture = random_scan_kernel(family, theta)
-        kernels = [first, last, long_scan_kernel(family, theta), mixture]
+        kernels = [first, last, scan_kernel(family, theta, long_recipe(family)), mixture]
         kernels += [_perturbed(first), _perturbed(mixture)]
         for K in kernels:
             for ref in (pi, mixed):
@@ -551,7 +557,7 @@ def test_averaged_chi_square_equals_regular_trace_minus_one(family, theta, ell):
 def test_tv_is_monotone_along_the_long_scan():
     family = symmetric(4)
     theta = Fraction(1, 2)
-    K = long_scan_kernel(family, theta)
+    K = scan_kernel(family, theta, long_recipe(family))
     pi = stationary(family, theta)
     dist = point_mass(family, coxeter.identity(family))
     last = tv_distance(dist, pi)

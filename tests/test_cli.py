@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -677,8 +678,8 @@ def test_local_operator_checks_equal_the_dense_comparisons(
 ):
     """verify checks 1 and 2, row by row, against dense matrix equality."""
     # at theta = 1, or when the recipes coincide, the short scan is the long one
-    short = chains.short_scan_kernel(family, theta)
-    long = chains.long_scan_kernel(family, theta)
+    short = chains.scan_kernel(family, theta, chains.short_recipe(family))
+    long = chains.scan_kernel(family, theta, chains.long_recipe(family))
     wrong_recipe_is_long = short.matrix == long.matrix
     kernels = []
     for i in coxeter.generators(family):
@@ -696,7 +697,8 @@ def test_local_operator_checks_equal_the_dense_comparisons(
     checks = dict(cli._verify_checks(family, theta))
     generators, square = _dense_left_multiplications(family, theta)
     dense_1 = all((K.matrix == L).all() for K, L in zip(kernels, generators))
-    dense_2 = bool((chains.long_scan_kernel(family, theta).matrix == square).all())
+    long_kernel = chains.scan_kernel(family, theta, chains.long_recipe(family))
+    dense_2 = bool((long_kernel.matrix == square).all())
     assert checks["generator kernels == algebra left multiplication"]() == dense_1
     assert checks["long scan == squared longest element"]() == dense_2
     # each variant corrupts what it names, and only that
@@ -952,6 +954,16 @@ def test_bounds_beyond_the_float_range_print_infinity(runner):
     assert values[("dihedral", "random_scan")] == float("inf")
 
 
+def test_bounds_past_the_float_range_of_pass_counts_underflow_to_zero(runner):
+    # c = 1e308 makes a 309-digit pass count for the dihedral random scan
+    res = invoke(runner, "bounds", "--n", "10", "--theta", "1/2", "--c", "1e308")
+    assert res.exit_code == 0
+    rows = [line.split(",") for line in res.output.splitlines()[1:]]
+    values = {(family, kind): float(value) for family, kind, n, theta, c, value in rows}
+    assert len(values) == len(rows) == 10
+    assert values[("dihedral", "random_scan")] == 0.0
+
+
 def test_bounds_out_file(runner, tmp_path):
     out = tmp_path / "bounds.csv"
     res = invoke(
@@ -999,6 +1011,28 @@ def test_out_into_a_missing_directory_is_a_usage_error(
     else:
         assert f"cannot write --out {out}" in res.output
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("analyze", "--family", "symmetric", "--n", "3", "--theta", "1/2", "--lmax", "1"),
+        ("bounds", "--n", "3", "--theta", "1/2", "--c", "1"),
+        ("sample", "--family", "symmetric", "--n", "3", "--theta", "1/2", "-N", "2"),
+    ],
+    ids=["analyze", "bounds", "sample"],
+)
+def test_out_onto_a_fifo_is_a_usage_error(runner, tmp_path, args):
+    """Refused while the options are parsed; the FIFO is never opened, since
+    an open for writing would block."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    res = invoke(runner, *args, "--out", str(fifo))
+    assert res.exit_code == 2
+    assert res.stderr.startswith(f"usage: hecke-metro {args[0]} ")
+    assert "it is not a regular file" in res.output
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
 
 @pytest.mark.parametrize(
@@ -1191,7 +1225,7 @@ FUZZ_VALUES = {
     "--format": ["json", "csv"],
     "-N": ["1", "7", "50"],
     "--seed": ["0", "4"],
-    "--c": ["1", "2.5", "10", "1e300"],
+    "--c": ["1", "2.5", "10", "1e300", "1e308"],
 }
 FUZZ_BAD_VALUES = {
     "--family": ["cyclic", ""],

@@ -92,9 +92,8 @@ def test_star_sends_basis_elements_to_inverses():
     family = dihedral(5)
     q = Fraction(3)
     for w in coxeter.enumerate(family):
-        assert oracle.star(tilde_unit(family, q, w)).coeffs == {
-            coxeter.inverse(w): Fraction(1)
-        }
+        ((v, c),) = oracle.star(tilde_unit(family, q, w)).coeffs.items()
+        assert c == 1 and coxeter.multiply(v, w) == coxeter.identity(family)
 
 
 def test_trace_values():

@@ -323,7 +323,7 @@ def brute_chisq(family, theta, kernel, ell, start=None):
 @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(9, 10)])
 def test_long_scan_chisq_matches_kernels_exactly(theta):
     for family in (symmetric(4), hypercube(3), dihedral(5), dihedral(6)):
-        K = chains.long_scan_kernel(family, theta)
+        K = chains.scan_kernel(family, theta, chains.long_recipe(family))
         sums = chains.power_sums(family, theta, chains.long_recipe(family), 2)
         for ell in (1, 2):
             assert long_scan_chisq(family, theta, ell) == brute_chisq(
@@ -336,7 +336,7 @@ def test_long_scan_chisq_from_an_arbitrary_hypercube_start():
     family = hypercube(4)
     theta = Fraction(1, 3)
     start = coxeter.GroupElement(family, (1, 0, 1, 1))
-    K = chains.long_scan_kernel(family, theta)
+    K = chains.scan_kernel(family, theta, chains.long_recipe(family))
     for ell in (1, 2):
         assert long_scan_chisq(family, theta, ell, start) == brute_chisq(
             family, theta, K, ell, start
@@ -361,7 +361,7 @@ def test_short_scan_chisq_matches_kernels_exactly():
     theta = Fraction(1, 3)
     for n in (3, 4):
         family = symmetric(n)
-        K = chains.short_scan_kernel(family, theta)
+        K = chains.scan_kernel(family, theta, chains.short_recipe(family))
         sums = chains.power_sums(family, theta, chains.short_recipe(family), 2)
         for ell in (1, 2):
             assert short_scan_chisq_symmetric(n, theta, ell) == brute_chisq(

@@ -36,8 +36,8 @@ Hecke algebra (see below) that is left multiplication by T~_i.
   :func:`power_sums_with_crosses` also reads the pi-weighted cross sum of
   K^(m-1) and K^m.  Each holds only the rows on the walk's path, never a
   |W| x |W| power;
-* :func:`scan_kernel` and :func:`random_scan_kernel` apply it to every
-  row of the identity, giving the dense |W| x |W| kernel (O(|W|^2)
+* :func:`scan_kernel` applies it to every row of the identity, giving
+  the dense |W| x |W| kernel of a recipe or of the random scan (O(|W|^2)
   cells).  A single-generator kernel K_i is the scan of the one-letter
   recipe (i,); :func:`generator_rows` reads its rows, at most two
   nonzeros each, straight off the action tables instead.  Work on every
@@ -90,7 +90,6 @@ __all__ = [
     "point_mass",
     "power_sums",
     "power_sums_with_crosses",
-    "random_scan_kernel",
     "scan_kernel",
     "short_recipe",
     "stationary",
@@ -340,10 +339,17 @@ def _apply_scan(family: GroupFamily, theta: Fraction, scan, row: list[int], den:
     return row, den * b ** len(scan)
 
 
-def _kernel(family: GroupFamily, theta, scan) -> Kernel:
-    """The scan's dense kernel: every row of the identity through one pass."""
+# perfbench/tracer.py reads scan_kernel's signature and Kernel.matrix when
+# it starts, so both stay while it does
+def scan_kernel(family: GroupFamily, theta, recipe) -> Kernel:
+    """The dense kernel of a scan: every row of the identity through one pass.
+
+    ``recipe`` is (i_1, ..., i_k), for the systematic scan
+    K_{i_1} K_{i_2} ... K_{i_k}, or ``"random"``, for the uniform mixture
+    (1/rank) sum_i K_i, as :func:`evolve_scan` takes it.
+    """
     theta = Fraction(coxeter.check_theta(theta))
-    scan = _check_scan(family, scan)
+    scan = _check_scan(family, recipe)
     check_dense_cells(family)
     rows, den = [], 1
     for x in range(family.order):
@@ -352,13 +358,6 @@ def _kernel(family: GroupFamily, theta, scan) -> Kernel:
         row, den = _apply_scan(family, theta, scan, unit, 1)
         rows.append(row)
     return Kernel(family, theta, rows, den)
-
-
-# perfbench/tracer.py reads scan_kernel's signature and Kernel.matrix when
-# it starts, so both stay while it does
-def scan_kernel(family: GroupFamily, theta, recipe) -> Kernel:
-    """Systematic scan K_{i_1} K_{i_2} ... K_{i_k} for recipe (i_1, ..., i_k)."""
-    return _kernel(family, theta, tuple(recipe))
 
 
 def short_recipe(family: GroupFamily) -> tuple[int, ...]:
@@ -402,11 +401,6 @@ def long_recipe(family: GroupFamily) -> tuple[int, ...]:
     return tuple(1 if j % 2 == 0 else 2 for j in range(2 * family.n))
 
 
-def random_scan_kernel(family: GroupFamily, theta) -> Kernel:
-    """Uniform mixture (1/rank) sum_i K_i."""
-    return _kernel(family, theta, "random")
-
-
 def evolve_scan(
     family: GroupFamily, theta, scan, start: Distribution, ell: int
 ) -> Distribution:
@@ -416,8 +410,7 @@ def evolve_scan(
     held as one row of its integer numerators over its denominator and
     right-multiplied by each letter's K_i in turn, so a pass costs
     O(|W| * letters) and no |W| x |W| kernel is formed.  Equal by ``==``
-    to ``start`` times the ell-th power of :func:`scan_kernel` (or of
-    :func:`random_scan_kernel` for the random scan).
+    to ``start`` times the ell-th power of :func:`scan_kernel`.
     """
     if ell < 0:
         raise ValueError("negative step count")

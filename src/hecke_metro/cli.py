@@ -78,6 +78,7 @@ import io
 import itertools
 import math
 import os
+import stat
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
@@ -219,21 +220,30 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
     """Write the pieces in order, atomically to ``out``, or to stdout when
     no path was given.
 
-    A directory that cannot be written to (missing, no permission) is a
-    usage error.
+    A symbolic link is followed, so the file it names is written and the
+    link stays.  The file keeps the mode it had, or, if new, gets the mode
+    ``open`` would give it under the umask.  A directory that cannot be
+    written to (missing, no permission) is a usage error.
     """
     if out is None:
         sys.stdout.writelines(pieces)
         return
-    directory = os.path.dirname(os.path.abspath(out)) or "."
+    target = os.path.realpath(out)
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hecke-metro-", text=True)
+        mode = stat.S_IMODE(os.stat(target).st_mode)
+    except OSError:  # a new file, or a path that mkstemp below refuses
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".hecke-metro-", text=True)
     except OSError as exc:
         raise UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(pieces)
-        os.replace(tmp, out)
+        os.chmod(tmp, mode)
+        os.replace(tmp, target)
     except BaseException:
         try:
             os.unlink(tmp)

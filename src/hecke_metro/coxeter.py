@@ -234,22 +234,11 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     return GroupElement(fam, ((j + (k if e == 0 else -k)) % n, e ^ f))
 
 
-def _generator_element(family: GroupFamily, i: int) -> GroupElement:
-    if i not in generators(family):
-        raise ValueError(f"generator index {i} out of range for {family}")
-    if family.kind == "symmetric":
-        p = list(range(1, family.n + 1))
-        p[i - 1], p[i] = p[i], p[i - 1]
-        return GroupElement(family, tuple(p))
-    if family.kind == "hypercube":
-        return GroupElement(family, tuple(1 if j == i - 1 else 0 for j in range(family.n)))
-    # dihedral: s_1 = (0,1), s_2 = r^{n-1} s_1 = (n-1, 1)
-    return GroupElement(family, (0, 1) if i == 1 else (family.n - 1, 1))
-
-
 def apply_generator(i: int, w: GroupElement) -> GroupElement:
     """Left action s_i * w."""
     fam = w.family
+    if i not in generators(fam):
+        raise ValueError(f"generator index {i} out of range for {fam}")
     if fam.kind == "symmetric":
         # swap the *values* i and i+1 in one-line notation
         return GroupElement(
@@ -260,7 +249,8 @@ def apply_generator(i: int, w: GroupElement) -> GroupElement:
         p = list(w.payload)
         p[i - 1] ^= 1
         return GroupElement(fam, tuple(p))
-    return multiply(_generator_element(fam, i), w)
+    # dihedral: s_1 = (0, 1), s_2 = r^(n-1) s_1 = (n - 1, 1)
+    return multiply(GroupElement(fam, (0, 1) if i == 1 else (fam.n - 1, 1)), w)
 
 
 def length(w: GroupElement) -> int:

@@ -16,6 +16,9 @@ distance of scan chains to the stationary measure ``pi``:
       ``sum_{lam != triv} t_lam d_lam theta^(2l (L - c_lam))``
   where ``L`` is the length of the longest element;
 * pi-averaged over starting points, ``t_lam d_lam`` becomes ``d_lam^2``;
+  for a pi-reversible scan that is ``tr(K^(2l)) - 1``, so each scan has one
+  power sum ``tr(K^m) - 1`` over the nontrivial blocks, read by its
+  averaged form and its trace;
 * short systematic scan on the symmetric group: the exponent is controlled
   by the content of the box containing ``n``, so the sum over standard
   tableaux collapses by the branching rule to a sum over the removable
@@ -354,18 +357,9 @@ def _q_int(q: Scalar, k: int) -> Scalar:
 
 
 def _q_table(q: Scalar, n: int) -> tuple[list[Scalar], Scalar]:
-    """``[k]_q`` for ``k = 0..n`` and ``[n]_q!``, each built by the same
-    multiplications as :func:`_q_int`, so a float table equals the values
-    computed one at a time bit for bit."""
-    ints = [q - q]
-    total, power = q - q, 1 + (q - q)
-    factorial = power
-    for _ in range(n):
-        total += power
-        power *= q
-        ints.append(total)
-        factorial *= total
-    return ints, factorial
+    """``[k]_q`` for ``k = 0..n`` and ``[n]_q!``."""
+    ints = [_q_int(q, k) for k in range(n + 1)]
+    return ints, math.prod(ints[1:], start=1 + (q - q))
 
 
 def _degree(block: _Block, q: Scalar, table: tuple[list[Scalar], Scalar]) -> Scalar:
@@ -675,22 +669,43 @@ def long_scan_chisq(family, theta, ell: int, start: GroupElement | None = None):
     return _block_sum(theta, n, terms, degrees=True)
 
 
+def _long_power_sum(family: GroupFamily, theta: Scalar, m: int) -> Scalar:
+    """``tr(K^m) - 1`` for the long-scan kernel K: the sum over the
+    nontrivial blocks of ``d_lam^2 theta^(m (L - c_lam))``, since K acts on
+    each block as the scalar ``theta^(L - c_lam)``, with multiplicity
+    ``d_lam^2`` in the regular module."""
+    n = family.n
+    if family.kind == "hypercube":
+        return _hypercube_product(theta, ((2 * m, n),), minus_one=True)
+    if family.kind == "dihedral":
+        # sgn (c = -n), then every block with c = 0
+        return theta ** (2 * m * n) + (2 * n - 2) * theta ** (m * n)
+    big_l = _longest_length(family)
+    blocks = _symmetric_blocks(n)[1:]  # the trivial block (n,) comes first
+    terms = ((b, ((b.d**2, m * (big_l - b.c)),)) for b in blocks)
+    return _block_sum(theta, n, terms, degrees=False)
+
+
+def _short_power_sum(n: int, theta: Scalar, m: int) -> Scalar:
+    """``tr(K^m) - 1`` for the short-scan kernel K on the symmetric family:
+    ``sum_{lam != (n)} d_lam sum_S theta^(m (n - 1 - c(S(n))))``, summed
+    over removable corners as in :func:`short_scan_chisq_symmetric`."""
+    blocks = zip(_symmetric_blocks(n)[1:], _removable_corners(n)[1:])
+    terms = (  # x is the content of the corner
+        (b, [(b.d * f, m * (n - 1 - x)) for x, f in corners]) for b, corners in blocks
+    )
+    return _block_sum(theta, n, terms, degrees=False)
+
+
 def long_scan_avg_chisq(family, theta, ell: int):
     """Pi-weighted average over starting points of the long-scan chi-square:
-    ``sum_{lam != triv} d_lam^2 theta^(2 ell (L - c_lam))``.  Exact for
+    ``sum_{lam != triv} d_lam^2 theta^(2 ell (L - c_lam))``, which is
+    ``tr(K^(2 ell)) - 1`` as the long scan is pi-reversible.  Exact for
     rational ``theta``."""
     theta = check_theta(theta)
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    n = family.n
-    if family.kind == "hypercube":
-        return _hypercube_product(theta, ((4 * ell, n),), minus_one=True)
-    if family.kind == "dihedral":
-        return theta ** (4 * ell * n) + (2 * n - 2) * theta ** (2 * ell * n)
-    big_l = _longest_length(family)
-    blocks = _symmetric_blocks(n)[1:]  # the trivial block (n,) comes first
-    terms = ((b, ((b.d**2, 2 * ell * (big_l - b.c)),)) for b in blocks)
-    return _block_sum(theta, n, terms, degrees=False)
+    return _long_power_sum(family, theta, 2 * ell)
 
 
 def long_scan_trace(family: GroupFamily, theta, m: int):
@@ -698,19 +713,7 @@ def long_scan_trace(family: GroupFamily, theta, m: int):
     ``sum_lam d_lam^2 theta^(m (L - c_lam))`` (trivial block included).
     The eigenvalue on each block is ``theta^(L - c_lam)`` with multiplicity
     ``d_lam^2`` in the regular module."""
-    theta = check_theta(theta)
-    big_l = _longest_length(family)
-    if family.kind == "hypercube":
-        return _hypercube_product(theta, ((2 * m, family.n),), minus_one=False)
-    if family.kind == "dihedral":
-        n = family.n
-        return (
-            theta ** (2 * m * n)  # sgn, c = -n
-            + 1
-            + (2 * n - 2) * theta ** (m * n)  # every block with c = 0
-        )
-    terms = ((b, ((b.d**2, m * (big_l - b.c)),)) for b in _symmetric_blocks(family.n))
-    return _block_sum(theta, family.n, terms, degrees=False)
+    return 1 + _long_power_sum(family, check_theta(theta), m)
 
 
 def short_scan_chisq_symmetric(n: int, theta, ell: int, averaged: bool = False):
@@ -724,9 +727,10 @@ def short_scan_chisq_symmetric(n: int, theta, ell: int, averaged: bool = False):
 
         ``sum_{lam != (n)} t_lam sum_S theta^(2 ell (n - 1 - c(S(n))))``
 
-    and the pi-averaged version replaces ``t_lam`` with ``d_lam``.  The
-    tableaux with ``n`` in the removable corner ``(i, lam_i)`` are counted
-    by ``f^(lam minus corner)``, so the inner sum runs over corners:
+    and the pi-averaged version replaces ``t_lam`` with ``d_lam``, which is
+    ``tr(K^(2 ell)) - 1``.  The tableaux with ``n`` in the removable corner
+    ``(i, lam_i)`` are counted by ``f^(lam minus corner)``, so the inner sum
+    runs over corners:
 
         ``sum_corners f^(lam minus corner) theta^(2 ell (n - 1 - (lam_i - i)))``
 
@@ -737,24 +741,18 @@ def short_scan_chisq_symmetric(n: int, theta, ell: int, averaged: bool = False):
         raise ValueError("need n >= 2")
     if ell < 0:
         raise ValueError("ell must be nonnegative")
+    if averaged:
+        return _short_power_sum(n, theta, 2 * ell)
     blocks = zip(_symmetric_blocks(n)[1:], _removable_corners(n)[1:])
-    terms = (  # x is the content of the corner
-        (b, [(f * (b.d if averaged else 1), 2 * ell * (n - 1 - x)) for x, f in corners])
-        for b, corners in blocks
-    )
-    return _block_sum(theta, n, terms, degrees=not averaged)
+    terms = ((b, [(f, 2 * ell * (n - 1 - x)) for x, f in corners]) for b, corners in blocks)
+    return _block_sum(theta, n, terms, degrees=True)
 
 
 def short_scan_trace_symmetric(n: int, theta, m: int):
     """Trace of the ``m``-th power of the short-scan kernel on the
     symmetric family: ``sum_lam d_lam sum_S theta^(m (n - 1 - c(S(n))))``,
     summed over removable corners as in :func:`short_scan_chisq_symmetric`."""
-    theta = check_theta(theta)
-    blocks = zip(_symmetric_blocks(n), _removable_corners(n))
-    terms = (
-        (b, [(b.d * f, m * (n - 1 - x)) for x, f in corners]) for b, corners in blocks
-    )
-    return _block_sum(theta, n, terms, degrees=False)
+    return 1 + _short_power_sum(n, check_theta(theta), m)
 
 
 def random_scan_chisq_hypercube(n: int, theta, ell: int, start: GroupElement | None = None):

@@ -240,7 +240,7 @@ def kernel_power(family, theta, scan, m):
     repeated m times letter by letter, the random kernel multiplied out."""
     if scan != "random":
         return chains.scan_kernel(family, theta, tuple(scan) * m)
-    K = chains.random_scan_kernel(family, theta)
+    K = chains.scan_kernel(family, theta, "random")
     step = np.array(K.num, dtype=object)
     num = np.identity(family.order, dtype=int).astype(object)
     for _ in range(m):

@@ -22,7 +22,6 @@ from hecke_metro.chains import (
     point_mass,
     power_sums,
     power_sums_with_crosses,
-    random_scan_kernel,
     scan_kernel,
     short_recipe,
     stationary,
@@ -85,7 +84,7 @@ def test_stationarity_and_reversibility(family, theta):
     pi = stationary(family, theta)
     kernels = [scan_kernel(family, theta, (i,)) for i in coxeter.generators(family)]
     kernels += [scan_kernel(family, theta, r(family)) for r in (short_recipe, long_recipe)]
-    kernels += [random_scan_kernel(family, theta)]
+    kernels += [scan_kernel(family, theta, "random")]
     for K in kernels:
         assert oracle.evolve(K, pi, 1).probs == pi.probs
     # single-generator and random-scan kernels are reversible; scans need not be
@@ -159,7 +158,7 @@ def test_random_scan_is_the_uniform_generator_mixture():
         np.array(scan_kernel(family, theta, (i,)).matrix, dtype=object)
         for i in coxeter.generators(family)
     ) / Fraction(family.rank)
-    assert (random_scan_kernel(family, theta).matrix == mix).all()
+    assert (scan_kernel(family, theta, "random").matrix == mix).all()
 
 
 def test_evolution_from_a_point_mass_reads_off_kernel_rows():
@@ -185,7 +184,7 @@ def test_matrix_free_evolution_equals_dense_evolution(family, scan):
     scan = {"long": long_recipe(family), "short": short_recipe(family)}.get(scan, scan)
     for theta in (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(1, 4)):
         if scan == "random":
-            K = random_scan_kernel(family, theta)
+            K = scan_kernel(family, theta, "random")
         else:
             K = scan_kernel(family, theta, scan)
         starts = (
@@ -323,7 +322,7 @@ def test_kernels_and_distributions_leave_chains_as_python_ints(theta):
     family = symmetric(3)
     start = point_mass(family, coxeter.identity(family))
     _assert_python_ints(scan_kernel(family, theta, (1, 2)).num)
-    _assert_python_ints(random_scan_kernel(family, theta).num)
+    _assert_python_ints(scan_kernel(family, theta, "random").num)
     _assert_python_ints([evolve_scan(family, theta, long_recipe(family), start, 2).num])
     _assert_python_ints([evolve_scan(family, theta, "random", stationary(family, theta), 2).num])
     _assert_python_ints([row.values() for row in chains.generator_rows(family, theta, 1)])
@@ -536,7 +535,7 @@ def test_integer_balance_checks_equal_the_fraction_oracle(family):
         # never stationary: half its mass sits on the longest element
         mixed = Distribution.of(family, [(p + w) / 2 for p, w in zip(pi.probs, longest.probs)])
         first, last = (scan_kernel(family, theta, (i,)) for i in (1, family.rank))
-        mixture = random_scan_kernel(family, theta)
+        mixture = scan_kernel(family, theta, "random")
         kernels = [first, last, scan_kernel(family, theta, long_recipe(family)), mixture]
         kernels += [_perturbed(first), _perturbed(mixture)]
         for K in kernels:

@@ -405,7 +405,6 @@ def _refuse_dense_kernels(monkeypatch):
         raise AssertionError("a dense scan kernel was built")
 
     monkeypatch.setattr(chains, "scan_kernel", refuse)
-    monkeypatch.setattr(chains, "random_scan_kernel", refuse)
 
 
 @pytest.mark.parametrize(
@@ -1033,6 +1032,42 @@ def test_out_onto_a_fifo_is_a_usage_error(runner, tmp_path, args):
     assert "it is not a regular file" in res.output
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+BOUNDS = ("bounds", "--n", "3", "--theta", "1/2", "--c", "1")
+
+
+@pytest.fixture()
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o640], ids=oct)
+def test_out_keeps_the_mode_of_an_existing_file(runner, tmp_path, umask_022, mode):
+    out = tmp_path / "bounds.csv"
+    out.write_text("stale\n")
+    os.chmod(out, mode)
+    assert invoke(runner, *BOUNDS, "--out", str(out)).exit_code == 0
+    assert out.read_text().startswith("family,kind,n,theta,c,value\n")
+    assert stat.S_IMODE(os.stat(out).st_mode) == mode
+
+
+def test_out_gives_a_new_file_the_mode_of_the_umask(runner, tmp_path, umask_022):
+    out = tmp_path / "bounds.csv"
+    assert invoke(runner, *BOUNDS, "--out", str(out)).exit_code == 0
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o644
+
+
+def test_out_through_a_symlink_writes_its_target(runner, tmp_path):
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_text("stale\n")
+    link.symlink_to(target)
+    assert invoke(runner, *BOUNDS, "--out", str(link)).exit_code == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text().startswith("family,kind,n,theta,c,value\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "target"]
 
 
 @pytest.mark.parametrize(

@@ -165,6 +165,14 @@ def test_generator_application_changes_length_by_exactly_one(family):
             assert abs(length(oracle.right_apply_generator(w, i)) - length(w)) == 1
 
 
+@pytest.mark.parametrize("family", [symmetric(3), hypercube(3), dihedral(5)], ids=str)
+def test_generator_index_out_of_range_is_refused(family):
+    """Every family checks i, so no index past the generators moves w."""
+    for i in (0, family.rank + 1):
+        with pytest.raises(ValueError, match=f"generator index {i} out of range"):
+            apply_generator(i, identity(family))
+
+
 def test_enumeration_cap_is_enforced_and_overridable(monkeypatch):
     monkeypatch.setenv("HECKE_METRO_CAP", "10")
     with pytest.raises(CapExceededError):

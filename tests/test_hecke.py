@@ -149,6 +149,13 @@ def test_regular_trace_is_linear_and_matches_matrix_diagonal():
     assert oracle.regular_trace(combo) == sum(M.diagonal(), Fraction(0))
 
 
+@pytest.mark.parametrize("family", [symmetric(3), hypercube(3), dihedral(5)], ids=str)
+def test_tilde_generator_out_of_range_is_refused(family):
+    for i in (0, family.rank + 1):
+        with pytest.raises(ValueError, match=f"generator index {i} out of range"):
+            hecke.tilde_generator_times(i, tilde_unit(family, Fraction(2)))
+
+
 def test_mixed_family_or_q_products_are_rejected():
     with pytest.raises(ValueError):
         product(

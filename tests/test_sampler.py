@@ -242,7 +242,7 @@ def test_witness_agrees_with_the_exact_chain_at_small_size():
     assert rep.scan == "random"
     # and the exact distributional mean from kernel evolution agrees
     family = hypercube(n)
-    K = chains.random_scan_kernel(family, Fraction(1, 2))
+    K = chains.scan_kernel(family, Fraction(1, 2), "random")
     dist = oracle.evolve(
         K, chains.point_mass(family, coxeter.identity(family)), ell
     )

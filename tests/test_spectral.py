@@ -8,6 +8,7 @@ to confirm that data independently.
 """
 
 import doctest
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -375,7 +376,7 @@ def test_short_scan_chisq_matches_kernels_exactly():
 def test_random_scan_chisq_hypercube_matches_kernels_exactly():
     theta = Fraction(1, 2)
     family = hypercube(4)
-    K = chains.random_scan_kernel(family, theta)
+    K = chains.scan_kernel(family, theta, "random")
     for start in (None, coxeter.GroupElement(family, (1, 1, 0, 0))):
         for ell in (1, 3):
             assert random_scan_chisq_hypercube(4, theta, ell, start) == brute_chisq(
@@ -386,7 +387,7 @@ def test_random_scan_chisq_hypercube_matches_kernels_exactly():
 def test_dihedral_random_scan_chisq_matches_kernels_closely():
     theta = 0.5
     family = dihedral(6)
-    K = chains.random_scan_kernel(family, Fraction(1, 2))
+    K = chains.scan_kernel(family, Fraction(1, 2), "random")
     sums = chains.power_sums(family, Fraction(1, 2), "random", 2)
     for ell in (1, 2):
         exact = brute_chisq(family, Fraction(1, 2), K, ell)
@@ -452,6 +453,154 @@ def test_float_long_scan_chisq_is_the_block_by_block_float_sum(n, theta):
         assert long_scan_chisq(symmetric(n), theta, ell) == oracle.long_scan_chisq(
             n, theta, ell
         )
+
+
+# Float closed forms at l = 1..5 (m = 1..5 for the traces), recorded bit
+# for bit, since a relative check of 1e-9 misses a change of summation
+# order, which moves the last bit.
+LONG_S30 = {
+    0.5: [
+        2.700835566767561e-08,
+        2.342601339780882e-26,
+        2.0318827694863084e-44,
+        1.7623773703303352e-62,
+        1.5286186989211518e-80,
+    ],
+    0.75: [
+        0.015702585082407797,
+        4.953698112090739e-10,
+        1.5798117493826808e-17,
+        5.038266582218746e-25,
+        1.6067819576238203e-32,
+    ],
+}
+LONG_AVG_S30 = {
+    0.5: [
+        7.294512216482495e-16,
+        6.32698079386588e-34,
+        5.487781057586759e-52,
+        4.759891315808291e-70,
+        4.128547604315388e-88,
+    ],
+    0.75: [
+        2.6821499347309822e-05,
+        8.553573720999406e-13,
+        2.727868345947005e-20,
+        8.699598501813618e-28,
+        2.77443793081897e-35,
+    ],
+}
+SHORT_AVG_S12 = {
+    0.5: [
+        29712.046663909117,
+        85.96579619895525,
+        3.418549047837696,
+        0.5106395306528956,
+        0.11215249425914486,
+    ],
+    0.75: [
+        3626053.67569226,
+        106607.5631384925,
+        5430.419559521109,
+        452.1046779984773,
+        62.2596340681085,
+    ],
+}
+TRACE_S30 = {
+    0.5: [
+        1.0000007832429973,
+        1.0000000000000007,
+        1.0,
+        1.0,
+        1.0,
+    ],
+    0.75: [
+        1.1660621843838175,
+        1.0000268214993473,
+        1.0000000047897153,
+        1.0000000000008553,
+        1.0000000000000002,
+    ],
+}
+TRACE_HYPERCUBE50 = {
+    0.5: [
+        70064.92321624095,
+        20.722728453107575,
+        2.171046537842265,
+        1.2152283734083131,
+        1.0500148413123949,
+    ],
+    0.75: [
+        4909093465.297739,
+        932173.5545315435,
+        3604.694680129954,
+        117.99487939708182,
+        15.475397541827302,
+    ],
+}
+TRACE_DIHEDRAL40 = {
+    0.5: [
+        1.0000000000709406,
+        1.0,
+        1.0,
+        1.0,
+        1.0,
+    ],
+    0.75: [
+        1.0007844137437425,
+        1.0000000078885225,
+        1.0000000000000793,
+        1.0,
+        1.0,
+    ],
+}
+SHORT_TRACE_S12 = {
+    0.5: [
+        1659307.1011793613,
+        29713.046663909117,
+        1112.6488379973532,
+        86.96579619895525,
+        14.218220668704625,
+    ],
+    0.75: [
+        30874160.024707202,
+        3626054.67569226,
+        571535.5379319787,
+        106608.5631384925,
+        22646.37213520705,
+    ],
+}
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.75])
+def test_float_averaged_forms_keep_their_recorded_bits(theta):
+    for ell, (long, avg, short) in enumerate(
+        zip(LONG_S30[theta], LONG_AVG_S30[theta], SHORT_AVG_S12[theta]), start=1
+    ):
+        assert long_scan_chisq(symmetric(30), theta, ell) == long
+        assert long_scan_avg_chisq(symmetric(30), theta, ell) == avg
+        assert short_scan_chisq_symmetric(12, theta, ell, averaged=True) == short
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.75])
+def test_float_traces_are_no_farther_from_the_exact_traces_than_recorded(theta):
+    """A trace is 1 plus the power sum, so it adds the trivial block last;
+    the recorded floats added it first, and at S_30, theta = 3/4, m = 1
+    were 6.7e-15 off the exact trace, where 1 plus the sum is 5.7e-16 off.
+    So each trace is held to its recorded distance from the exact trace,
+    plus 1e-15 relative."""
+    exact_theta = Fraction(theta)
+    forms = [
+        (functools.partial(long_scan_trace, symmetric(30)), TRACE_S30),
+        (functools.partial(long_scan_trace, hypercube(50)), TRACE_HYPERCUBE50),
+        (functools.partial(long_scan_trace, dihedral(40)), TRACE_DIHEDRAL40),
+        (functools.partial(short_scan_trace_symmetric, 12), SHORT_TRACE_S12),
+    ]
+    for form, recorded in forms:
+        for m, old in enumerate(recorded[theta], start=1):
+            exact = form(exact_theta, m)
+            error = abs(Fraction(form(theta, m)) - exact)
+            assert error <= abs(Fraction(old) - exact) + exact * Fraction(1, 10**15)
 
 
 def test_exact_short_scan_on_s13_equals_the_float_form():

@@ -183,10 +183,7 @@ def test_matrix_free_evolution_equals_dense_evolution(family, scan):
     """evolve_scan against the dense oracle evolve(scan kernel), by ==."""
     scan = {"long": long_recipe(family), "short": short_recipe(family)}.get(scan, scan)
     for theta in (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(1, 4)):
-        if scan == "random":
-            K = scan_kernel(family, theta, "random")
-        else:
-            K = scan_kernel(family, theta, scan)
+        K = scan_kernel(family, theta, scan)
         starts = (
             point_mass(family, coxeter.identity(family)),
             point_mass(family, coxeter.longest_element(family)),

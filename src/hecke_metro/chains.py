@@ -50,7 +50,9 @@ denominator grows, and every reduction runs over one row at a time.
 
 A :class:`Distribution` is held the same way, as integer numerators
 ``num`` over one denominator ``den``; :meth:`Distribution.of` is the one
-place exact probabilities become numerators.  The reductions
+place exact probabilities become numerators.  A :class:`Distribution` and
+a :class:`Kernel` are named tuples: their fields are never reassigned, and
+a Distribution checks its numerators when it is built.  The reductions
 (:func:`chi_square`, :func:`tv_distance`, :func:`power_sums`,
 :func:`check_reversible`, :func:`check_stationary`) work on ``num`` and
 ``den`` directly; each builds one ``Fraction`` per result.
@@ -68,7 +70,6 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
@@ -125,29 +126,28 @@ def check_dense_cells(family: GroupFamily) -> None:
         )
 
 
-@dataclass
-class Distribution:
+class Distribution(
+    NamedTuple("Distribution", [("family", GroupFamily), ("num", list[int]), ("den", int)])
+):
     """Exact probability vector num/den over the enumeration order of a family.
 
     ``num`` holds one integer numerator per element, ``den`` their one
     shared denominator; the pair need not be in lowest terms.
     """
 
-    family: GroupFamily
-    num: list[int]
-    den: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.num) != self.family.order:
+    def __new__(cls, family: GroupFamily, num: list[int], den: int) -> Distribution:
+        if len(num) != family.order:
             raise ValueError(
-                f"{len(self.num)} numerators for the {self.family.order} elements of "
-                f"{self.family}"
+                f"{len(num)} numerators for the {family.order} elements of {family}"
             )
-        if min(self.num) < 0:
+        if min(num) < 0:
             raise ValueError("negative probability entry")
-        total = sum(self.num)
-        if self.den < 1 or total != self.den:
-            raise ValueError(f"numerators sum to {total}, not the denominator {self.den}")
+        total = sum(num)
+        if den < 1 or total != den:
+            raise ValueError(f"numerators sum to {total}, not the denominator {den}")
+        return super().__new__(cls, family, num, den)
 
     @classmethod
     def of(cls, family: GroupFamily, probs) -> Distribution:
@@ -167,8 +167,7 @@ def _entries(row) -> list[tuple[int, int]]:
     return [(y, v) for y, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v]
 
 
-@dataclass
-class Kernel:
+class Kernel(NamedTuple):
     """Row-stochastic matrix num/den with integer num and shared den.
 
     ``num`` holds the rows, each a list of |W| numerators or, for a

@@ -60,13 +60,16 @@ Start-up pays only for what runs: each layer module, and ``json``,
 is imported, but its code runs on first use (:func:`_lazy`).  So
 ``--version``, ``--help`` and usage errors load no layer, ``analyze``
 loads neither ``sampler`` nor ``hecke``, ``bounds`` only ``coxeter`` and
-``spectral``, and ``sample`` neither ``spectral`` nor ``hecke``.
+``spectral``, and ``sample`` neither ``spectral`` nor ``hecke`` (nor
+``chains`` past the cap).  The layers' records are named tuples, so no
+command but ``sample``, whose numpy imports it, loads ``inspect``.
 
 Exit codes: 0 when every check passes, 1 when a verification-style check
 fails (a ``verify`` invariant, an ``analyze`` row with ``match=false``,
 or a ``sample`` mean more than three standard errors off), 2 for usage
-errors (bad flags, theta out of range, cap exceeded in exact mode),
-reported on stderr as ``Error: <message>``.
+errors (bad flags, theta out of range, cap exceeded in exact mode, a
+``HECKE_METRO_CAP`` that is not a nonnegative integer), reported on
+stderr as ``Error: <message>``.
 """
 
 from __future__ import annotations
@@ -599,6 +602,10 @@ def sample(args: argparse.Namespace) -> int:
     # float's binary expansion
     draw_theta = _parse_theta(args.theta, "float")
     theta = _parse_theta(args.theta, "exact")
+    try:  # before any draw, so that a malformed cap costs none
+        order = coxeter.check_order(family)
+    except coxeter.CapExceededError:  # too many elements to tally the draws over
+        order = None
     rng = sampler.random_source(seed)
     draws = [sampler.mallows_sample(family, draw_theta, rng) for _ in range(num_samples)]
     lengths = np.array([coxeter.length(w) for w in draws], dtype=float)
@@ -609,9 +616,7 @@ def sample(args: argparse.Namespace) -> int:
     mean = float(lengths.mean())
     z = 0.0 if se == 0 else (mean - predicted_mean) / se
 
-    try:
-        order = coxeter.check_order(family)
-    except coxeter.CapExceededError:  # too many elements to tally the draws over
+    if order is None:
         empirical_tv = None
     else:
         pi = chains.stationary(family, theta)
@@ -845,7 +850,7 @@ def main(args=None, prog_name="hecke-metro", standalone_mode=True) -> int:
     except UsageError as exc:  # apart from the next clause, which loads coxeter
         print(f"Error: {exc}", file=sys.stderr)
         code = 2
-    except coxeter.CapExceededError as exc:
+    except (coxeter.CapExceededError, coxeter.CapSettingError) as exc:
         print(f"Error: {exc}", file=sys.stderr)
         code = 2
     if standalone_mode:

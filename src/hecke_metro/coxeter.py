@@ -11,10 +11,13 @@ Supported families:
   by two reflections s_1, s_2 with (s_1 s_2)^n = 1; length = minimal
   alternating word length.
 
-Group elements are immutable and hashable; payloads are plain int tuples:
-one-line notation for permutations, 0/1 vectors for the hypercube, and
-(rotation exponent, reflection flag) pairs for the dihedral group, where
-``(k, f)`` stands for r^k s_1^f with r = s_1 s_2.
+A :class:`GroupFamily` and a :class:`GroupElement` are named tuples, so
+they are immutable and hash and compare as plain tuples do; each checks
+its fields in ``__new__``, the one way to build it (``_make`` and
+``_replace`` would skip the check, so nothing here calls them).  Payloads
+are plain int tuples: one-line notation for permutations, 0/1 vectors for
+the hypercube, and (rotation exponent, reflection flag) pairs for the
+dihedral group, where ``(k, f)`` stands for r^k s_1^f with r = s_1 s_2.
 
 Everything here is exact: lengths and orders are ints, and Poincare
 polynomials at a rational q are `fractions.Fraction`.  Enumeration order
@@ -25,7 +28,8 @@ generator, a permutation of those positions and an up-mask, with the
 lengths, read off the payloads without building a :class:`GroupElement`.
 :func:`enumerate` builds the elements themselves, for the APIs that take
 them.  :func:`check_theta` and :func:`check_q` are the parameter checks
-all layers share.
+all layers share, and :func:`enumeration_cap` reads the one size knob,
+``HECKE_METRO_CAP``, refusing a value that is not a nonnegative integer.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ import bisect
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -42,6 +45,7 @@ from typing import Iterable, NamedTuple
 __all__ = [
     "ActionTables",
     "CapExceededError",
+    "CapSettingError",
     "GroupElement",
     "GroupFamily",
     "action_tables",
@@ -74,9 +78,24 @@ class CapExceededError(ValueError):
     """Raised when a full enumeration would exceed the configured cap."""
 
 
+class CapSettingError(ValueError):
+    """Raised when HECKE_METRO_CAP is set to something other than a
+    nonnegative integer."""
+
+
 def enumeration_cap() -> int:
-    """Current enumeration cap (env var HECKE_METRO_CAP overrides)."""
-    return int(os.environ.get("HECKE_METRO_CAP", DEFAULT_ENUMERATION_CAP))
+    """Current enumeration cap (env var HECKE_METRO_CAP overrides), refused
+    with :class:`CapSettingError` unless it is a nonnegative integer."""
+    raw = os.environ.get("HECKE_METRO_CAP")
+    if raw is None:
+        return DEFAULT_ENUMERATION_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise CapSettingError(f"HECKE_METRO_CAP must be a nonnegative integer, got {raw!r}")
+    return cap
 
 
 def check_order(family: GroupFamily) -> int:
@@ -133,19 +152,18 @@ def check_q(q) -> Fraction:
     return q
 
 
-@dataclass(frozen=True)
-class GroupFamily:
+class GroupFamily(NamedTuple("GroupFamily", [("kind", str), ("n", int)])):
     """One of the three supported reflection-group families."""
 
-    kind: str
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        minimum = {"symmetric": 2, "hypercube": 1, "dihedral": 3}[self.kind]
-        if self.n < minimum:
-            raise ValueError(f"{self.kind} family needs n >= {minimum}, got {self.n}")
+    def __new__(cls, kind: str, n: int) -> GroupFamily:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown family kind {kind!r}")
+        minimum = {"symmetric": 2, "hypercube": 1, "dihedral": 3}[kind]
+        if n < minimum:
+            raise ValueError(f"{kind} family needs n >= {minimum}, got {n}")
+        return super().__new__(cls, kind, n)
 
     @property
     def rank(self) -> int:
@@ -180,25 +198,25 @@ def dihedral(n: int) -> GroupFamily:
     return GroupFamily("dihedral", n)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(
+    NamedTuple("GroupElement", [("family", GroupFamily), ("payload", tuple[int, ...])])
+):
     """Immutable group element: a family tag plus a tuple payload."""
 
-    family: GroupFamily
-    payload: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        kind, n = self.family.kind, self.family.n
-        p = self.payload
+    def __new__(cls, family: GroupFamily, payload: tuple[int, ...]) -> GroupElement:
+        kind, n = family.kind, family.n
         if kind == "symmetric":
-            if sorted(p) != list(range(1, n + 1)):
-                raise ValueError(f"not a permutation of 1..{n}: {p}")
+            if sorted(payload) != list(range(1, n + 1)):
+                raise ValueError(f"not a permutation of 1..{n}: {payload}")
         elif kind == "hypercube":
-            if len(p) != n or any(b not in (0, 1) for b in p):
-                raise ValueError(f"not a length-{n} bit vector: {p}")
+            if len(payload) != n or any(b not in (0, 1) for b in payload):
+                raise ValueError(f"not a length-{n} bit vector: {payload}")
         else:
-            if len(p) != 2 or not (0 <= p[0] < n) or p[1] not in (0, 1):
-                raise ValueError(f"not a valid rotation/flag pair mod {n}: {p}")
+            if len(payload) != 2 or not (0 <= payload[0] < n) or payload[1] not in (0, 1):
+                raise ValueError(f"not a valid rotation/flag pair mod {n}: {payload}")
+        return super().__new__(cls, family, payload)
 
 
 def identity(family: GroupFamily) -> GroupElement:

@@ -8,15 +8,16 @@ by a generator into a row-stochastic operation (theta = 1/q):
     T~_i T~_w = T~_{s_i w}                          if length goes up,
     T~_i T~_w = (1-theta) T~_w + theta T~_{s_i w}   if length goes down.
 
-Elements of H are sparse dicts mapping group elements to Fractions, the
-coefficients on the T~ basis, and every product is computed on those
-dicts.  Everything is exact.
+An element of H is a :class:`HeckeVector`, a named tuple holding a sparse
+dict that maps group elements to Fractions, the coefficients on the T~
+basis; every product builds a new dict, and no field is reassigned.
+Everything is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import coxeter
 from .coxeter import GroupElement, GroupFamily
@@ -26,12 +27,10 @@ __all__ = [
     "product",
     "tilde_generator_times",
     "tilde_unit",
-    "tilde_word",
 ]
 
 
-@dataclass
-class HeckeVector:
+class HeckeVector(NamedTuple):
     """Sparse element of H: coefficients on the T~ basis."""
 
     family: GroupFamily
@@ -75,14 +74,6 @@ def tilde_generator_times(i: int, h: HeckeVector) -> HeckeVector:
             out[w] = out.get(w, Fraction(0)) + hold * a
             out[sw] = out.get(sw, Fraction(0)) + move * a
     return HeckeVector(h.family, h.q, _clean(out))
-
-
-def tilde_word(family: GroupFamily, q, word) -> HeckeVector:
-    """Product T~_{i_1} T~_{i_2} ... T~_{i_k} for word = (i_1, ..., i_k)."""
-    acc = tilde_unit(family, q)
-    for i in reversed(tuple(word)):
-        acc = tilde_generator_times(i, acc)
-    return acc
 
 
 def product(h1: HeckeVector, h2: HeckeVector) -> HeckeVector:

@@ -15,11 +15,6 @@ construction, which gives a direct sampler (no Markov chain, no burn-in):
   payloads ``(k, f)``, read off the length formula: one uniform a draw, no
   table, no enumeration and no cap.
 
-`insertion_distribution` expands the insertion process symbolically in
-exact rationals -- the resulting distribution equals `chains.stationary`
-exactly, which pins the slot-orientation convention (a flipped convention
-cannot pass that comparison).
-
 `length_moments` evaluates the closed product-form moments of ``len(w)``
 under ``pi``: with ``q = 1/theta`` and degrees ``d_1..d_r``,
 
@@ -43,12 +38,10 @@ lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, TypeAlias
+from typing import TYPE_CHECKING, NamedTuple, TypeAlias
 
 from . import coxeter
-from .chains import Distribution
 from .coxeter import GroupElement, GroupFamily, degrees, symmetric
 
 if TYPE_CHECKING:
@@ -59,7 +52,6 @@ __all__ = [
     "random_source",
     "MomentReport",
     "mallows_sample",
-    "insertion_distribution",
     "length_moments",
     "hypercube_test_statistic",
     "WitnessReport",
@@ -148,48 +140,20 @@ def mallows_sample(family: GroupFamily, theta, rng: RandomSource) -> GroupElemen
     raise AssertionError(f"unhandled family kind {family.kind!r}")
 
 
-def insertion_distribution(n: int, theta) -> Distribution:
-    """Exact distribution induced by the insertion sampler on the
-    symmetric family, via symbolic expansion of all stage choices.
-
-    Equals ``stationary(symmetric(n), theta)`` exactly; this equality is
-    what fixes the slot-numbering convention.
-    """
-    theta = coxeter.check_theta(theta)
-    if isinstance(theta, float):
-        raise ValueError("exact expansion requires rational theta")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    family = symmetric(n)
-    weights: dict[tuple[int, ...], Fraction] = {(1,): Fraction(1)}
-    for i in range(2, n + 1):
-        norm = sum(theta**k for k in range(i))
-        grown: dict[tuple[int, ...], Fraction] = {}
-        for word, p in weights.items():
-            for k in range(1, i + 1):
-                extended = word[: k - 1] + (i,) + word[k - 1 :]
-                grown[extended] = (
-                    grown.get(extended, Fraction(0)) + p * theta ** (k - 1) / norm
-                )
-        weights = grown
-    return Distribution.of(
-        family, [weights[w.payload] for w in coxeter.enumerate(family)]
-    )
-
-
 # --------------------------------------------------------------------------
 # moments of the length statistic
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(
+    NamedTuple("MomentReport", [("mean", Fraction | float), ("variance", Fraction | float)])
+):
     """Mean and variance of ``len(w)`` under ``pi``."""
 
-    mean: Fraction | float
-    variance: Fraction | float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.variance < 0:
-            raise ValueError(f"variance must be nonnegative: {self.variance}")
+    def __new__(cls, mean: Fraction | float, variance: Fraction | float) -> MomentReport:
+        if variance < 0:
+            raise ValueError(f"variance must be nonnegative: {variance}")
+        return super().__new__(cls, mean, variance)
 
 
 def length_moments(family: GroupFamily, theta) -> MomentReport:
@@ -226,8 +190,7 @@ def hypercube_test_statistic(y, theta) -> float:
 # --------------------------------------------------------------------------
 # lower-bound witnesses
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Empirical versus predicted behaviour of the witness statistic ``T``
     over simulated hypercube chains started at the all-zeros state."""
 
@@ -331,8 +294,7 @@ def lower_bound_witness(
     )
 
 
-@dataclass(frozen=True)
-class SupportWitness:
+class SupportWitness(NamedTuple):
     """Deterministic support bound for the short scan on permutations.
 
     After ``ell`` passes from the identity every reachable state has

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -80,7 +79,6 @@ __all__ = [
     "long_scan_avg_chisq",
     "long_scan_trace",
     "short_scan_chisq_symmetric",
-    "short_scan_trace_symmetric",
     "random_scan_chisq_hypercube",
     "dihedral_random_scan_chisq",
     "closed_form",
@@ -140,26 +138,27 @@ def _hooks(lam: Partition) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class StandardTableau:
+class StandardTableau(
+    NamedTuple("StandardTableau", [("rows", tuple[tuple[int, ...], ...])])
+):
     """A filling of a partition's boxes with ``1..n``, increasing along
     rows (left to right) and columns (top to bottom)."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        shape = tuple(len(r) for r in self.rows)
-        _check_partition(shape)
-        entries = [x for row in self.rows for x in row]
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]) -> StandardTableau:
+        _check_partition(tuple(len(r) for r in rows))
+        entries = [x for row in rows for x in row]
         if sorted(entries) != list(range(1, len(entries) + 1)):
             raise ValueError("entries must be exactly 1..n")
-        for row in self.rows:
+        for row in rows:
             if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
                 raise ValueError("rows must increase left to right")
-        for i in range(len(self.rows) - 1):
-            upper, lower = self.rows[i], self.rows[i + 1]
+        for i in range(len(rows) - 1):
+            upper, lower = rows[i], rows[i + 1]
             if any(upper[j] >= lower[j] for j in range(len(lower))):
                 raise ValueError("columns must increase top to bottom")
+        return super().__new__(cls, rows)
 
     @property
     def shape(self) -> Partition:
@@ -235,8 +234,7 @@ def content_of_n_box(tab: StandardTableau) -> int:
 Scalar = Fraction | float
 
 
-@dataclass(frozen=True)
-class IrrepData:
+class IrrepData(NamedTuple):
     """Constants attached to one irreducible block.
 
     ``label`` is a partition (symmetric family), a 0/1 tuple (hypercube),
@@ -748,13 +746,6 @@ def short_scan_chisq_symmetric(n: int, theta, ell: int, averaged: bool = False):
     return _block_sum(theta, n, terms, degrees=True)
 
 
-def short_scan_trace_symmetric(n: int, theta, m: int):
-    """Trace of the ``m``-th power of the short-scan kernel on the
-    symmetric family: ``sum_lam d_lam sum_S theta^(m (n - 1 - c(S(n))))``,
-    summed over removable corners as in :func:`short_scan_chisq_symmetric`."""
-    return 1 + _short_power_sum(n, check_theta(theta), m)
-
-
 def random_scan_chisq_hypercube(n: int, theta, ell: int, start: GroupElement | None = None):
     """Chi-square distance for the single-site random scan on the
     hypercube, started from the element ``start`` (default all zeros):
@@ -1029,8 +1020,7 @@ def bound_dihedral_long_scan(n: int, theta) -> Fraction:
 # lead constants
 
 
-@dataclass(frozen=True)
-class LeadConstantRow:
+class LeadConstantRow(NamedTuple):
     """Leading-order step counts (single-site moves) to reach stationarity
     on the hypercube for both scan disciplines at one value of theta."""
 

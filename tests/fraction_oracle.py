@@ -24,16 +24,21 @@ oracle the fast versions must equal by ``==``:
 * the group inverse and the right action w -> w s_i, on the payloads;
 * the dense |W| x |W| matrix of left multiplication in the Hecke algebra,
   built from that right action, and its trace; the anti-automorphism
-  ``star`` sending T~_w to T~_{w^{-1}};
+  ``star`` sending T~_w to T~_{w^{-1}}; the product ``tilde_word`` of the
+  generators T~_i of a word, one left multiplication at a time;
 * the symmetric-family closed forms term by term: each generic degree by
   the q-hook formula with every q-integer summed afresh, and the short
-  scan summed over every standard tableau;
+  scan summed over every standard tableau; the short-scan trace
+  ``short_scan_trace_symmetric`` read off the library's own power sum,
+  which no command prints;
 * the partition data those forms read (conjugate, hook lengths, content
   sum), and the three inequalities on generic degrees, dimensions and
   contents (Lemma 7.2) evaluated exactly for one partition;
 * the hypercube long-scan forms as block sums, the labels grouped by
   weight and by overlap with the start (the library's forms before it
-  multiplied them out).
+  multiplied them out);
+* the law of the symmetric-family insertion sampler, expanded over every
+  choice of every stage in exact rationals (``insertion_distribution``).
 """
 
 import functools
@@ -362,6 +367,14 @@ def star(h):
     return hecke.HeckeVector(h.family, h.q, out)
 
 
+def tilde_word(family, q, word):
+    """Product T~_{i_1} T~_{i_2} ... T~_{i_k} for word = (i_1, ..., i_k)."""
+    acc = hecke.tilde_unit(family, q)
+    for i in reversed(tuple(word)):
+        acc = hecke.tilde_generator_times(i, acc)
+    return acc
+
+
 def _q_int(q, k):
     """1 + q + ... + q^(k-1), one power at a time."""
     total = q - q
@@ -502,6 +515,13 @@ def short_scan_trace(n, theta, m):
     return sum(d * _tableau_sum(n, theta, m, lam) for lam, d, _ in _blocks(n))
 
 
+def short_scan_trace_symmetric(n, theta, m):
+    """Trace of the m-th power of the short-scan kernel on the symmetric
+    family, from the library's power sum over removable corners plus the
+    trivial block."""
+    return 1 + spectral._short_power_sum(n, coxeter.check_theta(theta), m)
+
+
 def hypercube_long_scan_chisq(n, theta, ell, bits):
     """sum over labels lam != 0 of theta^((4 ell - 1)|lam| + 2 lam.bits),
     the labels of weight j meeting the start's w ones in k places counted
@@ -521,3 +541,32 @@ def hypercube_long_scan_avg_chisq(n, theta, ell):
 
 def hypercube_long_scan_trace(n, theta, m):
     return sum(math.comb(n, j) * theta ** (2 * m * j) for j in range(n + 1))
+
+
+def insertion_distribution(n, theta):
+    """Exact distribution induced by the insertion sampler on the
+    symmetric family, via symbolic expansion of all stage choices.
+
+    Equals ``stationary(symmetric(n), theta)`` exactly; this equality is
+    what fixes the slot-numbering convention of ``sampler.mallows_sample``.
+    """
+    theta = coxeter.check_theta(theta)
+    if isinstance(theta, float):
+        raise ValueError("exact expansion requires rational theta")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    family = coxeter.symmetric(n)
+    weights = {(1,): Fraction(1)}
+    for i in range(2, n + 1):
+        norm = sum(theta**k for k in range(i))
+        grown = {}
+        for word, p in weights.items():
+            for k in range(1, i + 1):
+                extended = word[: k - 1] + (i,) + word[k - 1 :]
+                grown[extended] = (
+                    grown.get(extended, Fraction(0)) + p * theta ** (k - 1) / norm
+                )
+        weights = grown
+    return chains.Distribution.of(
+        family, [weights[w.payload] for w in coxeter.enumerate(family)]
+    )

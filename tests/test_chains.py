@@ -2,6 +2,7 @@
 the algebra correspondence, scan recipes, and the distance inequalities."""
 
 import doctest
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -14,10 +15,12 @@ import fraction_oracle as oracle
 from hecke_metro import chains, coxeter, hecke
 from hecke_metro.chains import (
     Distribution,
+    Kernel,
     check_reversible,
     check_stationary,
     chi_square,
     evolve_scan,
+    generator_rows,
     long_recipe,
     point_mass,
     power_sums,
@@ -74,7 +77,7 @@ def test_generator_kernels_match_the_algebra(family):
     q = Fraction(2)
     for i in coxeter.generators(family):
         K = scan_kernel(family, Fraction(1, 2), (i,))
-        block = oracle.left_mult_matrix(hecke.tilde_word(family, q, (i,)))
+        block = oracle.left_mult_matrix(oracle.tilde_word(family, q, (i,)))
         assert (K.matrix == block).all()
 
 
@@ -118,7 +121,7 @@ def test_scan_kernels_compose_the_recipe_left_to_right(family):
 def test_long_scan_is_the_squared_longest_element(family, theta):
     q = 1 / theta
     w0 = coxeter.longest_element(family)
-    tw0 = hecke.tilde_word(family, q, coxeter.reduced_word(w0))
+    tw0 = oracle.tilde_word(family, q, coxeter.reduced_word(w0))
     block = oracle.left_mult_matrix(hecke.product(tw0, tw0))
     assert (scan_kernel(family, theta, long_recipe(family)).matrix == block).all()
     # the recipe reversed is two reduced words of w0 back to back
@@ -130,7 +133,7 @@ def test_long_scan_is_the_squared_longest_element(family, theta):
 def test_short_scan_is_u_times_star_u(family):
     theta = Fraction(1, 2)
     q = 1 / theta
-    u = hecke.tilde_word(family, q, tuple(range(1, family.rank + 1)))
+    u = oracle.tilde_word(family, q, tuple(range(1, family.rank + 1)))
     block = oracle.left_mult_matrix(hecke.product(u, oracle.star(u)))
     assert (scan_kernel(family, theta, short_recipe(family)).matrix == block).all()
     assert short_recipe(family) == tuple(range(1, family.rank + 1)) + tuple(
@@ -389,10 +392,13 @@ def test_descent_tree_builds_no_element(family, monkeypatch):
     element is built."""
     fresh = chains._descent_tree.__wrapped__  # past the caches
     monkeypatch.setattr(coxeter, "action_tables", coxeter.action_tables.__wrapped__)
-    built = []
-    monkeypatch.setattr(
-        coxeter.GroupElement, "__post_init__", lambda self: built.append(self.payload)
-    )
+    built, new = [], coxeter.GroupElement.__new__
+
+    def spy(cls, family, payload):
+        built.append(payload)
+        return new(cls, family, payload)
+
+    monkeypatch.setattr(coxeter.GroupElement, "__new__", spy)
     tree = fresh(family)
     assert sorted(tree.order) == list(range(family.order))
     assert built == []
@@ -644,3 +650,30 @@ def test_four_tv_squared_is_at_most_chi_square(data):
     p = Distribution.of(family, data.draw(rational_distribution(family.order)))
     tv = tv_distance(p, pi)
     assert 4 * tv**2 <= chi_square(p, pi)
+
+
+@pytest.mark.parametrize(
+    "num, den, message",
+    [
+        ([1, 1, 0, 0, 0], 2, "5 numerators for the 6 elements of symmetric(3)"),
+        ([1] * 7, 7, "7 numerators for the 6 elements of symmetric(3)"),
+        ([2, 0, 0, 0, 0, -1], 1, "negative probability entry"),
+        ([1, 1, 0, 0, 0, 0], 3, "numerators sum to 2, not the denominator 3"),
+        ([0] * 6, 0, "numerators sum to 0, not the denominator 0"),
+    ],
+)
+def test_distribution_refuses_numerators_of_the_wrong_length_or_sum(num, den, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Distribution(symmetric(3), num, den)
+
+
+def test_chain_records_refuse_a_new_field_value():
+    family, theta = symmetric(3), Fraction(1, 2)
+    pi = stationary(family, theta)
+    K = Kernel(family, theta, generator_rows(family, theta, 1), theta.denominator)
+    records = [(pi, ("family", "num", "den")), (K, ("family", "theta", "num", "den"))]
+    for record, fields in records:
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+    assert Distribution(family=family, num=pi.num, den=pi.den) == pi

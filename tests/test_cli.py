@@ -434,13 +434,13 @@ def test_exact_identity_start_analyze_builds_only_the_identity(runner, monkeypat
     start = coxeter.identity(family).payload
     fresh = functools.lru_cache(maxsize=None)(coxeter.action_tables.__wrapped__)
     monkeypatch.setattr(coxeter, "action_tables", fresh)
-    built, post_init = [], coxeter.GroupElement.__post_init__
+    built, new = [], coxeter.GroupElement.__new__
 
-    def spy(self):
-        built.append(self.payload)
-        post_init(self)
+    def spy(cls, family, payload):
+        built.append(payload)
+        return new(cls, family, payload)
 
-    monkeypatch.setattr(coxeter.GroupElement, "__post_init__", spy)
+    monkeypatch.setattr(coxeter.GroupElement, "__new__", spy)
     res = invoke(
         runner,
         "analyze", "--family", family.kind, "--n", str(family.n), "--theta", "1/2",
@@ -531,6 +531,25 @@ def test_cell_budget_follows_the_enumeration_cap(runner):
     args = ("verify", "--family", "symmetric", "--n", "4", "--theta", "1/2")
     assert invoke(runner, *args, env={"HECKE_METRO_CAP": "25"}).exit_code == 2
     assert invoke(runner, *args, env={"HECKE_METRO_CAP": "30"}).exit_code == 0
+
+
+@pytest.mark.parametrize("cap", ["abc", "1e6", "-5"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("analyze", "--family", "symmetric", "--n", "4", "--theta", "1/2", "--lmax", "1"),
+        ("analyze", "--family", "symmetric", "--n", "4", "--theta", "1/2", "--lmax", "1",
+         "--mode", "float"),
+        ("verify", "--family", "symmetric", "--n", "4", "--theta", "1/2"),
+        ("sample", "--family", "symmetric", "--n", "4", "--theta", "1/2", "-N", "5"),
+    ],
+    ids=["analyze-exact", "analyze-float", "verify", "sample"],
+)
+def test_a_cap_that_is_not_a_nonnegative_integer_is_a_usage_error(runner, args, cap):
+    res = invoke(runner, *args, env={"HECKE_METRO_CAP": cap})
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"Error: HECKE_METRO_CAP must be a nonnegative integer, got {cap!r}\n"
 
 
 def test_identity_start_analyze_is_not_held_to_the_cell_budget(runner):
@@ -654,7 +673,7 @@ def _dense_left_multiplications(family, theta):
     """The dense matrices L(T~_i), one per generator, and L(T~_{w0}^2)."""
     q = 1 / theta
     generators = [
-        oracle.left_mult_matrix(hecke.tilde_word(family, q, (i,)))
+        oracle.left_mult_matrix(oracle.tilde_word(family, q, (i,)))
         for i in coxeter.generators(family)
     ]
     tw0 = hecke.tilde_unit(family, q, coxeter.longest_element(family))
@@ -1182,26 +1201,41 @@ def _layer_file(layer):
     return os.path.join(os.path.dirname(cli.__file__), f"{layer}.py")
 
 
+# No command runs dataclasses, and none but sample (numpy imports it) runs
+# inspect: the records are named tuples
+_UNUSED_STDLIB = ["dataclasses", "inspect"]
+
+
 @pytest.mark.parametrize(
     "args, unused",
     [
-        (["--version"], _LAYERS + ["inspect", "csv"]),
-        (["--help"], _LAYERS + ["inspect", "csv"]),
-        (["analyze", "--help"], _LAYERS + ["inspect", "csv"]),
-        (["analyze", "--family", "symmetric", "--lotto"], _LAYERS + ["inspect", "csv"]),
+        (["--version"], _LAYERS + _UNUSED_STDLIB + ["csv"]),
+        (["--help"], _LAYERS + _UNUSED_STDLIB + ["csv"]),
+        (["analyze", "--help"], _LAYERS + _UNUSED_STDLIB + ["csv"]),
+        (["analyze", "--family", "symmetric", "--lotto"], _LAYERS + _UNUSED_STDLIB + ["csv"]),
         (["analyze", "--family", "symmetric", "--n", "3", "--theta", "1/2", "--lmax", "2"],
-         ["sampler", "hecke"]),
-        (["bounds", "--n", "10", "--theta", "1/2"], ["chains", "hecke", "sampler"]),
+         ["sampler", "hecke"] + _UNUSED_STDLIB),
+        (["analyze", "--family", "dihedral", "--n", "5", "--theta", "1/2", "--lmax", "2",
+          "--scan", "random", "--mode", "float", "--averaged"],
+         ["sampler", "hecke"] + _UNUSED_STDLIB),
+        (["verify", "--family", "symmetric", "--n", "4", "--theta", "1/2"],
+         ["sampler"] + _UNUSED_STDLIB),
+        (["bounds", "--n", "10", "--theta", "1/2"],
+         ["chains", "hecke", "sampler"] + _UNUSED_STDLIB),
         (["sample", "--family", "dihedral", "--n", "5", "--theta", "1/2", "-N", "3"],
-         ["spectral", "hecke"]),
+         ["spectral", "hecke", "dataclasses"]),
+        (["sample", "--family", "symmetric", "--n", "30", "--theta", "1/2", "-N", "3"],
+         ["chains", "spectral", "hecke", "dataclasses"]),
     ],
-    ids=["version", "help", "analyze-help", "usage-error", "analyze", "bounds", "sample"],
+    ids=["version", "help", "analyze-help", "usage-error", "analyze", "analyze-float", "verify",
+         "bounds", "sample", "sample-past-the-cap"],
 )
 def test_each_command_runs_only_the_modules_it_uses(args, unused):
     import csv
+    import dataclasses
     import inspect
 
-    stdlib = {"inspect": inspect.__file__, "csv": csv.__file__}
+    stdlib = {"inspect": inspect.__file__, "csv": csv.__file__, "dataclasses": dataclasses.__file__}
     out = subprocess.run(
         [sys.executable, "-c", _EXEC_PROBE, json.dumps(args)], capture_output=True, text=True
     )

@@ -17,6 +17,7 @@ import fraction_oracle as oracle
 from hecke_metro import coxeter
 from hecke_metro.coxeter import (
     CapExceededError,
+    CapSettingError,
     GroupElement,
     GroupFamily,
     apply_generator,
@@ -173,6 +174,22 @@ def test_generator_index_out_of_range_is_refused(family):
             apply_generator(i, identity(family))
 
 
+@pytest.mark.parametrize("raw", ["abc", "1e6", "-5", "", "2.5"])
+def test_enumeration_cap_refuses_what_is_not_a_nonnegative_integer(monkeypatch, raw):
+    monkeypatch.setenv("HECKE_METRO_CAP", raw)
+    message = f"HECKE_METRO_CAP must be a nonnegative integer, got {raw!r}"
+    with pytest.raises(CapSettingError, match=f"^{re.escape(message)}$"):
+        coxeter.enumeration_cap()
+    with pytest.raises(CapSettingError):
+        coxeter.check_order(symmetric(3))
+
+
+@pytest.mark.parametrize("raw, cap", [("0", 0), ("7", 7), (" 12 ", 12), ("50_000", 50000)])
+def test_enumeration_cap_reads_a_nonnegative_integer(monkeypatch, raw, cap):
+    monkeypatch.setenv("HECKE_METRO_CAP", raw)
+    assert coxeter.enumeration_cap() == cap
+
+
 def test_enumeration_cap_is_enforced_and_overridable(monkeypatch):
     monkeypatch.setenv("HECKE_METRO_CAP", "10")
     with pytest.raises(CapExceededError):
@@ -248,8 +265,13 @@ def test_index_is_the_position_in_the_enumeration(family):
 
 @pytest.mark.parametrize("family", SMALL_FAMILIES, ids=str)
 def test_action_tables_build_no_element(family, monkeypatch):
-    built = []
-    monkeypatch.setattr(GroupElement, "__post_init__", lambda self: built.append(self.payload))
+    built, new = [], GroupElement.__new__
+
+    def spy(cls, family, payload):
+        built.append(payload)
+        return new(cls, family, payload)
+
+    monkeypatch.setattr(GroupElement, "__new__", spy)
     tables = coxeter.action_tables.__wrapped__(family)  # past the cache
     assert len(tables.lengths) == family.order
     assert built == []
@@ -327,3 +349,70 @@ def test_length_is_subadditive_with_matching_parity(data):
     lab = length(multiply(a, b))
     assert lab <= length(a) + length(b)
     assert (lab - length(a) - length(b)) % 2 == 0
+
+
+# ---------------------------------------------------------------------------
+# the records: validation, immutability, equality and repr
+
+
+@pytest.mark.parametrize(
+    "kind, n, message",
+    [
+        ("cyclic", 3, "unknown family kind 'cyclic'"),
+        ("symmetric", 1, "symmetric family needs n >= 2, got 1"),
+        ("hypercube", 0, "hypercube family needs n >= 1, got 0"),
+        ("dihedral", 2, "dihedral family needs n >= 3, got 2"),
+    ],
+)
+def test_group_family_refuses_a_bad_kind_or_n(kind, n, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GroupFamily(kind, n)
+
+
+@pytest.mark.parametrize(
+    "family, payload, message",
+    [
+        (symmetric(3), (1, 1, 3), "not a permutation of 1..3: (1, 1, 3)"),
+        (symmetric(3), (1, 2), "not a permutation of 1..3: (1, 2)"),
+        (hypercube(3), (0, 2, 1), "not a length-3 bit vector: (0, 2, 1)"),
+        (hypercube(3), (0, 1), "not a length-3 bit vector: (0, 1)"),
+        (dihedral(5), (5, 0), "not a valid rotation/flag pair mod 5: (5, 0)"),
+        (dihedral(5), (1, 2), "not a valid rotation/flag pair mod 5: (1, 2)"),
+        (dihedral(5), (0, 0, 0), "not a valid rotation/flag pair mod 5: (0, 0, 0)"),
+    ],
+)
+def test_group_element_refuses_a_bad_payload(family, payload, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GroupElement(family, payload)
+
+
+def test_group_records_refuse_a_new_field_value():
+    family = symmetric(3)
+    w = identity(family)
+    for record, field in [(family, "kind"), (family, "n"), (w, "family"), (w, "payload")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    assert (family.kind, family.n, w.payload) == ("symmetric", 3, (1, 2, 3))
+
+
+def test_equal_group_elements_are_one_dict_key():
+    family = symmetric(3)
+    a = GroupElement(family, (2, 1, 3))
+    b = apply_generator(1, identity(family))
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert {a: "first", b: "second"} == {a: "second"}
+    assert len({a, b, identity(family)}) == 2
+    again = GroupFamily("symmetric", 3)
+    assert again == family and hash(again) == hash(family)
+    assert GroupElement(dihedral(3), (0, 1)) != GroupElement(dihedral(4), (0, 1))
+
+
+def test_group_records_keep_their_repr_and_keyword_constructors():
+    assert repr(symmetric(3)) == "GroupFamily(kind='symmetric', n=3)"
+    assert str(symmetric(3)) == "symmetric(3)"
+    assert repr(identity(dihedral(3))) == (
+        "GroupElement(family=GroupFamily(kind='dihedral', n=3), payload=(0, 0))"
+    )
+    assert GroupFamily(kind="hypercube", n=2) == hypercube(2)
+    assert GroupElement(family=hypercube(2), payload=(0, 1)).payload == (0, 1)

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
+from fraction_oracle import tilde_word
 from hecke_metro import coxeter, hecke
 from hecke_metro.coxeter import dihedral, hypercube, symmetric
-from hecke_metro.hecke import HeckeVector, product, tilde_unit, tilde_word
+from hecke_metro.hecke import HeckeVector, product, tilde_unit
 
 QS = [Fraction(2), Fraction(3), Fraction(10, 9)]
 FAMILIES = [symmetric(3), symmetric(4), hypercube(3), dihedral(5), dihedral(6)]
@@ -165,3 +166,12 @@ def test_mixed_family_or_q_products_are_rejected():
         product(
             tilde_unit(symmetric(3), Fraction(2)), tilde_unit(symmetric(3), Fraction(3))
         )
+
+
+def test_hecke_vector_refuses_a_new_field_value():
+    h = tilde_unit(symmetric(3), 2)
+    for field in ("family", "q", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(h, field, getattr(h, field))
+    assert h == HeckeVector(family=symmetric(3), q=Fraction(2), coeffs=dict(h.coeffs))
+    assert h.theta == Fraction(1, 2)

@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
+from fraction_oracle import insertion_distribution
 from hecke_metro import chains, coxeter, sampler
 from hecke_metro.coxeter import GroupElement, dihedral, hypercube, symmetric
 from hecke_metro.sampler import (
+    MomentReport,
     hypercube_test_statistic,
-    insertion_distribution,
     length_moments,
     lower_bound_witness,
     mallows_sample,
@@ -299,3 +300,25 @@ def test_support_witness_bound_is_a_probability(n, ell):
     w = symmetric_support_witness(n, 0.25, ell)
     assert 0 <= w.tv_lower_bound <= 1
     assert w.max_support_length <= n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("variance", [Fraction(-1, 3), -0.5])
+def test_moment_report_refuses_a_negative_variance(variance):
+    with pytest.raises(ValueError, match=f"^variance must be nonnegative: {variance}$"):
+        MomentReport(Fraction(1), variance)
+    assert MomentReport(mean=Fraction(1), variance=0).variance == 0
+
+
+def test_sampler_records_refuse_a_new_field_value():
+    moments = length_moments(symmetric(4), Fraction(1, 2))
+    witness = lower_bound_witness(5, 0.5, 1, "random", 4, random_source(1))
+    support = symmetric_support_witness(5, Fraction(1, 2), 1)
+    records = [
+        (moments, ("mean", "variance")),
+        (witness, ("n", "theta", "ell", "scan", "samples", "z_score")),
+        (support, ("n", "theta", "ell", "max_support_length", "tv_lower_bound")),
+    ]
+    for record, fields in records:
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))

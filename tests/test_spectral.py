@@ -10,6 +10,7 @@ to confirm that data independently.
 import doctest
 import functools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -19,7 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import conjugate_partition, content_sum, hook_lengths, lemma_7_2_bounds
+from fraction_oracle import (
+    conjugate_partition,
+    content_sum,
+    hook_lengths,
+    lemma_7_2_bounds,
+    short_scan_trace_symmetric,
+)
 from hecke_metro import chains, coxeter, spectral
 from hecke_metro.coxeter import CapExceededError, dihedral, hypercube, symmetric
 from hecke_metro.spectral import (
@@ -39,7 +46,6 @@ from hecke_metro.spectral import (
     partitions,
     random_scan_chisq_hypercube,
     short_scan_chisq_symmetric,
-    short_scan_trace_symmetric,
     standard_tableaux,
     sum_d_t,
 )
@@ -112,6 +118,40 @@ def test_tableau_validation():
         StandardTableau(((1, 2), (4,)))  # entries must be exactly 1..n
     with pytest.raises(ValueError):
         StandardTableau(((1, 2, 3), (4, 5, 6, 7)))  # shape not a partition
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (((2, 1), (3,)), "rows must increase left to right"),
+        (((1, 2), (4,)), "entries must be exactly 1..n"),
+        (((1, 1), (2,)), "entries must be exactly 1..n"),
+        (((1, 3), (2, 4), (5,), ()), "partition parts must be positive: (2, 2, 1, 0)"),
+        (((2, 3), (1, 4)), "columns must increase top to bottom"),
+        (((1,), (2, 3)), "partition parts must be weakly decreasing: (1, 2)"),
+        ((), "partition parts must be positive: ()"),
+    ],
+)
+def test_tableau_refuses_a_non_standard_filling(rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        StandardTableau(rows)
+
+
+def test_spectral_records_refuse_a_new_field_value():
+    tab = StandardTableau(((1, 3), (2,)))
+    rep = irreps(symmetric(3))[0]
+    row = lead_constant_table([0.5], 10)[0]
+    records = [
+        (tab, ("rows",)),
+        (rep, ("label", "d", "c", "t_of_q")),
+        (row, ("theta", "random_scan", "systematic_scan")),
+    ]
+    for record, fields in records:
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+    assert (tab.shape, tab.size) == ((2, 1), 3)
+    assert StandardTableau(rows=((1, 2),)) == StandardTableau(((1, 2),))
 
 
 def test_partition_count_is_the_number_listed():

@@ -32,11 +32,7 @@ def main() -> None:
         pi = chains.stationary(family, theta)
     except ValueError as exc:  # CapExceededError past the enumeration cap among them
         parser.error(str(exc))
-    scans = {
-        "long": chains.long_recipe(family),
-        "short": chains.short_recipe(family),
-        "random": "random",
-    }
+    scans = ("long", "short", "random")
     dists = {scan: chains.point_mass(family, coxeter.identity(family)) for scan in scans}
 
     print(f"# {family}, theta = {theta}   (chi-square from the identity start)")
@@ -47,8 +43,8 @@ def main() -> None:
     print(header)
     for ell in range(1, args.lmax + 1):
         cells = [f"{ell:>3}"]
-        for scan, letters in scans.items():
-            dists[scan] = chains.evolve_scan(family, theta, letters, dists[scan], 1)
+        for scan in scans:
+            dists[scan] = chains.evolve_scan(family, theta, scan, dists[scan], 1)
             chisq = chains.chi_square(dists[scan], pi)
             try:
                 form = f"{spectral.closed_form(family, scan, float(theta), ell):>14.6e}"

@@ -61,7 +61,8 @@ The scan recipe (i_1, ..., i_k) applies K_{i_1} first, i.e. the kernel is
 the matrix product K_{i_1} K_{i_2} ... K_{i_k}; by the multiplication rule
 of the rescaled Hecke basis this is left multiplication by
 T~_{i_k} ... T~_{i_1}, and the random scan is left multiplication by
-(T~_1 + ... + T~_m) / m.
+(T~_1 + ... + T~_m) / m.  A scan is a recipe or a name, ``"random"``,
+``"long"`` or ``"short"``; this module alone maps a name to its recipe.
 """
 
 from __future__ import annotations
@@ -309,10 +310,12 @@ def _walk(tree: _DescentTree, a: int, b: int, row: list[int]):
 
 def _check_scan(family: GroupFamily, scan) -> tuple[int, ...] | str:
     """A scan as :func:`_apply_scan` takes it: a validated recipe, or "random"."""
-    if isinstance(scan, str):
-        if scan != "random":
-            raise ValueError(f'scan must be a recipe or "random", got {scan!r}')
-        return scan
+    if isinstance(scan, str):  # a name; a recipe may be any sequence
+        if scan not in ("long", "short", "random"):
+            raise ValueError(f'scan must be a recipe, "long", "short" or "random", got {scan!r}')
+        if scan == "random":
+            return scan
+        scan = long_recipe(family) if scan == "long" else short_recipe(family)
     recipe = tuple(scan)
     gens = coxeter.generators(family)
     for i in recipe:
@@ -344,8 +347,8 @@ def scan_kernel(family: GroupFamily, theta, recipe) -> Kernel:
     """The dense kernel of a scan: every row of the identity through one pass.
 
     ``recipe`` is (i_1, ..., i_k), for the systematic scan
-    K_{i_1} K_{i_2} ... K_{i_k}, or ``"random"``, for the uniform mixture
-    (1/rank) sum_i K_i, as :func:`evolve_scan` takes it.
+    K_{i_1} K_{i_2} ... K_{i_k}, a name, or ``"random"``, for the uniform
+    mixture (1/rank) sum_i K_i, as :func:`evolve_scan` takes it.
     """
     theta = Fraction(coxeter.check_theta(theta))
     scan = _check_scan(family, recipe)
@@ -405,8 +408,8 @@ def evolve_scan(
 ) -> Distribution:
     """Exact distribution start * K^ell, one scan letter at a time.
 
-    ``scan`` is a recipe (i_1, ..., i_k) or ``"random"``.  The start is
-    held as one row of its integer numerators over its denominator and
+    ``scan`` is a recipe (i_1, ..., i_k), ``"long"``, ``"short"`` or
+    ``"random"``.  The start is held as one row of its numerators and
     right-multiplied by each letter's K_i in turn, so a pass costs
     O(|W| * letters) and no |W| x |W| kernel is formed.  Equal by ``==``
     to ``start`` times the ell-th power of :func:`scan_kernel`.
@@ -482,7 +485,7 @@ def power_sums_with_crosses(
 ) -> list[tuple[Fraction, Fraction, Fraction]]:
     """(tr(K^m), averaged chi-square of K^m, <K^(m-1), K^m>_pi) for m = 1..passes.
 
-    ``scan`` is a recipe or ``"random"``, as :func:`evolve_scan` takes it,
+    ``scan`` is a recipe or a name, as :func:`evolve_scan` takes it,
     and K its kernel, which is L(h) for any scan (see the module
     docstring).  Only the identity row of the reversed scan runs through
     the scan letters, pass by pass, giving the coefficients of g_m, h^m with

@@ -38,7 +38,9 @@ Exact mode keeps every number a :class:`fractions.Fraction` end to end
 and serializes rationals as ``"p/q"`` strings, never floats.  Float mode
 unlocks formulas that involve cosines (the dihedral random scan) and
 groups beyond the enumeration cap, at the price of skipping the
-brute-force columns once enumeration is impossible.
+brute-force columns once enumeration is impossible.  Every exact oracle
+takes theta as typed, in either mode; only the float closed forms and the
+``sample`` draws take its float, which is range-checked too.
 
 Output files are written atomically: the text goes to a temporary file
 in the target directory which is then renamed over the destination, so a
@@ -317,16 +319,7 @@ def _float(value: fractions.Fraction) -> float:
         return math.inf
 
 
-def _scan_letters(family: coxeter.GroupFamily, scan: str) -> tuple[int, ...] | str:
-    """The scan as chains.evolve_scan and chains.power_sums take it."""
-    if scan == "long":
-        return chains.long_recipe(family)
-    if scan == "short":
-        return chains.short_recipe(family)
-    return "random"
-
-
-def _analyze_rows(family: coxeter.GroupFamily, theta, args: argparse.Namespace) -> list[dict]:
+def _analyze_rows(family: coxeter.GroupFamily, args: argparse.Namespace) -> list[dict]:
     """Closed form per pass, next to the brute-force oracle within the cap.
 
     The identity-start oracle evolves the point mass at the identity one
@@ -335,9 +328,12 @@ def _analyze_rows(family: coxeter.GroupFamily, theta, args: argparse.Namespace) 
     scan, one letter per edge of a tree of left descents
     (:func:`chains.power_sums`), within the budget.  The library's gate
     for that oracle runs first: past it exact mode is refused and float
-    mode leaves the oracle columns empty.
+    mode leaves the oracle columns empty.  The oracle runs at the rational
+    theta in both modes; only the float closed form takes its float.
     """
     mode, averaged, passes = args.mode, args.averaged, range(args.lmin, args.lmax + 1)
+    theta = _parse_theta(args.theta, mode)
+    exact = _parse_theta(args.theta, "exact")
     try:
         if averaged:
             chains.check_dense_cells(family)
@@ -360,20 +356,19 @@ def _analyze_rows(family: coxeter.GroupFamily, theta, args: argparse.Namespace) 
     rows: list[dict] = []
     sums = dist = pi = None
     if within_cap:
-        scan = _scan_letters(family, args.scan)
         if averaged:
-            sums = chains.power_sums(family, theta, scan, args.lmax)
+            sums = chains.power_sums(family, exact, args.scan, args.lmax)
         else:
-            pi = chains.stationary(family, theta)
+            pi = chains.stationary(family, exact)
             dist = chains.point_mass(family, coxeter.identity(family))
-            dist = chains.evolve_scan(family, theta, scan, dist, args.lmin - 1)
+            dist = chains.evolve_scan(family, exact, args.scan, dist, args.lmin - 1)
     for ell, formula in zip(passes, formulas):
         oracle = tv = None
         if within_cap:
             if averaged:
                 _, oracle = sums[ell - 1]
             else:
-                dist = chains.evolve_scan(family, theta, scan, dist, 1)
+                dist = chains.evolve_scan(family, exact, args.scan, dist, 1)
                 oracle = chains.chi_square(dist, pi)
                 tv = chains.tv_distance(dist, pi)
         if mode == "float":
@@ -412,7 +407,7 @@ def analyze(args: argparse.Namespace) -> int:
     family = _family(args.family, args.n)
     if not 1 <= args.lmin <= args.lmax:
         raise UsageError("need 1 <= lmin <= lmax")
-    rows = _analyze_rows(family, _parse_theta(args.theta, args.mode), args)
+    rows = _analyze_rows(family, args)
     if args.fmt == "csv":
         pieces = [_csv_text(_ANALYZE_COLUMNS, rows)]
     else:
@@ -459,11 +454,10 @@ def _verify_checks(family: coxeter.GroupFamily, theta: fractions.Fraction):
         for i in gens
     }
     pi = chains.stationary(family, theta)
-    long_scan = chains.long_recipe(family)
 
     @functools.cache
     def long_sums() -> list[tuple[fractions.Fraction, fractions.Fraction, fractions.Fraction]]:
-        return chains.power_sums_with_crosses(family, theta, long_scan, 3)
+        return chains.power_sums_with_crosses(family, theta, "long", 3)
 
     def long_traces() -> list[fractions.Fraction]:
         """tr(K^1..K^5): three diagonals, then K^2 against itself and K^3."""
@@ -486,7 +480,7 @@ def _verify_checks(family: coxeter.GroupFamily, theta: fractions.Fraction):
     def long_scan_is_squared_longest_element() -> bool:
         tw0 = hecke.tilde_unit(family, q, coxeter.longest_element(family))
         start = chains.point_mass(family, coxeter.identity(family))
-        row = chains.evolve_scan(family, theta, long_scan, start, 1)
+        row = chains.evolve_scan(family, theta, "long", start, 1)
         nonzero = {y: v for y, v in enumerate(row.num) if v}
         return row_is(nonzero, hecke.product(tw0, tw0), row.den)
 

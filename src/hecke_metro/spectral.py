@@ -757,6 +757,8 @@ def random_scan_chisq_hypercube(n: int, theta, ell: int, start: GroupElement | N
     so the sum costs O(n^2) instead of 2^n.
     """
     theta = check_theta(theta)
+    if ell < 0:
+        raise ValueError("ell must be nonnegative")
     exact = isinstance(theta, Fraction)
     counts = _hypercube_weight_counts(_start_weight(hypercube(n), start), n)
     total = theta - theta
@@ -844,7 +846,7 @@ def closed_form(family: GroupFamily, scan: str, theta, ell: int, averaged: bool 
     eigenvalues involve cosines) and the averaged hypercube random scan.
     """
     if scan not in ("long", "short", "random"):
-        raise ValueError(f"scan must be long, short or random, got {scan!r}")
+        raise ValueError(f'scan must be "long", "short" or "random", got {scan!r}')
     theta = check_theta(theta)
     if scan == "long" or (scan == "short" and family.kind == "hypercube"):
         if averaged:

@@ -184,7 +184,6 @@ EVOLVE_FAMILIES = (
 @pytest.mark.parametrize("scan", ["long", "short", "random"])
 def test_matrix_free_evolution_equals_dense_evolution(family, scan):
     """evolve_scan against the dense oracle evolve(scan kernel), by ==."""
-    scan = {"long": long_recipe(family), "short": short_recipe(family)}.get(scan, scan)
     for theta in (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(1, 4)):
         K = scan_kernel(family, theta, scan)
         starts = (
@@ -213,7 +212,6 @@ def _perturbed(K):
 @pytest.mark.parametrize("scan", ["long", "short", "random"])
 def test_integer_reductions_equal_the_fraction_oracle(family, scan):
     """Each reduction on integer numerators against its Fraction loop, by ==."""
-    scan = {"long": long_recipe(family), "short": short_recipe(family)}.get(scan, scan)
     for theta in (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(1, 4)):
         pi = stationary(family, theta)
         uniform = Distribution.of(family, [Fraction(1, family.order)] * family.order)
@@ -265,6 +263,42 @@ def test_power_sums_do_not_depend_on_the_block_height(family, scan, monkeypatch)
 
 def _scans(family):
     return [long_recipe(family), short_recipe(family), "random"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda family, scan: evolve_scan(
+            family, Fraction(1, 2), scan, point_mass(family, coxeter.identity(family)), 1
+        ),
+        lambda family, scan: power_sums(family, Fraction(1, 2), scan, 1),
+        lambda family, scan: power_sums_with_crosses(family, Fraction(1, 2), scan, 1),
+        lambda family, scan: scan_kernel(family, Fraction(1, 2), scan),
+    ],
+    ids=["evolve_scan", "power_sums", "power_sums_with_crosses", "scan_kernel"],
+)
+def test_a_scan_name_outside_the_vocabulary_is_refused_with_the_choices(call):
+    with pytest.raises(ValueError) as refused:
+        call(symmetric(3), "diagonal")
+    message = str(refused.value)
+    assert re.findall(r'"(\w+)"', message) == ["long", "short", "random"]
+    assert "'diagonal'" in message
+
+
+@pytest.mark.parametrize("family", [symmetric(4), hypercube(3), dihedral(5)], ids=str)
+@pytest.mark.parametrize("name", ["long", "short"])
+def test_a_scan_name_gives_what_its_recipe_gives(family, name):
+    recipe = {"long": long_recipe, "short": short_recipe}[name](family)
+    theta = Fraction(2, 3)
+    start = point_mass(family, coxeter.identity(family))
+    assert evolve_scan(family, theta, name, start, 2) == evolve_scan(
+        family, theta, recipe, start, 2
+    )
+    assert power_sums(family, theta, name, 2) == power_sums(family, theta, recipe, 2)
+    assert power_sums_with_crosses(family, theta, name, 2) == power_sums_with_crosses(
+        family, theta, recipe, 2
+    )
+    assert scan_kernel(family, theta, name) == scan_kernel(family, theta, recipe)
 
 
 def _assert_python_ints(rows):

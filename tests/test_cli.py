@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -572,6 +573,37 @@ def test_float_averaged_analyze_past_the_cell_budget_skips_the_oracle(runner):
     row = json.loads(res.output)["rows"][0]
     assert isinstance(row["chisq_formula"], float)
     assert row["chisq_oracle"] is None and row["match"] is None
+
+
+@pytest.mark.parametrize("theta", ["1/3", "0.1"])
+@pytest.mark.parametrize("n", ["4", "5"])
+@pytest.mark.parametrize("scan", ["long", "short"])
+@pytest.mark.parametrize("averaged", [[], ["--averaged"]], ids=["identity", "averaged"])
+def test_float_analyze_runs_the_oracle_at_theta_as_typed(
+    runner, monkeypatch, theta, n, scan, averaged
+):
+    """Float mode's oracle columns are the floats of exact mode's: chains
+    gets the rational typed, not the binary expansion of its float."""
+    seen = []
+    for name in ("evolve_scan", "power_sums"):
+        def spy(family, theta, *rest, _run=getattr(chains, name)):
+            seen.append(theta)
+            return _run(family, theta, *rest)
+
+        monkeypatch.setattr(chains, name, spy)
+    argv = ["analyze", "--family", "symmetric", "--n", n, "--scan", scan, "--theta", theta,
+            "--lmax", "3", *averaged]
+    exact = invoke(runner, *argv)
+    assert exact.exit_code == 0
+    seen.clear()
+    res = invoke(runner, *argv, "--mode", "float")
+    assert res.exit_code == 0
+    assert seen and all(type(t) is Fraction and t == Fraction(theta) for t in seen)
+    rows = json.loads(res.output)["rows"]
+    for want, row in zip(json.loads(exact.output)["rows"], rows, strict=True):
+        assert row["chisq_oracle"] == float(Fraction(want["chisq_oracle"]))
+        assert row["tv"] == (None if want["tv"] is None else float(Fraction(want["tv"])))
+        assert row["match"] is True
 
 
 def test_analyze_float_hypercube_random_scan_beyond_the_float_range(runner):
@@ -1265,6 +1297,25 @@ def test_importing_the_cli_lists_every_layer_and_loads_them_on_use():
     modules, resolved = out.stdout.splitlines()
     assert modules == repr(sorted(f"hecke_metro.{layer}" for layer in _LAYERS + ["cli"]))
     assert resolved == "True True"
+
+
+def test_the_scan_choices_are_the_names_chains_and_closed_form_take():
+    """``--scan`` offers what chains and closed_form take, and what both
+    name when they refuse a scan."""
+    parser = cli._parser("hecke-metro")
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    (option,) = [a for a in commands.choices["analyze"]._actions if a.dest == "scan"]
+    family, theta = hypercube(3), Fraction(1, 2)
+    for name in option.choices:  # every name has a form on the hypercube
+        chains.power_sums(family, theta, name, 1)
+        spectral.closed_form(family, name, theta, 1)
+    for refuse in (
+        lambda: chains.power_sums(family, theta, "diagonal", 1),
+        lambda: spectral.closed_form(family, "diagonal", theta, 1),
+    ):
+        with pytest.raises(ValueError) as refused:
+            refuse()
+        assert re.findall(r'"(\w+)"', str(refused.value)) == list(option.choices)
 
 
 def test_subcommand_descriptions_are_their_cleaned_docstrings():

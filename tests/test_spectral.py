@@ -716,6 +716,20 @@ def test_closed_form_registry(family, scan, averaged, theta, direct):
         assert value == direct(family, theta, ell, averaged)
 
 
+@pytest.mark.parametrize(
+    ("family", "scan", "averaged", "theta", "direct"),
+    [case for case in _registry_cases() if case.values[4] is not None]
+    # at ell < 0 a gap of 0 would be divided by, as at n = 3 and theta = 1/2
+    + [pytest.param(hypercube(3), "random", False, t, _hypercube_random_form,
+                    id=f"hypercube(3)-random-id-{t}") for t in (Fraction(1, 3), Fraction(1, 2))],
+)
+def test_every_closed_form_refuses_a_negative_pass_count(family, scan, averaged, theta, direct):
+    with pytest.raises(ValueError, match="ell must be nonnegative"):
+        direct(family, theta, -1, averaged)
+    with pytest.raises(ValueError, match="ell must be nonnegative"):
+        spectral.closed_form(family, scan, theta, -1, averaged)
+
+
 # ---------------------------------------------------------------------------
 # generic-degree inequalities
 

@@ -308,7 +308,7 @@ def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
 def _match(formula, oracle, mode: str) -> bool:
     if mode == "exact":
         return formula == oracle
-    return math.isclose(float(formula), float(oracle), rel_tol=1e-9, abs_tol=1e-15)
+    return math.isclose(float(formula), float(oracle), rel_tol=1e-9, abs_tol=sys.float_info.min)
 
 
 def _float(value: fractions.Fraction) -> float:

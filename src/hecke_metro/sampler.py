@@ -180,6 +180,8 @@ def hypercube_test_statistic(y, theta) -> float:
     """Witness statistic ``T(y) = (n/sqrt(theta)) (1 - |y|(1+theta)/n)``;
     centred (``E_pi T = 0``) and normalised (``Var_pi T = n``)."""
     theta = float(coxeter.check_theta(theta))
+    if isinstance(y, GroupElement) and y.family.kind != "hypercube":
+        raise ValueError(f"y must be a hypercube element, got one of {y.family}")
     bits = y.payload if isinstance(y, GroupElement) else tuple(int(b) for b in y)
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"y must be a bit vector, got {y!r}")

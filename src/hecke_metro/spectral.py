@@ -32,7 +32,9 @@ The symmetric forms are evaluated at partition scale: one cached table per
 ``n`` holds each partition's dimension, content sum, sub-diagonal shift
 and hooks, and every call builds the q-integers ``[k]_q`` (k <= n) once,
 so a generic degree costs one product over the hooks (the q-hook formula).
-Nothing enumerates tableaux, so no enumeration cap applies to these forms;
+Exact and float mode form the same terms and sum them, over one common
+denominator or with ``math.fsum``.  Nothing enumerates tableaux, so no
+enumeration cap applies to these forms;
 :func:`standard_tableaux` remains as the reference the tests compare with.
 On the hypercube every block is one-dimensional, so the long-scan sums
 factor over the coordinates into products of ``n`` binomials.
@@ -42,9 +44,9 @@ except where irrational eigenvalues force floats (dihedral random scan and
 the two-dimensional dihedral generic degrees); aggregate sums over the
 dihedral labels are still computed exactly, in rationals, from the
 Poisson-kernel sum over the nontrivial roots of unity.  The ``bound_*``
-functions evaluate the classical explicit upper bounds (log-domain where
-factorials would overflow).  :func:`closed_form` is the one dispatch from
-a (family, scan) pair to its chi-square form.
+functions evaluate the classical explicit upper bounds in floats, with
+factorials and large powers taken in logs.  :func:`closed_form` is the one
+dispatch from a (family, scan) pair to its chi-square form.
 """
 
 from __future__ import annotations
@@ -242,7 +244,8 @@ class IrrepData(NamedTuple):
     ``0 < lam < n/2`` (dihedral).  ``t_of_q`` evaluates the generic degree;
     it returns a `Fraction` for rational ``q`` except on the two-dimensional
     dihedral blocks, whose degrees are algebraic irrationals and come back
-    as floats.
+    as floats.  On the symmetric blocks a float ``q`` gives the correctly
+    rounded degree at the binary value of ``q``.
     """
 
     label: object
@@ -354,107 +357,60 @@ def _q_int(q: Scalar, k: int) -> Scalar:
     return total
 
 
-def _q_table(q: Scalar, n: int) -> tuple[list[Scalar], Scalar]:
-    """``[k]_q`` for ``k = 0..n`` and ``[n]_q!``."""
-    ints = [_q_int(q, k) for k in range(n + 1)]
-    return ints, math.prod(ints[1:], start=1 + (q - q))
-
-
-def _degree(block: _Block, q: Scalar, table: tuple[list[Scalar], Scalar]) -> Scalar:
-    """The generic degree ``t_lam(q) = q^shift [n]_q! / prod_h [h]_q``
-    (Macdonald, *Symmetric Functions and Hall Polynomials*, I.3 ex. 2)."""
-    ints, factorial = table
-    val = q**block.shift * factorial
-    for h in block.hooks:
-        val /= ints[h]
-    return val
-
-
 def _symmetric_degree(block: _Block) -> Callable[[Scalar], Scalar]:
     def t_of_q(q: Scalar) -> Scalar:
-        return _degree(block, q, _q_table(q, sum(block.lam)))
+        # a float q is taken at its binary value and the degree rounded once:
+        # a float 1/q would round, an error t_lam carries up to C(n, 2) times
+        t = _block_sum(1 / Fraction(q), sum(block.lam), ((block, ((1, 0),)),), degrees=True)
+        if not isinstance(q, float):
+            return t
+        try:
+            return float(t)
+        except OverflowError:
+            return math.inf
 
     return t_of_q
 
 
-def _log_q_int(q: float, k: int) -> float:
-    """log of the q-integer ``[k]_q`` for float ``q >= 1``, without forming q^k."""
-    if q == 1:
-        return math.log(k)
-    return k * math.log(q) + math.log1p(-(q**-k)) - math.log(q - 1)
-
-
-def _log_symmetric_degree(block: _Block, q: float, logs: list[float]) -> float:
-    """log t_lam(q) for float ``q >= 1``, for when t_lam(q) is beyond the
-    float range; ``logs[k]`` is ``log [k]_q`` for ``k = 1..n``."""
-    return (
-        block.shift * math.log(q)
-        + sum(logs[1:])
-        - sum(logs[h] for h in block.hooks)
-    )
-
-
 def _block_sum(theta: Scalar, n: int, terms, degrees: bool) -> Scalar:
     """``sum over (block, pairs) in terms of [t_lam(1/theta)] * sum over
-    (mult, k) in pairs of mult * theta^k``, with the generic degree of
-    the block only when ``degrees``.  A float theta gives a float, a
-    `Fraction` theta the exact value."""
-    if isinstance(theta, float):
-        return _float_block_sum(theta, n, terms, degrees)
-    return _exact_block_sum(theta, n, terms, degrees)
-
-
-def _float_block_sum(theta: float, n: int, terms, degrees: bool) -> float:
-    # in the order given, each term t * mult * theta^k as written; a term
-    # past the float range (or inf * 0) is taken in logs instead
-    q = 1 / theta
-    table = _q_table(q, n) if degrees else None
-    logs = None
-    total = theta - theta
-    for block, pairs in terms:
-        t, log_t = 1, None
-        if degrees:
-            try:
-                t = _degree(block, q, table)
-            except OverflowError:  # q^shift
-                t = math.inf
-        for mult, k in pairs:
-            term = t * mult * theta**k
-            if not math.isfinite(term):
-                # float t_lam overflowed (and theta^k may have underflowed)
-                if log_t is None:
-                    logs = logs or [0.0] + [_log_q_int(q, i) for i in range(1, n + 1)]
-                    log_t = _log_symmetric_degree(block, q, logs)
-                term = _log_domain(log_t + math.log(mult) + k * math.log(theta))
-            total += term
-    return total
-
-
-def _exact_block_sum(theta: Fraction, n: int, terms, degrees: bool) -> Fraction:
-    """The sum in integers.  With ``theta = a/b``, so ``q = b/a``,
-    ``[k]_q = P_k / a^(k-1)`` with ``P_k = sum_j a^(k-1-j) b^j``, hence
-    ``t_lam = b^shift R / a^e`` with ``R = prod_(i<=n) P_i // prod_h P_h``
-    (exact: the q-hook quotient is a polynomial in q) and
-    ``e = C(n, 2) - c - shift``.  Every term goes over one common
-    denominator ``a^i b^j`` and one `Fraction` is built at the end."""
-    a, b = theta.numerator, theta.denominator
+    (mult, k) in pairs of mult * theta^k``, the generic degree only when
+    ``degrees``.  With ``theta = a/b`` and ``P_k = sum_j a^(k-1-j) b^j``,
+    ``[k]_q = P_k / a^(k-1)``, so ``t_lam = q^shift [n]_q! / prod_h [h]_q``
+    (Macdonald, I.3 ex. 2) is ``b^shift R / a^e`` with ``R = prod_(i<=n) P_i
+    / prod_h P_h`` and ``e = C(n, 2) - c - shift``: each term is an item
+    ``m a^i b^j``.  A `Fraction` theta takes integers ``(a, b)``, R exact
+    (the q-hook quotient is a polynomial in q), and puts the items over one
+    common denominator.  A float theta takes ``(theta, 1)`` and sums the
+    items with ``math.fsum``.  R is the sum of ``theta^(maj T - shift)`` over
+    the standard tableaux T (Stanley), so R >= 1, and an item whose
+    ``theta^i`` overflows puts the sum past the float range too: ``inf``."""
+    exact = isinstance(theta, Fraction)
+    a, b = (theta.numerator, theta.denominator) if exact else (theta, 1)
     if degrees:
         P = [0, 1]
         for k in range(2, n + 1):
             P.append(a * P[-1] + b ** (k - 1))
         factorial = math.prod(P[1:])
         big_l = n * (n - 1) // 2  # C(n, 2), the longest length
-    items = []
-    for block, pairs in terms:
-        ratio, a_exp, b_exp = 1, 0, 0
-        if degrees:
-            ratio = factorial // math.prod([P[h] for h in block.hooks])
-            a_exp, b_exp = block.shift + block.c - big_l, block.shift
-        items += [(ratio * mult, a_exp + k, b_exp - k) for mult, k in pairs]
-    if not items:
-        return Fraction(0)
-    a_den = max(0, -min(item[1] for item in items))
-    b_den = max(0, -min(item[2] for item in items))
+
+    def rows():  # per block; float mode keeps no list of them
+        for block, pairs in terms:
+            ratio, a_exp, b_exp = 1, 0, 0
+            if degrees:
+                hooks = math.prod(map(P.__getitem__, block.hooks))
+                ratio = factorial // hooks if exact else factorial / hooks
+                a_exp, b_exp = block.shift + block.c - big_l, block.shift
+            yield ratio, a_exp, b_exp, pairs
+
+    if not exact:
+        try:
+            return math.fsum(r * m * a ** (i + k) for r, i, _, pairs in rows() for m, k in pairs)
+        except OverflowError:  # theta^i past the float range
+            return math.inf
+    items = [(r * m, i + k, j - k) for r, i, j, pairs in rows() for m, k in pairs]
+    a_den = max(0, -min((i for _, i, _ in items), default=0))
+    b_den = max(0, -min((j for _, _, j in items), default=0))
     num = sum(m * a ** (i + a_den) * b ** (j + b_den) for m, i, j in items)
     return Fraction(num, a**a_den * b**b_den)
 
@@ -807,7 +763,7 @@ def dihedral_random_scan_chisq(n: int, theta, ell: int, averaged: bool = False) 
             eig = (theta + 2 * math.cos(math.pi * lam / n) * root - 1) / 2
             total += 2 * eig ** (2 * ell)
         return total
-    series = sum(theta**i for i in range(n))
+    series = _q_int(theta, n)
     try:
         prefactor = theta ** (1 - n) / n * (1 + theta) * series
     except OverflowError:  # theta^(1 - n); the terms are then taken in logs
@@ -1011,7 +967,7 @@ def bound_dihedral_long_scan(n: int, theta) -> Fraction:
     """Single-pass chi-square bound for the long scan on the dihedral
     family: ``2 theta^(n+1) / (1 - theta)``.  Exact for rational theta."""
     theta = check_theta(theta)
-    if isinstance(theta, Fraction) and theta == 1:
+    if theta == 1:
         raise ValueError("bound requires theta < 1")
     if n < 3:
         raise ValueError("need n >= 3")

@@ -606,6 +606,23 @@ def test_float_analyze_runs_the_oracle_at_theta_as_typed(
         assert row["match"] is True
 
 
+def test_float_match_fails_a_wrong_form_below_1e_15(runner, monkeypatch):
+    # a form twice the truth; at l = 4 and 5 both values are below 1e-15
+    # (2.7e-17 and 4.2e-22 against 1.4e-17 and 2.1e-22)
+    argv = ["analyze", "--family", "symmetric", "--n", "4", "--scan", "long",
+            "--theta", "1/4", "--mode", "float", "--lmax", "5"]
+    res = invoke(runner, *argv)
+    assert res.exit_code == 0
+    assert [row["match"] for row in json.loads(res.output)["rows"]] == [True] * 5
+    form = spectral.closed_form
+    monkeypatch.setattr(spectral, "closed_form", lambda *args: 2 * form(*args))
+    res = invoke(runner, *argv)
+    assert res.exit_code == 1
+    rows = json.loads(res.output)["rows"]
+    assert rows[-1]["chisq_formula"] < 1e-15
+    assert [row["match"] for row in rows] == [False] * 5
+
+
 def test_analyze_float_hypercube_random_scan_beyond_the_float_range(runner):
     res = runner.invoke(
         cli.main,

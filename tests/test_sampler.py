@@ -231,6 +231,12 @@ def test_statistic_accepts_bit_sequences():
     )
 
 
+def test_statistic_refuses_an_element_of_another_family():
+    # the dihedral payload (1, 1) passes as bits, and read -1.414...
+    with pytest.raises(ValueError, match="hypercube element"):
+        hypercube_test_statistic(GroupElement(dihedral(3), (1, 1)), 0.5)
+
+
 def test_witness_agrees_with_the_exact_chain_at_small_size():
     # exact check: empirical mean of T after ell random-scan moves on n=6
     # against the closed form (n/sqrt(theta)) a^ell, a = 1 - (1+theta)/n

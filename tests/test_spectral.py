@@ -442,6 +442,21 @@ def test_dihedral_random_scan_chisq_matches_kernels_closely():
         )
 
 
+# The float dihedral random form bit for bit at l = 1, 5, 10.  Its series
+# 1 + theta + ... + theta^(n-1) is summed one power at a time; the builtin
+# sum() gave other last bits from Python 3.12 on, where it is compensated.
+DIHEDRAL_RANDOM_HEX = {
+    (200, 0.75): ["0x1.51c0519c763dap+84", "0x1.2b42049e5b6a5p+82", "0x1.1e317ff6e82c7p+81"],
+    (12, 0.3): ["0x1.ffe500afeac7bp+18", "0x1.1f94cd205fd52p+15", "0x1.6b6351b8913b6p+12"],
+}
+
+
+@pytest.mark.parametrize("n, theta", list(DIHEDRAL_RANDOM_HEX), ids=str)
+def test_float_dihedral_random_form_keeps_its_bits_on_every_python(n, theta):
+    got = [dihedral_random_scan_chisq(n, theta, ell).hex() for ell in (1, 5, 10)]
+    assert got == DIHEDRAL_RANDOM_HEX[n, theta]
+
+
 @pytest.mark.parametrize("family", FAMILIES, ids=str)
 def test_long_scan_traces_match_kernel_traces(family):
     theta = Fraction(1, 2)
@@ -484,34 +499,89 @@ def test_symmetric_closed_forms_equal_the_tableau_oracle(n, theta):
     assert sum_d_t(family, 1 / theta) == oracle.sum_d_t(n, 1 / theta)
 
 
+def _ulps(got, exact):
+    """The distance of ``got`` from ``exact`` in units in the last place of
+    ``float(exact)``, the correctly rounded value."""
+    return abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact)))
+
+
 @pytest.mark.parametrize("n", [12, 20])
 @pytest.mark.parametrize("theta", [0.5, 0.75, 0.25])
 def test_float_long_scan_chisq_is_the_block_by_block_float_sum(n, theta):
-    # one q-integer table per call gives the very floats that summing each
-    # q-integer afresh for every block gives
+    # the float form sums the blocks' items with fsum: within 16 ulps of the
+    # oracle's exact sum at the float's binary value
     for ell in range(6):
-        assert long_scan_chisq(symmetric(n), theta, ell) == oracle.long_scan_chisq(
-            n, theta, ell
-        )
+        exact = oracle.long_scan_chisq(n, Fraction(theta), ell)
+        assert _ulps(long_scan_chisq(symmetric(n), theta, ell), exact) <= 16
+
+
+@pytest.mark.parametrize("n", [6, 8, 9])
+def test_symmetric_float_forms_are_within_16_ulps_of_the_exact_value(n):
+    # each exact value at the float's binary theta; the grid holds terms
+    # whose theta^k underflows while the generic degree beside it is large
+    # (S_8 long at theta = 0.1, l = 20)
+    family = symmetric(n)
+    forms = [
+        functools.partial(long_scan_chisq, family),
+        functools.partial(long_scan_avg_chisq, family),
+        functools.partial(short_scan_chisq_symmetric, n),
+        functools.partial(short_scan_chisq_symmetric, n, averaged=True),
+    ]
+    for theta in (0.3, 0.1, 0.999, 1e-3, (math.sqrt(5) - 1) / 2, 0.5):
+        for ell in (0, 1, 2, 5, 20):
+            for form in forms:
+                assert _ulps(form(theta, ell), form(Fraction(theta), ell)) <= 16
+            if ell:
+                exact = long_scan_trace(family, Fraction(theta), ell)
+                assert _ulps(long_scan_trace(family, theta, ell), exact) <= 16
+        for rep in irreps(family):
+            assert _ulps(rep.t_of_q(1 / theta), rep.t_of_q(Fraction(1 / theta))) <= 16
+
+
+def test_symmetric_float_forms_are_inf_exactly_where_the_exact_value_overflows():
+    # nine neighbouring floats around the argument where each value passes
+    # the largest float, so both sides are met
+    forms = [
+        (lambda theta: long_scan_chisq(symmetric(8), theta, 0), 9.792712754538307e-12),
+        (lambda theta: short_scan_chisq_symmetric(10, theta, 1), 1.0592125195371732e-11),
+        (irreps(symmetric(8))[-1].t_of_q, 102116749982.17538),
+    ]
+    for form, middle in forms:
+        x = middle
+        for _ in range(4):
+            x = math.nextafter(x, 0)
+        seen = set()
+        for _ in range(9):
+            got, exact = form(x), form(Fraction(x))
+            try:
+                float(exact)
+            except OverflowError:
+                assert got == math.inf
+                seen.add("inf")
+            else:
+                assert _ulps(got, exact) <= 16
+                seen.add("finite")
+            x = math.nextafter(x, math.inf)
+        assert seen == {"inf", "finite"}
 
 
 # Float closed forms at l = 1..5 (m = 1..5 for the traces), recorded bit
-# for bit, since a relative check of 1e-9 misses a change of summation
-# order, which moves the last bit.
+# for bit, since a relative check of 1e-9 misses a change in how the terms
+# are formed or summed, which moves the last bit.
 LONG_S30 = {
     0.5: [
-        2.700835566767561e-08,
+        2.7008355667675607e-08,
         2.342601339780882e-26,
         2.0318827694863084e-44,
         1.7623773703303352e-62,
         1.5286186989211518e-80,
     ],
     0.75: [
-        0.015702585082407797,
-        4.953698112090739e-10,
-        1.5798117493826808e-17,
-        5.038266582218746e-25,
-        1.6067819576238203e-32,
+        0.015702585082407815,
+        4.953698112090745e-10,
+        1.5798117493826827e-17,
+        5.038266582218752e-25,
+        1.6067819576238225e-32,
     ],
 }
 LONG_AVG_S30 = {
@@ -524,7 +594,7 @@ LONG_AVG_S30 = {
     ],
     0.75: [
         2.6821499347309822e-05,
-        8.553573720999406e-13,
+        8.553573720999405e-13,
         2.727868345947005e-20,
         8.699598501813618e-28,
         2.77443793081897e-35,
@@ -533,17 +603,17 @@ LONG_AVG_S30 = {
 SHORT_AVG_S12 = {
     0.5: [
         29712.046663909117,
-        85.96579619895525,
-        3.418549047837696,
-        0.5106395306528956,
-        0.11215249425914486,
+        85.96579619895526,
+        3.4185490478376956,
+        0.5106395306528957,
+        0.11215249425914489,
     ],
     0.75: [
         3626053.67569226,
         106607.5631384925,
-        5430.419559521109,
-        452.1046779984773,
-        62.2596340681085,
+        5430.419559521107,
+        452.10467799847703,
+        62.25963406810853,
     ],
 }
 TRACE_S30 = {
@@ -795,6 +865,13 @@ def test_bound_values_frozen():
     assert bound_dihedral_random_scan(10, 0.5, 50) == pytest.approx(
         22.125847235638822, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("theta", [1.0, Fraction(1), 1], ids=repr)
+def test_dihedral_long_scan_bound_refuses_theta_one_in_every_type(theta):
+    # 1.0 used to reach 2 theta^(n+1) / (1 - theta) and divide by zero
+    with pytest.raises(ValueError, match="bound requires theta < 1"):
+        bound_dihedral_long_scan(5, theta)
 
 
 def test_dihedral_random_scan_bound_beyond_the_float_range_is_infinite():

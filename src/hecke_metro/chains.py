@@ -31,11 +31,9 @@ Hecke algebra (see below) that is left multiplication by T~_i.
   routine, on the same tables, once per edge of a tree of first left
   descents walked depth first, so a pass costs O(|W|^2) whatever the
   number of letters.  Inversion keeps lengths, so the relabelling moves
-  no weight of pi.  It reads tr(K^m)
-  and the pi-averaged chi-square of K^m off each row;
-  :func:`power_sums_with_crosses` also reads the pi-weighted cross sum of
-  K^(m-1) and K^m.  Each holds only the rows on the walk's path, never a
-  |W| x |W| power;
+  no weight of pi.  It reads tr(K^m) and the pi-averaged chi-square of
+  K^m off each row, walking the tree once a pass, and holds only the rows
+  on the walk's path, never a |W| x |W| power;
 * :func:`scan_kernel` applies it to every row of the identity, giving
   the dense |W| x |W| kernel of a recipe or of the random scan (O(|W|^2)
   cells).  A single-generator kernel K_i is the scan of the one-letter
@@ -69,7 +67,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from fractions import Fraction
 from operator import mul
@@ -91,7 +88,6 @@ __all__ = [
     "long_recipe",
     "point_mass",
     "power_sums",
-    "power_sums_with_crosses",
     "scan_kernel",
     "short_recipe",
     "stationary",
@@ -474,56 +470,38 @@ def power_sums(
 ) -> list[tuple[Fraction, Fraction]]:
     """(tr(K^m), averaged chi-square of K^m) for m = 1..passes.
 
-    :func:`power_sums_with_crosses` without the cross sums, whose second
-    walk and reduction per row it skips.
-    """
-    return _power_sums(family, theta, scan, passes, crosses=False)
-
-
-def power_sums_with_crosses(
-    family: GroupFamily, theta, scan, passes: int
-) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """(tr(K^m), averaged chi-square of K^m, <K^(m-1), K^m>_pi) for m = 1..passes.
-
     ``scan`` is a recipe or a name, as :func:`evolve_scan` takes it,
     and K its kernel, which is L(h) for any scan (see the module
     docstring).  Only the identity row of the reversed scan runs through
     the scan letters, pass by pass, giving the coefficients of g_m, h^m with
     its words reversed, over d_m, and is put into length order.  The other
-    rows follow down a tree walked depth first: the row at x holds
-    T~_x g_m, which is its parent's row times K_i, for s_i the first left
-    descent of x, so a row of length k is over d_m b^k.  It is row x^-1 of
-    K^m with its columns relabelled by inverses, and inversion keeps
-    lengths; so, as every sum below runs over all x and y with weights
-    that depend on length alone, each row adds its diagonal to tr(K^m),
-    its square to the average and its product with the row of K^(m-1),
-    walked again beside it, to the cross sum, the sums of length k lifted
-    by b^(L - k) onto d_m b^L.  Only the rows on the path of each walk are
-    held.  (The reversed scan's kernel is the pi-adjoint of K, and these
-    sums are the same for a kernel and its adjoint; the reversal makes
-    each walked row that of one start of K itself.)  Both weighted sums are
-    <A, B>_pi = sum_{x,y} (pi(x) / pi(y)) A[x,y] B[x,y]; the averaged
-    chi-square sum_x pi(x) chi_square(delta_x K^m, pi) is <K^m, K^m>_pi - 1.
-    With pi(x) proportional to its numerator v_x = b^len(x) a^(L - len(x))
-    in :func:`stationary`, for theta = a/b and L the longest length,
-    pi(x) / pi(y) = v_x u_y / (ab)^L where u_y = a^len(y) b^(L - len(y)).  So
-    on integer numerators A over d_A and B over d_B,
+    rows follow down a tree walked depth first, once a pass: the row at x
+    holds T~_x g_m, which is its parent's row times K_i, for s_i the first
+    left descent of x, so a row of length k is over d_m b^k.  It is row
+    x^-1 of K^m with its columns relabelled by inverses, and inversion
+    keeps lengths; so, as both sums below run over all x and y with
+    weights that depend on length alone, each row adds its diagonal to
+    tr(K^m) and its weighted square to the average, the sums of length k
+    lifted by b^(L - k) onto d_m b^L.  Only the rows on the walk's path
+    are held.  (The reversed scan's kernel is the pi-adjoint of K, and
+    these sums are the same for a kernel and its adjoint; the reversal
+    makes each walked row that of one start of K itself.)  The averaged
+    chi-square sum_x pi(x) chi_square(delta_x K^m, pi) is
+    sum_{x,y} (pi(x) / pi(y)) K^m[x,y]^2 - 1.  With pi(x) proportional to
+    its numerator v_x = b^len(x) a^(L - len(x)) in :func:`stationary`, for
+    theta = a/b and L the longest length, pi(x) / pi(y) = v_x u_y / (ab)^L
+    where u_y = a^len(y) b^(L - len(y)).  So on integer numerators A over
+    d_A the weighted square is
 
-        <A, B>_pi = sum_x v_x sum_y A[x,y] B[x,y] u_y / ((ab)^L d_A d_B),
+        sum_x v_x sum_y A[x,y]^2 u_y / ((ab)^L d_A^2),
 
-    and since u_y depends on len(y) alone, each row sums its products over
+    and since u_y depends on len(y) alone, each row sums its squares over
     a slice per length before they meet the large weights; v_x is shared
     by the rows of one length.
 
-    When K is pi-reversible, pi(x) K^k(x,y) = pi(y) K^k(y,x), so
-    <K^j, K^k>_pi = tr(K^(j+k)): the cross sum of pass m is tr(K^(2m-1)),
-    and the averaged chi-square of pass m is tr(K^(2m)) - 1.
+    When K is pi-reversible, pi(x) K^m(x,y) = pi(y) K^m(y,x), so the
+    averaged chi-square of pass m is tr(K^(2m)) - 1.
     """
-    return _power_sums(family, theta, scan, passes, crosses=True)
-
-
-def _power_sums(family: GroupFamily, theta, scan, passes: int, crosses: bool) -> list[tuple]:
-    """:func:`power_sums_with_crosses`, or :func:`power_sums` unless ``crosses``."""
     if passes < 1:
         raise ValueError("need passes >= 1")
     theta = Fraction(coxeter.check_theta(theta))
@@ -537,56 +515,29 @@ def _power_sums(family: GroupFamily, theta, scan, passes: int, crosses: bool) ->
     # every length 0..top occurs
     ends = [bisect.bisect_left(lengths, k) for k in range(top + 2)]
     slices = [(a**k * b ** (top - k), ends[k], ends[k + 1]) for k in range(top + 1)]
-
-    def weighted(A: list[int], B: list[int]) -> int:
-        """sum_y A[y] B[y] u_y."""
-        products = list(map(mul, A, B))
-        return sum(u * sum(products[lo:hi]) for u, lo, hi in slices)
-
-    # the identity row of the reversed scan's K^m, the coefficients of
-    # (h^m)^flat, over dens[m]: the scan takes it by enumeration index, the
-    # walk in length order, where the identity is at position 0
-    reversed_scan = scan if scan == "random" else scan[::-1]
-    row = [0] * family.order
-    row[tree.order[0]] = 1
-    identity_rows, dens = [[1] + [0] * (family.order - 1)], [1]
-    for m in range(passes):
-        row, den = _apply_scan(family, theta, reversed_scan, row, dens[m])
-        identity_rows.append(list(map(row.__getitem__, tree.order)))
-        dens.append(den)
-    # b^(top - k) lifts the sums of length k onto dens[m] * b^top, and their
+    # b^(top - k) lifts the sums of length k onto den * b^top, and their
     # rows x share v_x = b^k a^(top - k)
     lifts = [b ** (top - k) for k in range(top + 1)]
     weights = [b**k * a ** (top - k) * lift * lift for k, lift in enumerate(lifts)]
     scale = (a * b) ** top
+    # the identity row of the reversed scan's K^m, the coefficients of
+    # (h^m)^flat, over den: the scan takes it by enumeration index, the
+    # walk in length order, where the identity is at position 0
+    reversed_scan = scan if scan == "random" else scan[::-1]
+    row, den = [0] * family.order, 1
+    row[tree.order[0]] = 1
     sums = []
-    for m in range(1, passes + 1):
-        # K^(m-1) is walked again beside K^m, in the same order, for the
-        # cross sum, so that one path of rows of each of two powers at most
-        # is held, whatever the number of passes
-        current = _walk(tree, a, b, identity_rows[m])
-        previous = (
-            _walk(tree, a, b, identity_rows[m - 1])
-            if crosses and m > 1
-            else itertools.repeat((None, None))
-        )
-        # per length k; a row of length k is over dens[m] * b^k, and its
+    for _ in range(passes):
+        row, den = _apply_scan(family, theta, reversed_scan, row, den)
+        # per length k; a row of length k is over den * b^k, and its
         # diagonal cell is the cell at its own position
-        traces, squares, cross_sums = ([0] * (top + 1) for _ in range(3))
-        for (p, A), (_, B) in zip(current, previous):
+        traces, squares = [0] * (top + 1), [0] * (top + 1)
+        for p, A in _walk(tree, a, b, list(map(row.__getitem__, tree.order))):
             k = lengths[p]
             traces[k] += A[p]
-            squares[k] += weighted(A, A)
-            if B is not None:
-                cross_sums[k] += weighted(B, A)
+            products = list(map(mul, A, A))
+            squares[k] += sum(u * sum(products[lo:hi]) for u, lo, hi in slices)
         trace, square = sum(map(mul, traces, lifts)), sum(map(mul, squares, weights))
-        den = dens[m] * b**top
-        entry = (Fraction(trace, den), Fraction(square, scale * den**2) - 1)
-        if crosses:
-            # <K^0, K>_pi = sum_x K[x,x] = tr(K), since pi(x) / pi(x) = 1
-            cross = sum(map(mul, cross_sums, weights))
-            entry += (
-                entry[0] if m == 1 else Fraction(cross, scale * dens[m - 1] * b**top * den),
-            )
-        sums.append(entry)
+        lifted = den * b**top
+        sums.append((Fraction(trace, lifted), Fraction(square, scale * lifted**2) - 1))
     return sums

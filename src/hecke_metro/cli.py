@@ -443,8 +443,8 @@ def _verify_checks(family: coxeter.GroupFamily, theta: fractions.Fraction):
     dense kernel is built.  Checks 1 and 2 compare kernel rows with sparse
     products in the algebra; :func:`verify` says why that proves the
     kernels equal left multiplications.  Checks 5 and 6 share one
-    three-pass :func:`chains.power_sums_with_crosses`, run when first
-    needed; :func:`verify` says where tr(K^4) and tr(K^5) come from.
+    three-pass :func:`chains.power_sums`, run when first needed;
+    :func:`verify` says where tr(K^4) and tr(K^6) come from.
     """
     q = 1 / theta
     gens = coxeter.generators(family)
@@ -456,13 +456,15 @@ def _verify_checks(family: coxeter.GroupFamily, theta: fractions.Fraction):
     pi = chains.stationary(family, theta)
 
     @functools.cache
-    def long_sums() -> list[tuple[fractions.Fraction, fractions.Fraction, fractions.Fraction]]:
-        return chains.power_sums_with_crosses(family, theta, "long", 3)
+    def long_sums() -> list[tuple[fractions.Fraction, fractions.Fraction]]:
+        return chains.power_sums(family, theta, "long", 3)
 
-    def long_traces() -> list[fractions.Fraction]:
-        """tr(K^1..K^5): three diagonals, then K^2 against itself and K^3."""
+    def long_traces() -> dict[int, fractions.Fraction]:
+        """tr(K^m) for m = 1, 2, 3, the diagonals, and m = 4, 6, the squared
+        rows of K^2 and K^3."""
         sums = long_sums()
-        return [trace for trace, _, _ in sums] + [sums[1][1] + 1, sums[2][2]]
+        traces = {m: trace for m, (trace, _) in enumerate(sums, start=1)}
+        return traces | {4: sums[1][1] + 1, 6: sums[2][1] + 1}
 
     def row_is(row: dict[int, int], h: hecke.HeckeVector, scale=1) -> bool:
         """Whether ``row``, the nonzero entries of a kernel row, is scale * h
@@ -491,13 +493,13 @@ def _verify_checks(family: coxeter.GroupFamily, theta: fractions.Fraction):
         return all(chains.check_reversible(kernels[i], pi) for i in gens)
 
     def averaged_chi_square_equals_trace() -> bool:
-        (_, averaged, _), (trace, _, _) = long_sums()[:2]
+        (_, averaged), (trace, _) = long_sums()[:2]
         return averaged == trace - 1
 
     def long_scan_traces_match_block_sum() -> bool:
         return all(
             trace == spectral.long_scan_trace(family, theta, m)
-            for m, trace in enumerate(long_traces(), start=1)
+            for m, trace in long_traces().items()
         )
 
     def squared_dimensions_sum_to_order() -> bool:
@@ -512,7 +514,7 @@ def _verify_checks(family: coxeter.GroupFamily, theta: fractions.Fraction):
         ("generator kernels preserve stationary law", generator_kernels_preserve_stationary),
         ("generator kernels reversible", generator_kernels_reversible),
         ("averaged chi-square == trace identity", averaged_chi_square_equals_trace),
-        ("long-scan traces match block sum (m=1..5)", long_scan_traces_match_block_sum),
+        ("long-scan traces match block sum (m=1..4, 6)", long_scan_traces_match_block_sum),
         ("squared dimensions sum to group order", squared_dimensions_sum_to_order),
         ("generic degrees sum to length polynomial", generic_degrees_sum_to_length_polynomial),
     ]
@@ -527,12 +529,12 @@ def verify(args: argparse.Namespace) -> int:
     K^2 and K^3 for the long scan K, each derived from an identity row by
     left multiplications in the algebra: check 5
     compares the squared rows of K (the averaged chi-square) with the
-    diagonal of K^2, check 6 tr(K^1..K^5) with the block sums.  tr(K^1..K^3) are
-    diagonals; tr(K^4) is the averaged chi-square of K^2 plus one and
-    tr(K^5) the pi-weighted cross sum of K^2 and K^3.  Both rest on the
-    long scan being pi-reversible (its recipe reversed is again two
-    reduced words of w0), so that sum_{x,y} pi(x) K^j(x,y) K^k(x,y) / pi(y)
-    is tr(K^(j+k)).  So groups whose |W|^2 cells exceed
+    diagonal of K^2, check 6 tr(K^m) for m = 1..4 and 6 with the block
+    sums.  tr(K^1..K^3) are diagonals; tr(K^4) and tr(K^6) are the
+    averaged chi-squares of K^2 and K^3 plus one.  Both rest on the long
+    scan being pi-reversible (its recipe reversed is again two reduced
+    words of w0), so that sum_{x,y} pi(x) K^m(x,y)^2 / pi(y) is
+    tr(K^(2m)).  So groups whose |W|^2 cells exceed
     20 x HECKE_METRO_CAP are refused with exit 2 before anything is
     allocated.
 

@@ -183,8 +183,8 @@ def hypercube_test_statistic(y, theta) -> float:
     if isinstance(y, GroupElement) and y.family.kind != "hypercube":
         raise ValueError(f"y must be a hypercube element, got one of {y.family}")
     bits = y.payload if isinstance(y, GroupElement) else tuple(int(b) for b in y)
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError(f"y must be a bit vector, got {y!r}")
+    if not bits or any(b not in (0, 1) for b in bits):
+        raise ValueError(f"y must be a nonempty bit vector, got {y!r}")
     n = len(bits)
     return (n / math.sqrt(theta)) * (1 - sum(bits) * (1 + theta) / n)
 

@@ -145,24 +145,17 @@ def dense_evolve(family, theta, scan, start, ell):
 
 
 def dense_power_sums(family, theta, scan, passes):
-    """(tr K^m, <K^m, K^m>_pi - 1, <K^(m-1), K^m>_pi) for m = 1..passes, with
-    <A, B>_pi = sum_{x,y} pi(x) A[x,y] B[x,y] / pi(y), on dense Fraction powers,
+    """(tr K^m, <K^m, K^m>_pi - 1) for m = 1..passes, with
+    <A, A>_pi = sum_{x,y} pi(x) A[x,y]^2 / pi(y), on dense Fraction powers,
     each carried from the one before through the sparse K_i, |W|^2 cells a letter."""
     kernels = [metropolis_kernel(family, theta, i) for i in coxeter.generators(family)]
     pi = _stationary_probs(family, theta)
     ratio = pi[:, None] / pi[None, :]
-    previous = np.identity(family.order, dtype=object) * Fraction(1)
+    power = np.identity(family.order, dtype=object) * Fraction(1)
     out = []
     for _ in range(passes):
-        current = _scan_pass(previous, kernels, scan)
-        out.append(
-            (
-                sum(current.diagonal(), Fraction(0)),
-                (ratio * current * current).sum() - 1,
-                (ratio * previous * current).sum(),
-            )
-        )
-        previous = current
+        power = _scan_pass(power, kernels, scan)
+        out.append((sum(power.diagonal(), Fraction(0)), (ratio * power * power).sum() - 1))
     return out
 
 
@@ -179,7 +172,7 @@ def _stream_letter(block, perm, up, a, b):
 
 
 def streamed_power_sums(family, theta, scan, passes):
-    """(tr K^m, <K^m, K^m>_pi - 1, <K^(m-1), K^m>_pi) for m = 1..passes, with
+    """(tr K^m, <K^m, K^m>_pi - 1) for m = 1..passes, with
     every row of the identity streamed through every scan letter in blocks of
     ``STREAM_BLOCK_CELLS`` cells, on integer numerators in object arrays: the
     library's path before it derived each row of K^m from the identity row."""
@@ -203,31 +196,27 @@ def streamed_power_sums(family, theta, scan, passes):
             block = _stream_letter(block, *letters[i - 1], a, b)
         return block
 
-    def weighted(rows, A, B):
-        per_length = np.add.reduceat((A * B)[:, by_length], starts, axis=1)
+    def weighted_square(rows, A):
+        per_length = np.add.reduceat((A * A)[:, by_length], starts, axis=1)
         return v[rows] @ (per_length @ u)
 
     factor = b * family.rank if scan == "random" else b ** len(scan)
-    dens = [factor**m for m in range(passes + 1)]
     height = max(1, STREAM_BLOCK_CELLS // family.order)
-    traces, squares, cross = [0] * passes, [0] * passes, [0] * passes
+    traces, squares = [0] * passes, [0] * passes
     for first in range(0, family.order, height):
         rows = np.arange(first, min(first + height, family.order))
         diagonal = (np.arange(len(rows)), rows)
-        previous = np.zeros((len(rows), family.order), dtype=int).astype(object)
-        previous[diagonal] = 1
+        block = np.zeros((len(rows), family.order), dtype=int).astype(object)
+        block[diagonal] = 1
         for m in range(passes):
-            current = scan_pass(previous)
-            traces[m] += current[diagonal].sum()
-            squares[m] += weighted(rows, current, current)
-            cross[m] += weighted(rows, previous, current)
-            previous = current
+            block = scan_pass(block)
+            traces[m] += block[diagonal].sum()
+            squares[m] += weighted_square(rows, block)
     scale = (a * b) ** top
     return [
         (
-            Fraction(int(traces[m]), dens[m + 1]),
-            Fraction(int(squares[m]), scale * dens[m + 1] ** 2) - 1,
-            Fraction(int(cross[m]), scale * dens[m] * dens[m + 1]),
+            Fraction(int(traces[m]), factor ** (m + 1)),
+            Fraction(int(squares[m]), scale * factor ** (2 * m + 2)) - 1,
         )
         for m in range(passes)
     ]

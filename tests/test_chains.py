@@ -24,7 +24,6 @@ from hecke_metro.chains import (
     long_recipe,
     point_mass,
     power_sums,
-    power_sums_with_crosses,
     scan_kernel,
     short_recipe,
     stationary,
@@ -255,7 +254,7 @@ def test_power_sums_do_not_depend_on_the_block_height(family, scan, monkeypatch)
     row by row."""
     scan = short_recipe(family) if scan == "short" else scan
     theta = Fraction(2, 3)
-    sums = power_sums_with_crosses(family, theta, scan, 3)
+    sums = power_sums(family, theta, scan, 3)
     for cells in (1, 3 * family.order, 2**30):
         monkeypatch.setattr(oracle, "STREAM_BLOCK_CELLS", cells)
         assert oracle.streamed_power_sums(family, theta, scan, 3) == sums
@@ -272,10 +271,9 @@ def _scans(family):
             family, Fraction(1, 2), scan, point_mass(family, coxeter.identity(family)), 1
         ),
         lambda family, scan: power_sums(family, Fraction(1, 2), scan, 1),
-        lambda family, scan: power_sums_with_crosses(family, Fraction(1, 2), scan, 1),
         lambda family, scan: scan_kernel(family, Fraction(1, 2), scan),
     ],
-    ids=["evolve_scan", "power_sums", "power_sums_with_crosses", "scan_kernel"],
+    ids=["evolve_scan", "power_sums", "scan_kernel"],
 )
 def test_a_scan_name_outside_the_vocabulary_is_refused_with_the_choices(call):
     with pytest.raises(ValueError) as refused:
@@ -295,9 +293,6 @@ def test_a_scan_name_gives_what_its_recipe_gives(family, name):
         family, theta, recipe, start, 2
     )
     assert power_sums(family, theta, name, 2) == power_sums(family, theta, recipe, 2)
-    assert power_sums_with_crosses(family, theta, name, 2) == power_sums_with_crosses(
-        family, theta, recipe, 2
-    )
     assert scan_kernel(family, theta, name) == scan_kernel(family, theta, recipe)
 
 
@@ -306,9 +301,9 @@ def _assert_python_ints(rows):
 
 
 def _assert_equal_to_the_dense_oracle(family, theta, scan, passes):
-    sums = power_sums_with_crosses(family, theta, scan, passes)
-    assert sums == oracle.dense_power_sums(family, theta, scan, passes)
-    assert power_sums(family, theta, scan, passes) == [entry[:2] for entry in sums]
+    assert power_sums(family, theta, scan, passes) == oracle.dense_power_sums(
+        family, theta, scan, passes
+    )
     for start in (point_mass(family, coxeter.identity(family)), stationary(family, theta)):
         fast = evolve_scan(family, theta, scan, start, passes)
         _assert_python_ints([fast.num])
@@ -362,28 +357,31 @@ def test_kernels_and_distributions_leave_chains_as_python_ints(theta):
     _assert_python_ints([row.values() for row in chains.generator_rows(family, theta, 1)])
 
 
-CROSS_FAMILIES = [symmetric(3), symmetric(4), hypercube(3), dihedral(4), dihedral(5), dihedral(6)]
+REVERSIBLE_FAMILIES = [
+    symmetric(3), symmetric(4), hypercube(3), dihedral(4), dihedral(5), dihedral(6)
+]
 
 
-@pytest.mark.parametrize("family", CROSS_FAMILIES, ids=str)
+@pytest.mark.parametrize("family", REVERSIBLE_FAMILIES, ids=str)
 @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(2, 3)], ids=str)
 def test_cross_sums_of_a_reversible_scan_are_odd_traces(family, theta):
-    """<K^(m-1), K^m>_pi == tr(K^(2m-1)) and <K^m, K^m>_pi == tr(K^(2m)) for
-    the long, short and random scans, which are pi-reversible."""
+    """The averaged chi-square of pass m plus one, <K^m, K^m>_pi, is
+    tr(K^(2m)) for the long, short and random scans, which are
+    pi-reversible."""
     for scan in _scans(family):
-        sums = power_sums_with_crosses(family, theta, scan, 5)
-        traces = [trace for trace, _, _ in sums]
-        for m, (_, averaged, cross) in enumerate(sums[:3], start=1):
-            assert cross == traces[2 * m - 2]
-            if m <= 2:
-                assert averaged + 1 == traces[2 * m - 1]
+        sums = power_sums(family, theta, scan, 6)
+        for m, (_, averaged) in enumerate(sums[:3], start=1):
+            assert averaged + 1 == sums[2 * m - 1][0], (scan, m)
 
 
 def test_cross_sums_of_a_non_reversible_recipe_are_not_traces():
+    """The identity above fails for the recipe (1, 2), whose reversal is
+    another scan."""
     family, theta, scan = symmetric(3), Fraction(1, 2), (1, 2)
-    sums = power_sums_with_crosses(family, theta, scan, 3)
-    assert sums == oracle.dense_power_sums(family, theta, scan, 3)
-    assert sums[1][2] != sums[2][0]  # <K, K^2>_pi != tr(K^3)
+    sums = power_sums(family, theta, scan, 4)
+    assert sums == oracle.dense_power_sums(family, theta, scan, 4)
+    for m in (1, 2):
+        assert sums[m - 1][1] + 1 != sums[2 * m - 1][0], m  # <K^m, K^m>_pi != tr(K^2m)
 
 
 # ---------------------------------------------------------------------------
@@ -445,25 +443,23 @@ def test_descent_tree_builds_no_element(family, monkeypatch):
 def test_power_sums_from_the_identity_row_equal_the_dense_oracle(family):
     for theta in GRID_THETAS:
         for scan in _grid_scans(family):
-            sums = power_sums_with_crosses(family, theta, scan, 2)
+            sums = power_sums(family, theta, scan, 2)
             assert sums == oracle.dense_power_sums(family, theta, scan, 2), (theta, scan)
-            assert power_sums(family, theta, scan, 2) == [entry[:2] for entry in sums]
 
 
 @pytest.mark.parametrize("family", ROW_FAMILIES, ids=str)
 def test_power_sums_from_the_identity_row_equal_the_streamed_rows(family):
     for theta in GRID_THETAS:
         for scan in _grid_scans(family):
-            sums = power_sums_with_crosses(family, theta, scan, 3)
+            sums = power_sums(family, theta, scan, 3)
             assert sums == oracle.streamed_power_sums(family, theta, scan, 3), (theta, scan)
-            assert power_sums(family, theta, scan, 3) == [entry[:2] for entry in sums]
 
 
 @pytest.mark.parametrize("family", [symmetric(6), hypercube(8), dihedral(60)], ids=str)
 def test_power_sums_equal_the_streamed_rows_on_large_groups(family):
     theta = Fraction(3, 4)
     for scan in _scans(family):
-        sums = power_sums_with_crosses(family, theta, scan, 2)
+        sums = power_sums(family, theta, scan, 2)
         assert sums == oracle.streamed_power_sums(family, theta, scan, 2), scan
 
 
@@ -477,9 +473,8 @@ def test_power_sums_of_random_recipes_equal_the_dense_oracle(family, theta, data
     gens = st.integers(min_value=1, max_value=family.rank)
     recipe = tuple(data.draw(st.lists(gens, min_size=1, max_size=6)))
     passes = data.draw(st.integers(min_value=1, max_value=3))
-    sums = power_sums_with_crosses(family, theta, recipe, passes)
+    sums = power_sums(family, theta, recipe, passes)
     assert sums == oracle.dense_power_sums(family, theta, recipe, passes)
-    assert power_sums(family, theta, recipe, passes) == [entry[:2] for entry in sums]
 
 
 def test_a_row_widens_in_the_middle_of_the_walk():
@@ -487,16 +482,15 @@ def test_a_row_widens_in_the_middle_of_the_walk():
     # row of K^10 is over 2^60 and its rows of length 3 over 2^63
     family, theta = hypercube(3), Fraction(1, 2)
     scan = long_recipe(family)
-    dense = oracle.dense_power_sums(family, theta, scan, 10)
-    assert power_sums(family, theta, scan, 10) == [entry[:2] for entry in dense]
-    assert power_sums_with_crosses(family, theta, scan, 10) == dense
+    assert power_sums(family, theta, scan, 10) == oracle.dense_power_sums(
+        family, theta, scan, 10
+    )
 
 
 def test_power_sums_need_a_pass():
     for passes in (0, -1):
-        for sums in (power_sums, power_sums_with_crosses):
-            with pytest.raises(ValueError):
-                sums(symmetric(3), Fraction(1, 2), long_recipe(symmetric(3)), passes)
+        with pytest.raises(ValueError):
+            power_sums(symmetric(3), Fraction(1, 2), long_recipe(symmetric(3)), passes)
 
 
 @pytest.mark.parametrize(

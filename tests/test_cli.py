@@ -788,6 +788,68 @@ def test_verify_perturbed_kernel_fails_check_one(runner, corrupted_first_generat
     assert lines[-1] == "5/8 checks passed"
 
 
+VERIFY_ARGV = [
+    ("verify", "--family", family.kind, "--n", str(family.n), "--theta", "2/3")
+    for family in (symmetric(4), hypercube(3), dihedral(5))
+]
+
+
+@pytest.mark.parametrize("args", VERIFY_ARGV, ids=" ".join)
+def test_verify_asks_the_block_sum_for_five_powers(runner, monkeypatch, args):
+    """Check 6 compares tr(K^m) for m = 1, 2, 3, 4 and 6, once each."""
+    asked, trace = [], spectral.long_scan_trace
+
+    def spy(family, theta, m):
+        asked.append(m)
+        return trace(family, theta, m)
+
+    monkeypatch.setattr(spectral, "long_scan_trace", spy)
+    res = invoke(runner, *args)
+    assert res.stdout.splitlines()[-1] == "8/8 checks passed"
+    assert sorted(asked) == [1, 2, 3, 4, 6]
+
+
+@pytest.mark.parametrize("args", VERIFY_ARGV, ids=" ".join)
+def test_verify_catches_a_block_sum_off_at_the_sixth_power(runner, monkeypatch, args):
+    trace = spectral.long_scan_trace
+    monkeypatch.setattr(
+        spectral,
+        "long_scan_trace",
+        lambda family, theta, m: trace(family, theta, m) + (m == 6),
+    )
+    res = invoke(runner, *args)
+    assert res.exit_code == 1
+    lines = res.stdout.splitlines()
+    assert "FAIL long-scan traces match block sum (m=1..4, 6)" in lines
+    assert lines[-1] == "7/8 checks passed"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        *VERIFY_ARGV,
+        (
+            "analyze", "--family", "symmetric", "--n", "4", "--theta", "2/3",
+            "--scan", "short", "--averaged", "--lmax", "3",
+        ),
+    ],
+    ids=" ".join,
+)
+def test_each_pass_walks_the_descent_tree_once(runner, monkeypatch, args):
+    """verify reads three passes of the long scan, and analyze --averaged
+    --lmax 3 three passes of its scan: one walk of the tree each."""
+    walks, walk = [], chains._walk
+
+    def counted(*walk_args):
+        walks.append(walk_args)
+        return walk(*walk_args)
+
+    monkeypatch.setattr(chains, "_walk", counted)
+    res = invoke(runner, *args)
+    assert res.exit_code == 0
+    assert len(walks) == 3
+
+
 # ---------------------------------------------------------------------------
 # sample
 

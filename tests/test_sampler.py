@@ -231,6 +231,13 @@ def test_statistic_accepts_bit_sequences():
     )
 
 
+@pytest.mark.parametrize("bits", [[], ()], ids=repr)
+def test_statistic_refuses_an_empty_bit_vector(bits):
+    # the statistic divides by n = 0
+    with pytest.raises(ValueError, match="nonempty bit vector"):
+        hypercube_test_statistic(bits, 0.5)
+
+
 def test_statistic_refuses_an_element_of_another_family():
     # the dihedral payload (1, 1) passes as bits, and read -1.414...
     with pytest.raises(ValueError, match="hypercube element"):

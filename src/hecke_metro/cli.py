@@ -10,6 +10,10 @@ Four subcommands drive the library end to end:
     identity row by the scan's own letters), the exact total variation
     distance, and the generic bound ``tv^2 <= chisq / 4``.
     The reductions work on integer numerators, not a Fraction per cell.
+    A column is empty where its path cannot run: a scan with no closed
+    form (the symmetric random scan, the dihedral short scan, the dihedral
+    random scan in exact mode, the averaged hypercube random scan) prints
+    the oracle alone, and the run exits 2 only when neither can run.
 
 ``verify``
     The invariant suite for one configured instance: generator kernels
@@ -54,8 +58,9 @@ forming its order, and :func:`chains.check_dense_cells` the work on every
 start of ``verify`` and ``analyze --averaged`` past 20 cells per element
 of that cap.  The command line reads their :class:`CapExceededError`
 before any closed form or oracle runs: exact ``analyze`` and ``verify``
-exit 2, float ``analyze`` leaves the oracle columns empty, and ``sample``
-leaves out the empirical total variation.
+exit 2, float ``analyze`` leaves the oracle columns empty (and exits 2
+on a scan with no closed form), and ``sample`` leaves out the empirical
+total variation.
 
 Start-up pays only for what runs: each layer module, and ``json``,
 ``fractions`` and ``decimal``, is put in ``sys.modules`` when this module
@@ -133,8 +138,8 @@ json = _lazy("json")
 class UsageError(ValueError):
     """A command line that asks for something the program cannot do;
     :func:`main` prints ``Error: <message>`` and exits 2, as it does on a
-    :class:`CapExceededError`.  A ValueError, as the scripts that share
-    :func:`_parse_theta` expect."""
+    :class:`CapExceededError`.  A ValueError, as ``scripts/witness_demo.py``,
+    which shares :func:`_parse_theta`, expects."""
 
 
 def _parse_theta(raw: str, mode: str) -> fractions.Fraction | float:
@@ -328,8 +333,10 @@ def _analyze_rows(family: coxeter.GroupFamily, args: argparse.Namespace) -> list
     scan, one letter per edge of a tree of left descents
     (:func:`chains.power_sums`), within the budget.  The library's gate
     for that oracle runs first: past it exact mode is refused and float
-    mode leaves the oracle columns empty.  The oracle runs at the rational
-    theta in both modes; only the float closed form takes its float.
+    mode leaves the oracle columns empty.  A scan with no closed form
+    leaves the formula columns empty instead, and is refused only past
+    the gate.  The oracle runs at the rational theta in both modes; only
+    the float closed form takes its float.
     """
     mode, averaged, passes = args.mode, args.averaged, range(args.lmin, args.lmax + 1)
     theta = _parse_theta(args.theta, mode)
@@ -351,8 +358,12 @@ def _analyze_rows(family: coxeter.GroupFamily, args: argparse.Namespace) -> list
         formulas = [
             spectral.closed_form(family, args.scan, theta, ell, averaged) for ell in passes
         ]
-    except ValueError as exc:  # no form for this scan
-        raise UsageError(str(exc)) from exc
+    except coxeter.CapExceededError:  # a p(n) refusal, not a missing form
+        raise
+    except ValueError as exc:  # no form for this scan: the oracle alone, if it runs
+        if not within_cap:
+            raise UsageError(str(exc)) from exc
+        formulas = [None] * len(passes)
     rows: list[dict] = []
     sums = dist = pi = None
     if within_cap:
@@ -380,8 +391,8 @@ def _analyze_rows(family: coxeter.GroupFamily, args: argparse.Namespace) -> list
                 "chisq_formula": formula,
                 "chisq_oracle": oracle,
                 "tv": tv,
-                "tv_bound": formula / 4,
-                "match": None if oracle is None else _match(formula, oracle, mode),
+                "tv_bound": None if formula is None else formula / 4,
+                "match": None if None in (formula, oracle) else _match(formula, oracle, mode),
             }
         )
     return rows
@@ -396,7 +407,10 @@ def analyze(args: argparse.Namespace) -> int:
     Emits one row per pass count l with the closed-form chi-square, the
     exact brute-force value (when the group is within the enumeration
     cap), the total variation distance, the bound tv^2 <= chisq/4, and a
-    match flag.  Exits 1 if any row mismatches.  From the identity the
+    match flag.  A scan with no closed form (symmetric random, dihedral
+    short, dihedral random in exact mode, averaged hypercube random)
+    prints the brute-force columns alone, and is refused (exit 2) past
+    the cap.  Exits 1 if any row mismatches.  From the identity the
     oracle applies the scan letters to the start vector (matrix-free);
     with --averaged it runs the identity row through the reversed scan
     and derives every other start's row from it by left multiplications in
@@ -675,9 +689,9 @@ _BOUND_KINDS = (
     ("dihedral", "single_pass", 1,
      lambda n, theta, c: float(spectral.bound_dihedral_long_scan(n, theta))),
     ("hypercube", "lead_constant_random", None,
-     lambda n, theta, c: spectral.lead_constant_table([theta], n)[0].random_scan),
+     lambda n, theta, c: spectral.lead_constants(n, theta).random_scan),
     ("hypercube", "lead_constant_systematic", None,
-     lambda n, theta, c: spectral.lead_constant_table([theta], n)[0].systematic_scan),
+     lambda n, theta, c: spectral.lead_constants(n, theta).systematic_scan),
 )
 
 
@@ -700,7 +714,8 @@ def bounds(args: argparse.Namespace) -> int:
 
     Rows with kind long_scan_* and single_pass are one-pass bounds, so
     their c column is fixed at 1; the lead-constant rows have no c at all.
-    All values are floats (CSV), largest grids in seconds.
+    All values are floats (CSV), largest grids in seconds.  The bounds
+    carry n^2 as a float, so an n past about 1.34e154 is refused (exit 2).
     """
     ns = args.n or [100]
     cs = args.c or [float(c) for c in range(1, 11)]
@@ -716,6 +731,10 @@ def bounds(args: argparse.Namespace) -> int:
         if n < 3:
             raise UsageError(
                 f"bounds need n >= 3 (every grid cell has dihedral rows); got {n}"
+            )
+        if n * n > sys.float_info.max:
+            raise UsageError(
+                f"bounds need n^2 within the float range, {sys.float_info.max:.4g}; got {n}"
             )
     for c in cs:
         if not (math.isfinite(c) and c > 0):

@@ -90,7 +90,7 @@ __all__ = [
     "bound_dihedral_random_scan",
     "bound_dihedral_long_scan",
     "LeadConstantRow",
-    "lead_constant_table",
+    "lead_constants",
 ]
 
 
@@ -561,23 +561,27 @@ def _start_weight(family: GroupFamily, start: GroupElement | None) -> int:
     return sum(start.payload)
 
 
-def _hypercube_product(theta: Scalar, factors, minus_one: bool) -> Scalar:
-    """``prod (1 + theta^k)^e`` over the ``(k, e)`` in ``factors``, less one
-    if ``minus_one``: a hypercube block sum, which factors over the
+def _hypercube_product(theta: Scalar, factors) -> Scalar:
+    """``prod (1 + theta^k)^e - 1`` over the ``(k, e)`` in ``factors``: a
+    hypercube block sum without the trivial block, which factors over the
     coordinates because every block is one-dimensional.  Exact for a
     Fraction theta; a float theta goes through ``log1p`` and ``expm1``, so
     that a tiny ``theta^k`` is not lost next to 1 and a value past the
-    float range is ``inf``."""
+    float range is ``inf``.  An ``e`` past the float range (``n >= 2^1024``)
+    is multiplied in logs."""
     if isinstance(theta, Fraction):
-        value = math.prod((1 + theta**k) ** e for k, e in factors)
-        return value - 1 if minus_one else value
+        return math.prod((1 + theta**k) ** e for k, e in factors) - 1
     logs = 0.0
     for k, e in factors:
         try:
-            logs += e * math.log1p(theta**k)
+            log_factor = math.log1p(theta**k)
         except OverflowError:  # theta^k past the float range, k < 0
-            logs += e * k * math.log(theta)
-    return _expm1(logs) if minus_one else _log_domain(logs)
+            log_factor = k * math.log(theta)
+        try:
+            logs += e * log_factor
+        except OverflowError:  # e past the float range; theta^k may have underflowed
+            logs += _log_domain(math.log(e) + math.log(log_factor)) if log_factor else 0.0
+    return _expm1(logs)
 
 
 def long_scan_chisq(family, theta, ell: int, start: GroupElement | None = None):
@@ -605,7 +609,7 @@ def long_scan_chisq(family, theta, ell: int, start: GroupElement | None = None):
         # where a zero weighs it theta^(4 ell - 1)
         w = _start_weight(family, start)
         factors = ((4 * ell - 1, n - w), (4 * ell + 1, w))
-        return _hypercube_product(theta, factors, minus_one=True)
+        return _hypercube_product(theta, factors)
     if start is not None and start != identity(family):
         raise ValueError(
             "closed form requires the identity start for this family"
@@ -630,7 +634,7 @@ def _long_power_sum(family: GroupFamily, theta: Scalar, m: int) -> Scalar:
     ``d_lam^2`` in the regular module."""
     n = family.n
     if family.kind == "hypercube":
-        return _hypercube_product(theta, ((2 * m, n),), minus_one=True)
+        return _hypercube_product(theta, ((2 * m, n),))
     if family.kind == "dihedral":
         # sgn (c = -n), then every block with c = 0
         return theta ** (2 * m * n) + (2 * n - 2) * theta ** (m * n)
@@ -987,7 +991,7 @@ class LeadConstantRow(NamedTuple):
     systematic_scan: float
 
 
-def lead_constant_table(thetas: Iterable[float], n: int) -> list[LeadConstantRow]:
+def lead_constants(n: int, theta: float) -> LeadConstantRow:
     """Evaluate the leading-term constants at size ``n``:
 
     random scan ``n log(n/theta) / (2 (1 + theta))`` versus systematic scan
@@ -996,17 +1000,12 @@ def lead_constant_table(thetas: Iterable[float], n: int) -> list[LeadConstantRow
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    rows = []
-    for theta in thetas:
-        theta = _require_theta_open(theta)
-        rows.append(
-            LeadConstantRow(
-                theta=theta,
-                random_scan=n * math.log(n / theta) / (2 * (1 + theta)),
-                systematic_scan=n * math.log(n) / (2 * math.log(1 / theta)),
-            )
-        )
-    return rows
+    theta = _require_theta_open(theta)
+    return LeadConstantRow(
+        theta=theta,
+        random_scan=n * math.log(n / theta) / (2 * (1 + theta)),
+        systematic_scan=n * math.log(n) / (2 * math.log(1 / theta)),
+    )
 
 
 if __name__ == "__main__":

@@ -298,26 +298,81 @@ def test_analyze_cap_is_configurable_through_the_environment(runner):
     assert res.exit_code == 2
 
 
+# the (family, scan, start) cells without a closed form, in the modes that
+# have none (the dihedral random-scan form is irrational, so float mode
+# has one), within the cap and the cell budget...
+NO_FORM_CELLS = [
+    (family, scan, averaged, mode)
+    for family, scan, averaged, modes in [
+        (symmetric(4), "random", [], ["exact", "float"]),
+        (dihedral(5), "short", [], ["exact", "float"]),
+        (dihedral(5), "random", [], ["exact"]),
+        (hypercube(4), "random", ["--averaged"], ["exact", "float"]),
+    ]
+    for mode in modes
+]
+
+
+@pytest.mark.parametrize(
+    "family, scan, averaged, mode", NO_FORM_CELLS,
+    ids=[f"{family}-{scan}{''.join(averaged)}-{mode}" for family, scan, averaged, mode
+         in NO_FORM_CELLS],
+)
+def test_analyze_prints_the_oracle_alone_where_no_closed_form_exists(
+    runner, family, scan, averaged, mode
+):
+    res = invoke(
+        runner,
+        "analyze", "--family", family.kind, "--n", str(family.n), "--theta", "1/2",
+        "--scan", scan, "--mode", mode, "--lmax", "3", *averaged,
+    )
+    assert res.exit_code == 0, res.output
+    theta = Fraction(1, 2)
+    if averaged:
+        want = [(chisq, None) for _, chisq in chains.power_sums(family, theta, scan, 3)]
+    else:
+        pi = chains.stationary(family, theta)
+        dist, want = chains.point_mass(family, coxeter.identity(family)), []
+        for _ in range(3):
+            dist = chains.evolve_scan(family, theta, scan, dist, 1)
+            want.append((chains.chi_square(dist, pi), chains.tv_distance(dist, pi)))
+    printed = {"exact": lambda x: f"{x.numerator}/{x.denominator}", "float": float}[mode]
+    for row, (chisq, tv) in zip(json.loads(res.output)["rows"], want, strict=True):
+        assert row["chisq_formula"] is row["tv_bound"] is row["match"] is None
+        assert row["chisq_oracle"] == printed(chisq)
+        assert row["tv"] == (None if tv is None else printed(tv))
+
+
+# ... and the same cells past the cap or the cell budget, where neither
+# column can run
 @pytest.mark.parametrize(
     "args",
     [
         # no closed random-scan form for the symmetric family
-        ("analyze", "--family", "symmetric", "--n", "4", "--theta", "1/2",
-         "--scan", "random", "--lmax", "1"),
+        ("analyze", "--family", "symmetric", "--n", "9", "--theta", "1/2",
+         "--scan", "random", "--lmax", "1", "--mode", "float"),
         # no closed short-scan form for the dihedral family
-        ("analyze", "--family", "dihedral", "--n", "5", "--theta", "1/2",
-         "--scan", "short", "--lmax", "1"),
-        # the dihedral random-scan form is irrational: float mode only
-        ("analyze", "--family", "dihedral", "--n", "5", "--theta", "1/2",
+        ("analyze", "--family", "dihedral", "--n", "25001", "--theta", "1/2",
+         "--scan", "short", "--lmax", "1", "--mode", "float"),
+        # the dihedral random-scan form is irrational: exact mode has only
+        # the oracle, and refuses the group past the cap
+        ("analyze", "--family", "dihedral", "--n", "25001", "--theta", "1/2",
          "--scan", "random", "--lmax", "1"),
         # averaged random-scan starts are not implemented anywhere
-        ("analyze", "--family", "hypercube", "--n", "4", "--theta", "1/2",
-         "--scan", "random", "--averaged", "--lmax", "1"),
+        ("analyze", "--family", "hypercube", "--n", "11", "--theta", "1/2",
+         "--scan", "random", "--averaged", "--lmax", "1", "--mode", "float"),
     ],
 )
 def test_analyze_refuses_scans_without_closed_forms(runner, args):
     res = invoke(runner, *args)
     assert res.exit_code == 2
+    assert res.stdout == ""
+    message = (
+        "exceeds the enumeration cap 50000" if "--mode" not in args
+        else "no averaged closed form" if "--averaged" in args
+        else "no closed form for the"
+    )
+    assert message in res.stderr
 
 
 SYMMETRIC_3 = ("--family", "symmetric", "--n", "3")
@@ -635,6 +690,18 @@ def test_analyze_float_hypercube_random_scan_beyond_the_float_range(runner):
     assert len(rows) == 40
     assert rows[-1]["chisq_formula"] == float("inf")
     assert "Infinity" in res.output and "NaN" not in res.output
+
+
+@pytest.mark.parametrize("averaged", [[], ["--averaged"]], ids=["start", "averaged"])
+def test_analyze_float_hypercube_long_scan_at_an_n_past_the_float_range(runner, averaged):
+    res = invoke(
+        runner,
+        "analyze", "--family", "hypercube", "--n", str(10**309), "--theta", "1/2",
+        "--lmax", "1", "--mode", "float", *averaged,
+    )
+    assert res.exit_code == 0
+    (row,) = json.loads(res.output)["rows"]
+    assert row["chisq_formula"] == float("inf") and row["chisq_oracle"] is None
 
 
 def test_analyze_exact_hypercube_12_long_scan(runner):
@@ -1073,6 +1140,21 @@ def test_bounds_refuse_groups_without_dihedral_rows(runner, n):
     assert res.exit_code == 2
     assert "n >= 3" in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    "n", [math.isqrt(int(sys.float_info.max)), 10**155, 10**306, 2**1024],
+    ids=["largest", "10^155", "10^306", "2^1024"],
+)
+def test_bounds_refuse_an_n_whose_square_is_past_the_float_range(runner, n):
+    res = invoke(runner, "bounds", "--n", str(n), "--theta", "1/2", "--c", "1")
+    if n * n <= sys.float_info.max:
+        assert res.exit_code == 0
+        assert len(res.stdout.splitlines()) == 11
+    else:
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "bounds need n^2 within the float range" in res.stderr
 
 
 def test_bounds_beyond_the_float_range_print_infinity(runner):

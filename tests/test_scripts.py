@@ -21,10 +21,6 @@ def _run_main(script, argv, monkeypatch):
 @pytest.mark.parametrize(
     ("script", "argv"),
     [
-        ("bounds_table", ["--n", "20", "--theta", "1/2", "--cmax", "2"]),
-        ("scan_comparison", ["--family", "symmetric", "--n", "3", "--lmax", "2"]),
-        ("scan_comparison", ["--family", "dihedral", "--n", "5", "--lmax", "2"]),
-        ("scan_comparison", ["--family", "hypercube", "--n", "3", "--lmax", "2"]),
         ("witness_demo", ["--n", "10", "--samples", "200"]),
     ],
 )
@@ -39,11 +35,6 @@ def test_script_main_runs(script, argv, monkeypatch, capsys):
 @pytest.mark.parametrize(
     ("script", "argv"),
     [
-        ("scan_comparison", ["--theta", "2"]),
-        ("scan_comparison", ["--theta", "1/0"]),
-        ("scan_comparison", ["--n", "1"]),
-        ("scan_comparison", ["--n", "9"]),  # S_9 is past the enumeration cap
-        ("bounds_table", ["--theta", "1"]),
         ("witness_demo", ["--theta", "2"]),
         ("witness_demo", ["--theta", "1", "--samples", "10"]),
     ],

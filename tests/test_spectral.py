@@ -39,7 +39,7 @@ from hecke_metro.spectral import (
     content_of_n_box,
     dihedral_random_scan_chisq,
     irreps,
-    lead_constant_table,
+    lead_constants,
     long_scan_avg_chisq,
     long_scan_chisq,
     long_scan_trace,
@@ -140,7 +140,7 @@ def test_tableau_refuses_a_non_standard_filling(rows, message):
 def test_spectral_records_refuse_a_new_field_value():
     tab = StandardTableau(((1, 3), (2,)))
     rep = irreps(symmetric(3))[0]
-    row = lead_constant_table([0.5], 10)[0]
+    row = lead_constants(10, 0.5)
     records = [
         (tab, ("rows",)),
         (rep, ("label", "d", "c", "t_of_q")),
@@ -993,6 +993,22 @@ def test_float_hypercube_long_forms_past_the_float_range_are_infinite():
     assert math.isclose(got, float(exact), rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("form", [long_scan_chisq, long_scan_avg_chisq])
+def test_float_hypercube_long_forms_at_an_n_past_the_float_range(form):
+    # n = 10^309 is no float, so the exponent n is multiplied in logs: past
+    # the float range at one pass, and 0.0 where theta^k underflows
+    family = hypercube(10**309)
+    assert form(family, 0.5, 1) == math.inf
+    assert form(family, 0.5, 2000) == 0.0
+
+
+def test_float_hypercube_long_scan_at_an_n_past_the_float_range_can_be_finite():
+    # theta^3 = 1e-310 is subnormal, so n theta^3 stays small at n = 2^1024
+    theta = 4.641588833612779e-104
+    want = math.expm1(float(2**1024 * Fraction(theta**3)))
+    assert math.isclose(long_scan_chisq(hypercube(2**1024), theta, 1), want, rel_tol=1e-9)
+
+
 def test_hypercube_default_start_is_not_built():
     # the default start is the identity, of weight 0: no n-tuple of zeros
     tracemalloc.start()
@@ -1079,7 +1095,7 @@ def test_bound_argument_validation():
 
 
 def test_lead_constants_at_one_half():
-    (row,) = lead_constant_table([0.5], 64)
+    row = lead_constants(64, 0.5)
     assert row.random_scan == pytest.approx(64 * math.log(128) / 3)
     assert row.systematic_scan == pytest.approx(64 * math.log(64) / (2 * math.log(2)))
 

@@ -11,9 +11,8 @@ Four subcommands drive the library end to end:
     distance, and the generic bound ``tv^2 <= chisq / 4``.
     The reductions work on integer numerators, not a Fraction per cell.
     A column is empty where its path cannot run: a scan with no closed
-    form (the symmetric random scan, the dihedral short scan, the dihedral
-    random scan in exact mode, the averaged hypercube random scan) prints
-    the oracle alone, and the run exits 2 only when neither can run.
+    form (see ``spectral.closed_form``) prints the oracle alone, and the
+    run exits 2 only when neither can run.
 
 ``verify``
     The invariant suite for one configured instance: generator kernels
@@ -358,8 +357,6 @@ def _analyze_rows(family: coxeter.GroupFamily, args: argparse.Namespace) -> list
         formulas = [
             spectral.closed_form(family, args.scan, theta, ell, averaged) for ell in passes
         ]
-    except coxeter.CapExceededError:  # a p(n) refusal, not a missing form
-        raise
     except ValueError as exc:  # no form for this scan: the oracle alone, if it runs
         if not within_cap:
             raise UsageError(str(exc)) from exc
@@ -407,8 +404,7 @@ def analyze(args: argparse.Namespace) -> int:
     Emits one row per pass count l with the closed-form chi-square, the
     exact brute-force value (when the group is within the enumeration
     cap), the total variation distance, the bound tv^2 <= chisq/4, and a
-    match flag.  A scan with no closed form (symmetric random, dihedral
-    short, dihedral random in exact mode, averaged hypercube random)
+    match flag.  A scan with no closed form (see spectral.closed_form)
     prints the brute-force columns alone, and is refused (exit 2) past
     the cap.  Exits 1 if any row mismatches.  From the identity the
     oracle applies the scan letters to the start vector (matrix-free);

@@ -574,13 +574,18 @@ def _hypercube_product(theta: Scalar, factors) -> Scalar:
     logs = 0.0
     for k, e in factors:
         try:
-            log_factor = math.log1p(theta**k)
+            power = theta**k
+            log_factor = math.log1p(power)
         except OverflowError:  # theta^k past the float range, k < 0
-            log_factor = k * math.log(theta)
+            power, log_factor = math.inf, k * math.log(theta)
         try:
             logs += e * log_factor
-        except OverflowError:  # e past the float range; theta^k may have underflowed
-            logs += _log_domain(math.log(e) + math.log(log_factor)) if log_factor else 0.0
+        except OverflowError:  # e past the float range: log(e log1p(theta^k))
+            if power < sys.float_info.min:  # subnormal or 0: log1p(theta^k) ~ theta^k
+                log_log = k * math.log(theta)
+            else:
+                log_log = math.log(log_factor)
+            logs += _log_domain(math.log(e) + log_log)
     return _expm1(logs)
 
 

@@ -1000,6 +1000,9 @@ def test_float_hypercube_long_forms_at_an_n_past_the_float_range(form):
     family = hypercube(10**309)
     assert form(family, 0.5, 1) == math.inf
     assert form(family, 0.5, 2000) == 0.0
+    # at l = 270 theta^k = 2^-1079 or 2^-1080 underflows to 0.0, but
+    # n theta^k is still about 2^20 at n = 2^1100: the value is past the range
+    assert form(hypercube(2**1100), 0.5, 270) == math.inf
 
 
 def test_float_hypercube_long_scan_at_an_n_past_the_float_range_can_be_finite():
@@ -1007,6 +1010,10 @@ def test_float_hypercube_long_scan_at_an_n_past_the_float_range_can_be_finite():
     theta = 4.641588833612779e-104
     want = math.expm1(float(2**1024 * Fraction(theta**3)))
     assert math.isclose(long_scan_chisq(hypercube(2**1024), theta, 1), want, rel_tol=1e-9)
+    # theta^1099 and theta^1100 underflow to 0.0, yet n theta^k is 2 and 1
+    family = hypercube(2**1100)
+    assert math.isclose(long_scan_chisq(family, 0.5, 275), math.expm1(2), rel_tol=1e-12)
+    assert math.isclose(long_scan_avg_chisq(family, 0.5, 275), math.expm1(1), rel_tol=1e-12)
 
 
 def test_hypercube_default_start_is_not_built():

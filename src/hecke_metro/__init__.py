@@ -7,7 +7,7 @@ coxeter   group families, lengths, action tables, Poincare polynomials
 hecke     T-tilde basis arithmetic on sparse dicts, products
 chains    Metropolis kernels, scans, exact evolution, num/den distributions, TV / chi-square
 spectral  irrep data and closed-form chi-square / mixing bounds
-sampler   exact stationary sampling and lower-bound witnesses
+sampler   exact stationary sampling and length moments
 cli       command-line front end (``hecke-metro``)
 """
 

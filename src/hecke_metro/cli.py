@@ -137,8 +137,7 @@ json = _lazy("json")
 class UsageError(ValueError):
     """A command line that asks for something the program cannot do;
     :func:`main` prints ``Error: <message>`` and exits 2, as it does on a
-    :class:`CapExceededError`.  A ValueError, as ``scripts/witness_demo.py``,
-    which shares :func:`_parse_theta`, expects."""
+    :class:`CapExceededError`."""
 
 
 def _parse_theta(raw: str, mode: str) -> fractions.Fraction | float:
@@ -348,9 +347,13 @@ def _analyze_rows(family: coxeter.GroupFamily, args: argparse.Namespace) -> list
         within_cap = True
     except coxeter.CapExceededError as exc:
         if mode == "exact":
+            try:  # float mode skips the oracle, but only where it has a form
+                spectral.form_of(family.kind, args.scan, averaged, exact=False)
+                advice = " (rerun with --mode float to skip it)"
+            except ValueError:
+                advice = ""
             raise coxeter.CapExceededError(
-                f"{exc}; exact mode needs the brute-force oracle (rerun with "
-                "--mode float to skip it)"
+                f"{exc}; exact mode needs the brute-force oracle{advice}"
             ) from exc
         within_cap = False
     try:
@@ -728,14 +731,14 @@ def bounds(args: argparse.Namespace) -> int:
             raise UsageError(
                 f"bounds need n >= 3 (every grid cell has dihedral rows); got {n}"
             )
-        if n * n > sys.float_info.max:
-            raise UsageError(
-                f"bounds need n^2 within the float range, {sys.float_info.max:.4g}; got {n}"
-            )
     for c in cs:
         if not (math.isfinite(c) and c > 0):
             raise UsageError(f"slack constants must be positive and finite, got {c}")
-    _emit([_csv_text(_BOUND_COLUMNS, _bound_rows(ns, thetas, cs))], args.out)
+    try:
+        rows = _bound_rows(ns, thetas, cs)
+    except ValueError as exc:  # the library refuses an n past the float range
+        raise UsageError(str(exc)) from exc
+    _emit([_csv_text(_BOUND_COLUMNS, rows)], args.out)
     return 0
 
 

@@ -1,5 +1,5 @@
-"""Exact sequential sampling from ``pi``, length-statistic moments, and
-simulation-based lower-bound witnesses.
+"""Exact sequential sampling from ``pi`` and the moments of the length
+statistic, the two things ``sample`` runs.
 
 The stationary measure ``pi(w) ~ q^len(w)`` factors over a sequential
 construction, which gives a direct sampler (no Markov chain, no burn-in):
@@ -22,17 +22,6 @@ under ``pi``: with ``q = 1/theta`` and degrees ``d_1..d_r``,
     ``Var = r q/(1-q)^2 - sum_i d_i^2 q^(d_i)/(1 - q^(d_i))^2``
 
 with the ``q = 1`` limits ``sum (d_i - 1)/2`` and ``sum (d_i^2 - 1)/12``.
-
-`lower_bound_witness` runs the actual Metropolis chains on the hypercube
-(vectorised over sample paths, procedural -- no kernel matrices, so ``n``
-in the thousands is fine) and compares the empirical mean of the witness
-statistic ``T(y) = (n/sqrt(theta)) (1 - |y|(1+theta)/n)`` against its
-closed-form evolution.  `symmetric_support_witness` is the deterministic
-counterpart for permutations: one scan pass changes the length by at most
-``2(n-1)``, so after ``ell`` passes from the identity the chain has zero
-mass on lengths above ``2 ell (n-1)`` while ``pi`` concentrates near
-``C(n,2)``; Chebyshev turns the moments into an explicit total-variation
-lower bound.
 """
 
 from __future__ import annotations
@@ -42,7 +31,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, TypeAlias
 
 from . import coxeter
-from .coxeter import GroupElement, GroupFamily, degrees, symmetric
+from .coxeter import GroupElement, GroupFamily, degrees
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,11 +42,6 @@ __all__ = [
     "MomentReport",
     "mallows_sample",
     "length_moments",
-    "hypercube_test_statistic",
-    "WitnessReport",
-    "lower_bound_witness",
-    "SupportWitness",
-    "symmetric_support_witness",
 ]
 
 # numpy's PCG64 stream; numpy is imported by the functions that draw, on
@@ -174,167 +158,3 @@ def length_moments(family: GroupFamily, theta) -> MomentReport:
         q / (1 - q) ** 2 - d * d * q**d / (1 - q**d) ** 2 for d in ds
     )
     return MomentReport(mean=mean, variance=variance)
-
-
-def hypercube_test_statistic(y, theta) -> float:
-    """Witness statistic ``T(y) = (n/sqrt(theta)) (1 - |y|(1+theta)/n)``;
-    centred (``E_pi T = 0``) and normalised (``Var_pi T = n``)."""
-    theta = float(coxeter.check_theta(theta))
-    if isinstance(y, GroupElement) and y.family.kind != "hypercube":
-        raise ValueError(f"y must be a hypercube element, got one of {y.family}")
-    bits = y.payload if isinstance(y, GroupElement) else tuple(int(b) for b in y)
-    if not bits or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"y must be a nonempty bit vector, got {y!r}")
-    n = len(bits)
-    return (n / math.sqrt(theta)) * (1 - sum(bits) * (1 + theta) / n)
-
-
-# --------------------------------------------------------------------------
-# lower-bound witnesses
-
-class WitnessReport(NamedTuple):
-    """Empirical versus predicted behaviour of the witness statistic ``T``
-    over simulated hypercube chains started at the all-zeros state."""
-
-    n: int
-    theta: float
-    ell: int
-    scan: str
-    samples: int
-    empirical_mean: float
-    empirical_variance: float
-    predicted_mean: float
-    predicted_variance: float
-    standard_error: float
-    z_score: float
-
-
-def lower_bound_witness(
-    n: int, theta, ell: int, scan: str, N: int, rng: RandomSource
-) -> WitnessReport:
-    """Simulate ``N`` independent hypercube Metropolis chains from the
-    all-zeros state and compare the empirical mean of ``T`` with its exact
-    evolution.
-
-    ``scan="random"`` runs ``ell`` single-site moves (site uniform each
-    step); the predictions use ``a = 1 - (1+theta)/n`` and
-    ``b = 1 - 2(1+theta)/n``:
-
-        ``E = (n/sqrt(theta)) a^ell``
-        ``Var = n + (n(1-theta)/theta) a^ell + (n(n-1)/theta) b^ell
-                - (n^2/theta) a^(2 ell)``
-
-    ``scan="systematic"`` runs ``ell`` full passes (sites ``1..n, n..1``):
-
-        ``E = (n/sqrt(theta)) theta^(2 ell)``
-        ``Var = n (1 + ((1-theta)/theta) theta^(2 ell)
-                - (1/theta) theta^(4 ell))``
-
-    The chains are run procedurally on a boolean array (no matrices), so
-    ``n`` in the thousands is reachable.
-    """
-    theta = float(coxeter.check_theta(theta))
-    if scan not in ("random", "systematic"):
-        raise ValueError(f"scan must be 'random' or 'systematic', got {scan!r}")
-    if n < 1 or N < 2 or ell < 0:
-        raise ValueError("need n >= 1, N >= 2, ell >= 0")
-
-    import numpy as np
-
-    state = np.zeros((N, n), dtype=bool)
-    rows = np.arange(N)
-    if scan == "random":
-        for _ in range(ell):
-            sites = rng.integers(0, n, size=N)
-            current = state[rows, sites]
-            accept = ~current | (rng.random(N) < theta)
-            state[rows, sites] = np.where(accept, ~current, current)
-        a = 1 - (1 + theta) / n
-        b = 1 - 2 * (1 + theta) / n
-        predicted_mean = (n / math.sqrt(theta)) * a**ell
-        predicted_variance = (
-            n
-            + (n * (1 - theta) / theta) * a**ell
-            + (n * (n - 1) / theta) * b**ell
-            - (n * n / theta) * a ** (2 * ell)
-        )
-    else:
-        order = list(range(n)) + list(reversed(range(n)))
-        for _ in range(ell):
-            for i in order:
-                current = state[:, i]
-                accept = ~current | (rng.random(N) < theta)
-                state[:, i] = np.where(accept, ~current, current)
-        decay = theta ** (2 * ell)
-        predicted_mean = (n / math.sqrt(theta)) * decay
-        predicted_variance = n * (
-            1 + ((1 - theta) / theta) * decay - (1 / theta) * decay**2
-        )
-
-    weights = state.sum(axis=1)
-    values = (n / math.sqrt(theta)) * (1 - weights * (1 + theta) / n)
-    empirical_mean = float(values.mean())
-    empirical_variance = float(values.var(ddof=1))
-    standard_error = math.sqrt(max(predicted_variance, 0.0) / N)
-    z = (
-        (empirical_mean - predicted_mean) / standard_error
-        if standard_error > 0
-        else 0.0
-    )
-    return WitnessReport(
-        n=n,
-        theta=theta,
-        ell=ell,
-        scan=scan,
-        samples=N,
-        empirical_mean=empirical_mean,
-        empirical_variance=empirical_variance,
-        predicted_mean=predicted_mean,
-        predicted_variance=predicted_variance,
-        standard_error=standard_error,
-        z_score=z,
-    )
-
-
-class SupportWitness(NamedTuple):
-    """Deterministic support bound for the short scan on permutations.
-
-    After ``ell`` passes from the identity every reachable state has
-    length at most ``max_support_length``; the ``pi``-mass above that
-    length (lower-bounded by Chebyshev from the exact moments) is then a
-    total-variation lower bound."""
-
-    n: int
-    theta: Fraction | float
-    ell: int
-    max_support_length: int
-    mean_length: Fraction | float
-    variance_length: Fraction | float
-    tail_probability_lower_bound: Fraction | float
-    tv_lower_bound: Fraction | float
-
-
-def symmetric_support_witness(n: int, theta, ell: int) -> SupportWitness:
-    """Exact witness report for the short scan on the symmetric family
-    (one pass moves the length by at most ``2(n-1)``)."""
-    theta = coxeter.check_theta(theta)
-    if n < 2 or ell < 0:
-        raise ValueError("need n >= 2, ell >= 0")
-    family = symmetric(n)
-    reach = min(2 * ell * (n - 1), math.comb(n, 2))
-    moments = length_moments(family, theta)
-    slack = moments.mean - reach
-    if slack > 0 and moments.variance < slack**2:
-        tail = 1 - moments.variance / slack**2
-    else:
-        tail = Fraction(0) if isinstance(theta, Fraction) else 0.0
-    return SupportWitness(
-        n=n,
-        theta=theta,
-        ell=ell,
-        max_support_length=reach,
-        mean_length=moments.mean,
-        variance_length=moments.variance,
-        tail_probability_lower_bound=tail,
-        tv_lower_bound=tail,
-    )

@@ -84,6 +84,7 @@ __all__ = [
     "random_scan_chisq_hypercube",
     "dihedral_random_scan_chisq",
     "closed_form",
+    "form_of",
     "bound_theorem_1_4",
     "bound_hypercube",
     "bound_symmetric_scans",
@@ -802,38 +803,45 @@ def closed_form(family: GroupFamily, scan: str, theta, ell: int, averaged: bool 
     ``scan`` is ``"long"``, ``"short"`` or ``"random"``; the distance is
     from the identity start, or pi-averaged over starts when ``averaged``.
     A `Fraction` theta gives the exact value and a float theta a float;
-    nothing else selects the mode.  The hypercube short scan visits every
+    nothing else selects the mode.  Raises ValueError where no form exists
+    (see `form_of`).
+    """
+    form = form_of(family.kind, scan, averaged, exact=not isinstance(theta, float))
+    return form(family, check_theta(theta), ell)
+
+
+def form_of(kind: str, scan: str, averaged: bool, exact: bool):
+    """The closed form of a (family kind, scan, averaged) cell in exact or
+    float mode, as a function of ``(family, theta, ell)``; whether a cell
+    has one does not depend on n.  The hypercube short scan visits every
     generator twice, which is exactly that family's long recipe, so it
     reuses the long-scan forms.
 
     Raises ValueError where no form exists: the symmetric random scan, the
-    dihedral short scan, the dihedral random scan at a rational theta (its
+    dihedral short scan, the dihedral random scan in exact mode (its
     eigenvalues involve cosines) and the averaged hypercube random scan.
     """
     if scan not in ("long", "short", "random"):
         raise ValueError(f'scan must be "long", "short" or "random", got {scan!r}')
-    theta = check_theta(theta)
-    if scan == "long" or (scan == "short" and family.kind == "hypercube"):
-        if averaged:
-            return long_scan_avg_chisq(family, theta, ell)
-        return long_scan_chisq(family, theta, ell)
+    if scan == "long" or (scan == "short" and kind == "hypercube"):
+        return long_scan_avg_chisq if averaged else long_scan_chisq
     if scan == "short":
-        if family.kind == "symmetric":
-            return short_scan_chisq_symmetric(family.n, theta, ell, averaged=averaged)
+        if kind == "symmetric":
+            return lambda f, t, ell: short_scan_chisq_symmetric(f.n, t, ell, averaged=averaged)
         raise ValueError(
             "no closed form for the dihedral short scan; the long and random scans have one"
         )
-    if family.kind == "hypercube":
+    if kind == "hypercube":
         if averaged:
             raise ValueError("no averaged closed form for the hypercube random scan")
-        return random_scan_chisq_hypercube(family.n, theta, ell)
-    if family.kind == "dihedral":
-        if isinstance(theta, Fraction):
+        return lambda f, t, ell: random_scan_chisq_hypercube(f.n, t, ell)
+    if kind == "dihedral":
+        if exact:
             raise ValueError(
                 "the dihedral random-scan closed form involves cosines, "
                 "so it needs a float theta (float mode)"
             )
-        return dihedral_random_scan_chisq(family.n, theta, ell, averaged=averaged)
+        return lambda f, t, ell: dihedral_random_scan_chisq(f.n, t, ell, averaged=averaged)
     raise ValueError(
         "no closed form for the symmetric random scan; the long and short scans have one"
     )
@@ -849,6 +857,15 @@ def _require_theta_open(theta: float) -> float:
             f"bound requires 0 < theta < 1 (log theta appears), got {theta}"
         )
     return theta
+
+
+def _require_n(n: int, least: int, power: int = 1) -> None:
+    """Refuse an n below ``least``, or one whose ``power`` is past the float range."""
+    if n < least:
+        raise ValueError(f"need n >= {least}")
+    if n**power > sys.float_info.max:
+        name = "n" if power == 1 else f"n^{power}"
+        raise ValueError(f"bounds need {name} within the float range, 1.798e+308; got {n}")
 
 
 def _log_domain(log_value: float) -> float:
@@ -879,8 +896,7 @@ def bound_theorem_1_4(n: int, theta, c) -> float:
     c = float(c)
     if c <= 0:
         raise ValueError(f"need c > 0, got {c}")
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _require_n(n, 2, power=2)
     log_theta = math.log(theta)
     exponent = n * n / 8 - n * math.log(n) / log_theta + n * (c + 0.25)
     tail = _log_domain(math.lgamma(n + 1) + exponent * log_theta)
@@ -925,8 +941,7 @@ def bound_symmetric_scans(n: int, theta, which: str, c=None) -> float:
       ``(e^(theta^(2c)) - 1) + (theta^c/e)^n e^(1/12) sqrt(2 pi n)``.
     """
     theta = _require_theta_open(theta)
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _require_n(n, 2, power=1 if which == "short_avg" else 2)
     log_theta = math.log(theta)
     if which == "long_start":
         tail = _log_domain(
@@ -960,8 +975,7 @@ def bound_dihedral_random_scan(n: int, theta, ell: int) -> float:
     value is beyond the float range, and 0.0 when it underflows, as it does
     for a pass count past the float range."""
     theta = _require_theta_open(theta)
-    if n < 3:
-        raise ValueError("need n >= 3")
+    _require_n(n, 3)
     gap = 1 - 0.5 * (1 - math.sqrt(theta)) ** 2
     # a pass count past the float range is capped at the largest float: the
     # bound falls as the count grows, so the capped value is still a bound
@@ -978,8 +992,7 @@ def bound_dihedral_long_scan(n: int, theta) -> Fraction:
     theta = check_theta(theta)
     if theta == 1:
         raise ValueError("bound requires theta < 1")
-    if n < 3:
-        raise ValueError("need n >= 3")
+    _require_n(n, 3)
     return 2 * theta ** (n + 1) / (1 - theta)
 
 
@@ -1003,8 +1016,7 @@ def lead_constants(n: int, theta: float) -> LeadConstantRow:
     ``n log n / (2 log(1/theta))``.  As ``theta -> 0`` the systematic
     constant wins; at ``theta`` near 1 the random scan does.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _require_n(n, 2)
     theta = _require_theta_open(theta)
     return LeadConstantRow(
         theta=theta,

@@ -38,7 +38,11 @@ oracle the fast versions must equal by ``==``:
   weight and by overlap with the start (the library's forms before it
   multiplied them out);
 * the law of the symmetric-family insertion sampler, expanded over every
-  choice of every stage in exact rationals (``insertion_distribution``).
+  choice of every stage in exact rationals (``insertion_distribution``);
+* the hypercube lower-bound witness of acceptance criterion 10: ``N``
+  Metropolis chains simulated on a boolean array, their mean of the
+  separating statistic against its exact evolution
+  (``lower_bound_witness``).
 """
 
 import functools
@@ -559,3 +563,61 @@ def insertion_distribution(n, theta):
     return chains.Distribution.of(
         family, [weights[w.payload] for w in coxeter.enumerate(family)]
     )
+
+
+def lower_bound_witness(n, theta, ell, scan, N, rng):
+    """Simulate ``N`` independent hypercube Metropolis chains from the
+    all-zeros state on a boolean array and compare the empirical mean of
+    the statistic ``T(y) = (n/sqrt(theta)) (1 - |y|(1+theta)/n)`` with its
+    exact evolution.
+
+    ``scan="random"`` runs ``ell`` single-site moves (site uniform each
+    step); with ``a = 1 - (1+theta)/n`` and ``b = 1 - 2(1+theta)/n``
+
+        ``E = (n/sqrt(theta)) a^ell``
+        ``Var = n + (n(1-theta)/theta) a^ell + (n(n-1)/theta) b^ell
+                - (n^2/theta) a^(2 ell)``
+
+    ``scan="systematic"`` runs ``ell`` full passes (sites ``1..n, n..1``):
+
+        ``E = (n/sqrt(theta)) theta^(2 ell)``
+        ``Var = n (1 + ((1-theta)/theta) theta^(2 ell)
+                - (1/theta) theta^(4 ell))``
+
+    Returns (empirical mean, predicted mean, predicted variance, z-score of
+    the empirical mean), the z-score 0 where the predicted variance is 0.
+    """
+    state = np.zeros((N, n), dtype=bool)
+    rows = np.arange(N)
+    if scan == "random":
+        for _ in range(ell):
+            sites = rng.integers(0, n, size=N)
+            current = state[rows, sites]
+            accept = ~current | (rng.random(N) < theta)
+            state[rows, sites] = np.where(accept, ~current, current)
+        a = 1 - (1 + theta) / n
+        b = 1 - 2 * (1 + theta) / n
+        predicted_mean = (n / math.sqrt(theta)) * a**ell
+        predicted_variance = (
+            n
+            + (n * (1 - theta) / theta) * a**ell
+            + (n * (n - 1) / theta) * b**ell
+            - (n * n / theta) * a ** (2 * ell)
+        )
+    else:
+        order = list(range(n)) + list(reversed(range(n)))
+        for _ in range(ell):
+            for i in order:
+                current = state[:, i]
+                accept = ~current | (rng.random(N) < theta)
+                state[:, i] = np.where(accept, ~current, current)
+        decay = theta ** (2 * ell)
+        predicted_mean = (n / math.sqrt(theta)) * decay
+        predicted_variance = n * (
+            1 + ((1 - theta) / theta) * decay - (1 / theta) * decay**2
+        )
+    values = (n / math.sqrt(theta)) * (1 - state.sum(axis=1) * (1 + theta) / n)
+    empirical_mean = float(values.mean())
+    standard_error = math.sqrt(max(predicted_variance, 0.0) / N)
+    z = (empirical_mean - predicted_mean) / standard_error if standard_error > 0 else 0.0
+    return empirical_mean, predicted_mean, predicted_variance, z

@@ -361,18 +361,28 @@ def test_analyze_prints_the_oracle_alone_where_no_closed_form_exists(
         # averaged random-scan starts are not implemented anywhere
         ("analyze", "--family", "hypercube", "--n", "11", "--theta", "1/2",
          "--scan", "random", "--averaged", "--lmax", "1", "--mode", "float"),
+        # the cells of args0, args1 and args3 in exact mode
+        ("analyze", "--family", "symmetric", "--n", "9", "--theta", "1/2",
+         "--scan", "random", "--lmax", "1"),
+        ("analyze", "--family", "dihedral", "--n", "25001", "--theta", "1/2",
+         "--scan", "short", "--lmax", "1"),
+        ("analyze", "--family", "hypercube", "--n", "11", "--theta", "1/2",
+         "--scan", "random", "--averaged", "--lmax", "1"),
     ],
 )
 def test_analyze_refuses_scans_without_closed_forms(runner, args):
     res = invoke(runner, *args)
     assert res.exit_code == 2
     assert res.stdout == ""
-    message = (
-        "exceeds the enumeration cap 50000" if "--mode" not in args
-        else "no averaged closed form" if "--averaged" in args
-        else "no closed form for the"
-    )
+    if "--mode" in args:
+        message = "no averaged closed form" if "--averaged" in args else "no closed form for the"
+    else:  # the oracle's gate: the cell budget with --averaged, else the cap
+        message = "over the budget of" if "--averaged" in args else "exceeds the enumeration cap 50000"
     assert message in res.stderr
+    if "--mode" not in args:
+        # an exact refusal advises float mode only where that rerun has a form
+        rerun = invoke(runner, *args, "--mode", "float")
+        assert ("--mode float" in res.stderr) is (rerun.exit_code == 0)
 
 
 SYMMETRIC_3 = ("--family", "symmetric", "--n", "3")

@@ -38,6 +38,7 @@ MOVED_TO_THE_ORACLE = [
     ("hecke", "tilde_word"),
     ("spectral", "short_scan_trace_symmetric"),
     ("sampler", "insertion_distribution"),
+    ("sampler", "lower_bound_witness"),
 ]
 
 

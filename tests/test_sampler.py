@@ -1,6 +1,6 @@
 """Sampler tests: the sequential construction against the exact stationary
-law, length moments, determinism, a goodness-of-fit run, and the two
-lower-bound witnesses."""
+law, length moments, determinism, a goodness-of-fit run, and the test
+oracle's hypercube lower-bound witness against the exact chain."""
 
 import math
 import tracemalloc
@@ -8,22 +8,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import insertion_distribution
+from fraction_oracle import insertion_distribution, lower_bound_witness
 from hecke_metro import chains, coxeter, sampler
 from hecke_metro.coxeter import GroupElement, dihedral, hypercube, symmetric
-from hecke_metro.sampler import (
-    MomentReport,
-    hypercube_test_statistic,
-    length_moments,
-    lower_bound_witness,
-    mallows_sample,
-    random_source,
-    symmetric_support_witness,
-)
+from hecke_metro.sampler import MomentReport, length_moments, mallows_sample, random_source
 
 THETAS = [Fraction(1, 2), Fraction(1, 3), Fraction(1)]
 
@@ -210,109 +200,48 @@ def test_biased_goodness_of_fit_on_the_hypercube():
 
 
 # ---------------------------------------------------------------------------
-# the separating statistic and the witness reports
-
-
-def test_statistic_moments_under_stationarity():
-    theta = Fraction(1, 2)
-    family = hypercube(3)
-    pi = chains.stationary(family, theta)
-    values = [hypercube_test_statistic(w, theta) for w in coxeter.enumerate(family)]
-    mean = sum(float(p) * v for p, v in zip(pi.probs, values))
-    second = sum(float(p) * v * v for p, v in zip(pi.probs, values))
-    assert math.isclose(mean, 0, abs_tol=1e-12)
-    assert math.isclose(second, 3, rel_tol=1e-12)  # Var_pi = n
-
-
-def test_statistic_accepts_bit_sequences():
-    theta = 0.25
-    assert hypercube_test_statistic((0, 0, 0, 0), theta) == pytest.approx(
-        4 / math.sqrt(theta)
-    )
-
-
-@pytest.mark.parametrize("bits", [[], ()], ids=repr)
-def test_statistic_refuses_an_empty_bit_vector(bits):
-    # the statistic divides by n = 0
-    with pytest.raises(ValueError, match="nonempty bit vector"):
-        hypercube_test_statistic(bits, 0.5)
-
-
-def test_statistic_refuses_an_element_of_another_family():
-    # the dihedral payload (1, 1) passes as bits, and read -1.414...
-    with pytest.raises(ValueError, match="hypercube element"):
-        hypercube_test_statistic(GroupElement(dihedral(3), (1, 1)), 0.5)
+# the test oracle's witness: simulated chains against the exact evolution
 
 
 def test_witness_agrees_with_the_exact_chain_at_small_size():
     # exact check: empirical mean of T after ell random-scan moves on n=6
     # against the closed form (n/sqrt(theta)) a^ell, a = 1 - (1+theta)/n
     n, theta, ell = 6, 0.5, 9
-    rep = lower_bound_witness(n, theta, ell, "random", 20000, random_source(2))
+    _, predicted_mean, _, z = lower_bound_witness(
+        n, theta, ell, "random", 20000, random_source(2)
+    )
     a = 1 - (1 + theta) / n
-    assert rep.predicted_mean == pytest.approx((n / math.sqrt(theta)) * a**ell)
-    assert abs(rep.z_score) < 3
-    assert rep.samples == 20000
-    assert rep.scan == "random"
-    # and the exact distributional mean from kernel evolution agrees
+    assert predicted_mean == pytest.approx((n / math.sqrt(theta)) * a**ell)
+    assert abs(z) < 3
+    # and the exact distributional mean of T from kernel evolution agrees
     family = hypercube(n)
     K = chains.scan_kernel(family, Fraction(1, 2), "random")
     dist = oracle.evolve(
         K, chains.point_mass(family, coxeter.identity(family)), ell
     )
     exact_mean = sum(
-        float(p) * hypercube_test_statistic(w, theta)
+        float(p) * (n / math.sqrt(theta)) * (1 - sum(w.payload) * (1 + theta) / n)
         for p, w in zip(dist.probs, coxeter.enumerate(family))
     )
-    assert rep.predicted_mean == pytest.approx(exact_mean)
+    assert predicted_mean == pytest.approx(exact_mean)
 
 
 def test_witness_systematic_scan_prediction():
     n, theta, ell = 12, 0.5, 2
-    rep = lower_bound_witness(n, theta, ell, "systematic", 8000, random_source(9))
-    assert rep.predicted_mean == pytest.approx(
-        (n / math.sqrt(theta)) * theta ** (2 * ell)
+    _, predicted_mean, _, z = lower_bound_witness(
+        n, theta, ell, "systematic", 8000, random_source(9)
     )
-    assert abs(rep.z_score) < 3
+    assert predicted_mean == pytest.approx((n / math.sqrt(theta)) * theta ** (2 * ell))
+    assert abs(z) < 3
 
 
 def test_witness_zero_passes_is_deterministic():
-    rep = lower_bound_witness(10, 0.5, 0, "systematic", 100, random_source(0))
-    assert rep.predicted_variance == 0
-    assert rep.z_score == 0.0
-    assert math.isclose(rep.empirical_mean, rep.predicted_mean, rel_tol=1e-12)
-
-
-def test_witness_rejects_unknown_scans():
-    with pytest.raises(ValueError):
-        lower_bound_witness(5, 0.5, 1, "diagonal", 10, random_source(0))
-
-
-def test_support_witness_confines_early_passes():
-    w = symmetric_support_witness(30, 0.1, 3)
-    assert w.max_support_length == min(2 * 3 * 29, 30 * 29 // 2)
-    assert w.tv_lower_bound == pytest.approx(0.9999469088058668, rel=1e-12)
-    # moments quoted in the report match the closed forms
-    moments = length_moments(symmetric(30), Fraction(1, 10))
-    assert w.mean_length == pytest.approx(float(moments.mean))
-    assert w.variance_length == pytest.approx(float(moments.variance))
-
-
-def test_support_witness_degrades_to_zero_once_the_scan_reaches_everything():
-    w = symmetric_support_witness(4, 0.5, 50)
-    assert w.max_support_length == 6  # the full inversion range
-    assert w.tv_lower_bound == 0
-
-
-@given(
-    n=st.integers(min_value=2, max_value=20),
-    ell=st.integers(min_value=1, max_value=8),
-)
-@settings(max_examples=40, deadline=None)
-def test_support_witness_bound_is_a_probability(n, ell):
-    w = symmetric_support_witness(n, 0.25, ell)
-    assert 0 <= w.tv_lower_bound <= 1
-    assert w.max_support_length <= n * (n - 1) // 2
+    empirical_mean, predicted_mean, predicted_variance, z = lower_bound_witness(
+        10, 0.5, 0, "systematic", 100, random_source(0)
+    )
+    assert predicted_variance == 0
+    assert z == 0.0
+    assert math.isclose(empirical_mean, predicted_mean, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("variance", [Fraction(-1, 3), -0.5])
@@ -324,14 +253,6 @@ def test_moment_report_refuses_a_negative_variance(variance):
 
 def test_sampler_records_refuse_a_new_field_value():
     moments = length_moments(symmetric(4), Fraction(1, 2))
-    witness = lower_bound_witness(5, 0.5, 1, "random", 4, random_source(1))
-    support = symmetric_support_witness(5, Fraction(1, 2), 1)
-    records = [
-        (moments, ("mean", "variance")),
-        (witness, ("n", "theta", "ell", "scan", "samples", "z_score")),
-        (support, ("n", "theta", "ell", "max_support_length", "tv_lower_bound")),
-    ]
-    for record, fields in records:
-        for field in fields:
-            with pytest.raises(AttributeError):
-                setattr(record, field, getattr(record, field))
+    for field in ("mean", "variance"):
+        with pytest.raises(AttributeError):
+            setattr(moments, field, getattr(moments, field))

@@ -11,6 +11,7 @@ import doctest
 import functools
 import math
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -1105,6 +1106,31 @@ def test_lead_constants_at_one_half():
     row = lead_constants(64, 0.5)
     assert row.random_scan == pytest.approx(64 * math.log(128) / 3)
     assert row.systematic_scan == pytest.approx(64 * math.log(64) / (2 * math.log(2)))
+
+
+@pytest.mark.parametrize(
+    ("bound", "power"),
+    [
+        pytest.param(lambda n: bound_theorem_1_4(n, 0.5, 1), 2, id="theorem_1_4"),
+        pytest.param(lambda n: bound_symmetric_scans(n, 0.5, "long_start"), 2, id="long_start"),
+        pytest.param(lambda n: bound_symmetric_scans(n, 0.5, "long_avg"), 2, id="long_avg"),
+        pytest.param(lambda n: bound_symmetric_scans(n, 0.5, "short_avg", 1), 1, id="short_avg"),
+        pytest.param(lambda n: bound_dihedral_random_scan(n, 0.5, 1), 1, id="dihedral_random"),
+        pytest.param(lambda n: bound_dihedral_long_scan(n, 0.5), 1, id="dihedral_long"),
+        pytest.param(lambda n: lead_constants(n, 0.5), 1, id="lead_constants"),
+    ],
+)
+def test_bounds_refuse_an_n_past_the_float_range(bound, power):
+    # each bound carries n or n^2 as a float, and past the float range ended
+    # in OverflowError; theta is a float here, since at a Fraction the
+    # dihedral long bound would form theta^(n + 1) exactly
+    largest = math.isqrt(int(sys.float_info.max)) if power == 2 else int(sys.float_info.max)
+    bound(largest)
+    name = "n^2" if power == 2 else "n"
+    for n in (largest + 1, 10**155 if power == 2 else 10**309):
+        message = f"bounds need {name} within the float range, 1.798e+308; got {n}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bound(n)
 
 
 # ---------------------------------------------------------------------------
